@@ -83,6 +83,8 @@ def load(cache_dir, kind):
                 raise ValueError("non-contiguous rows")
         else:
             lo = 0
+        if lo + rows - 1 != kind.nmax:
+            raise ValueError("rows end at %d, not at nmax %d" % (lo + rows - 1, kind.nmax))
         return [c for _, c in pairs], lo
     except (ValueError, IndexError, OSError) as exc:
         log.warning("treating corrupt cache file %s as a miss: %s", path, exc)

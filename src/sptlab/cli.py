@@ -45,18 +45,11 @@ def build_parser():
     chk.add_argument("--t", type=int, choices=(5, 7, 13), default=None)
     chk.add_argument("--nmax", type=int, default=None, help="sweep bound override")
     chk.add_argument(
-        "--prec",
-        type=int,
-        default=None,
-        help="precision override; used as the sweep bound when --nmax is absent",
-    )
-    chk.add_argument(
         "--mod",
         default=None,
         help="'exact' to keep streams in exact arithmetic, or a modulus override",
     )
     chk.add_argument("--cache-dir", default=None)
-    chk.add_argument("--jobs", type=int, default=1)
     chk.add_argument("--format", choices=("text", "json"), default="text")
 
     ser = sub.add_parser("series", help="print or store one coefficient stream")
@@ -84,7 +77,7 @@ def _check_options(args):
     return CheckOptions(
         ells=args.ell,
         t=args.t,
-        nmax=args.nmax if args.nmax is not None else args.prec,
+        nmax=args.nmax,
         modulus=modulus,
         exact=exact,
         cache_dir=args.cache_dir,
@@ -94,12 +87,19 @@ def _check_options(args):
 def _seed_from_cache(cache_dir):
     for kind in _CACHEABLE:
         best = cache.scan(cache_dir, kind, MASTER_MODULUS)
-        if best:
-            got = cache.load(cache_dir, best)
-            if got:
-                partitions.seed(
-                    kind, got[0], MASTER_MODULUS, got[1], frac24=best.frac24
-                )
+        got = cache.load(cache_dir, best) if best else None
+        if got is None:
+            continue
+        values, lo = got
+        if lo != 0:
+            # p/spt/d/a tables start at n = 0; seeding a later start would
+            # make the bank read the missing rows as zeros
+            cache.log.warning(
+                "treating cache file %s as a miss: rows start at %d, not 0",
+                best.filename(), lo,
+            )
+            continue
+        partitions.seed(kind, values, MASTER_MODULUS)
 
 
 def _store_to_cache(cache_dir):
@@ -119,7 +119,7 @@ def _run_check(args):
     if args.cache_dir:
         _seed_from_cache(args.cache_dir)
     t0 = time.perf_counter()
-    reports = run_checks(names, opts, jobs=max(1, args.jobs))
+    reports = run_checks(names, opts)
     elapsed = time.perf_counter() - t0
     if args.cache_dir:
         _store_to_cache(args.cache_dir)

@@ -31,19 +31,6 @@ def euler_product(n, modulus=0):
         k += 1
     return Series(out, 0, 0, modulus, copy=False)
 
-def pentagonal_terms(n):
-    """Nonzero terms (g, +-1) of the Euler product with 1 <= g <= n."""
-    out = []
-    k = 1
-    while k * (3 * k - 1) // 2 <= n:
-        sign = 1 if k % 2 == 0 else -1
-        out.append((k * (3 * k - 1) // 2, sign))
-        if k * (3 * k + 1) // 2 <= n:
-            out.append((k * (3 * k + 1) // 2, sign))
-        k += 1
-    out.sort()
-    return out
-
 
 def _divisor_power_sums(weight, n, modulus=0):
     """sigma_{weight}(m) for 1 <= m <= n (index 0 unused)."""
@@ -95,11 +82,6 @@ def j_series(n, modulus=0):
     """Klein j-function expansion q^-1 + 744 + 196884 q + ..."""
     e4 = eisenstein(4, n + 2, modulus)
     return (e4 ** 3 * delta_series(n + 2, modulus).invert()).truncate(n)
-
-
-def delta_j(n, modulus=0):
-    """(discriminant, j) pair at matching precision."""
-    return delta_series(n, modulus), j_series(n, modulus)
 
 
 def e14_over_delta(n, modulus=0):

@@ -139,11 +139,6 @@ def _norm_coeff(c):
     return c
 
 
-def gpoly_fricke(k):
-    """Module-level alias for GPoly.fricke."""
-    return k.fricke()
-
-
 # -- beta streams ---------------------------------------------------------------
 
 

@@ -1,20 +1,27 @@
 """Coefficient streams for the partition function p(n), the smallest-parts
 count spt(n), and the weighted combinations built from them.
 
-spt(n) counts parts equal to the smallest part, summed over partitions of n:
-its generating function is sum_m q^m (1-q^m)^{-2} prod_{r>m} (1-q^r)^{-1},
-which is evaluated with a backward tail-product recurrence so each m costs
-one O(N) pass.
+spt(n) counts parts equal to the smallest part, summed over partitions of n.
+Andrews (The number of smallest parts in the partitions of n, J. reine
+angew. Math. 624 (2008)) writes its generating function through the Euler
+product (q)_inf = prod_{r>=1} (1 - q^r):
+
+    (q)_inf * sum spt(n) q^n
+        = sum sigma(n) q^n + sum_{k>=1} (-1)^k q^(k(3k+1)/2) (1 + q^k) / (1 - q^k)^2.
+
+The right side costs O(N) per k and O(N^1.5) in all; one product with the
+partition table p = 1/(q)_inf finishes it.  The same Series expression
+serves the exact and the modular backend.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import euler_product, form, pentagonal_terms
+from .forms import _divisor_power_sums, euler_product
 from .series import Series, ValidityError
 
 EXACT_CAP = 5000
@@ -81,40 +88,22 @@ def partition_stream(n, modulus=0, cap=None):
 
 
 def spt_stream(n, modulus=0, cap=None):
-    """spt(0..n) via the backward recurrence over smallest parts.
+    """spt(0..n) from Andrews' identity (see the module docstring).
 
-    T_m = q^m/(1-q^m) + (1-q^m) T_{m+1} accumulates the tail products;
-    T_1 equals spt_gf * prod(1-q^r), so one division by the Euler product
-    finishes the job.
+    Each k term is q^g (1 + q^k) divided twice by (1 - q^k), g = k(3k+1)/2;
+    one product with the bank's p table then divides by the Euler product.
     """
     _check_cap(n, modulus, cap)
-    if modulus:
-        t = np.zeros(n + 1, dtype=np.int64)
-        for m in range(n, 0, -1):
-            nt = t.copy()
-            nt[m:] -= t[:-m]
-            nt[m::m] += 1
-            t = nt % modulus
-        p = partition_stream(n, modulus, cap).values
-        vals = np.convolve(t, p)[: n + 1] % modulus
-        return CoeffStream(vals, "spt", 0, modulus)
-    t = [0] * (n + 1)
-    for m in range(n, 0, -1):
-        for i in range(n, m - 1, -1):
-            t[i] -= t[i - m]
-        for j in range(m, n + 1, m):
-            t[j] += 1
-    # divide by the Euler product: spt[i] = t[i] - sum_g e_g spt[i-g]
-    pents = pentagonal_terms(n)
-    vals = [0] * (n + 1)
-    for i in range(1, n + 1):
-        s = t[i]
-        for g, e in pents:
-            if g > i:
-                break
-            s -= e * vals[i - g]
-        vals[i] = s
-    return CoeffStream(vals, "spt", 0, 0)
+    rhs = Series(_divisor_power_sums(1, n, modulus), 0, 0, modulus)
+    k = 1
+    while k * (3 * k + 1) // 2 <= n:
+        g = k * (3 * k + 1) // 2
+        term = Series.monomial(g, n, 0, modulus) + Series.monomial(g + k, n, 0, modulus)
+        term = term.div_one_minus_q_pow(k).div_one_minus_q_pow(k)
+        rhs = rhs.lincomb(term, 1, -1 if k % 2 else 1)
+        k += 1
+    p = stream("p", n, modulus).to_series().truncate(n)
+    return CoeffStream(rhs.mul(p).coeffs, "spt", 0, modulus)
 
 
 def spt_bruteforce(n):
@@ -144,25 +133,6 @@ def spt_bruteforce(n):
     return total
 
 
-def weighted_streams(n, modulus=0, cap=None, p=None, spt=None):
-    """The pair d(n) = (24n-1) p(n) and a(n) = 12 spt(n) + d(n), tagged on
-    the q^(n - 1/24) grid."""
-    if p is None:
-        p = partition_stream(n, modulus, cap)
-    if spt is None:
-        spt = spt_stream(n, modulus, cap)
-    if modulus:
-        idx = (24 * np.arange(n + 1, dtype=np.int64) - 1) % modulus
-        dvals = (idx * np.asarray(p.values[: n + 1])) % modulus
-        avals = (12 * np.asarray(spt.values[: n + 1]) + dvals) % modulus
-    else:
-        dvals = [(24 * i - 1) * p.values[i] for i in range(n + 1)]
-        avals = [12 * spt.values[i] + dvals[i] for i in range(n + 1)]
-    d = CoeffStream(dvals, "d", 23, modulus)
-    a = CoeffStream(avals, "a", 23, modulus)
-    return d, a
-
-
 # -- shared stream bank --------------------------------------------------------
 
 _lock = threading.RLock()
@@ -174,14 +144,20 @@ def _build(kind, n, modulus):
         return partition_stream(n, modulus, cap=n)
     if kind == "spt":
         return spt_stream(n, modulus, cap=n)
-    if kind in ("d", "a"):
-        p = stream("p", n, modulus)
-        s = stream("spt", n, modulus)
-        d, a = weighted_streams(n, modulus, cap=n, p=p, spt=s)
-        _tables[("d", modulus)] = d
-        _tables[("a", modulus)] = a
-        return d if kind == "d" else a
-    raise KeyError(kind)
+    # d and a live on the q^(n - 1/24) grid; they are formed on the integer
+    # grid and tagged 23 at the end
+    if kind == "d":
+        # d(n) = (24n - 1) p(n), i.e. D = 24 q dP/dq - P
+        p = stream("p", n, modulus).to_series().truncate(n)
+        out = p.qderiv().lincomb(p, 24, -1)
+    elif kind == "a":
+        # a(n) = 12 spt(n) + d(n), i.e. A = 12 SPT + D
+        d = stream("d", n, modulus)
+        spt = stream("spt", n, modulus).to_series().truncate(n)
+        out = spt.lincomb(Series(d.values, 0, 0, modulus), 12, 1)
+    else:
+        raise KeyError(kind)
+    return CoeffStream(out.coeffs, kind, 23, modulus)
 
 
 def stream(kind, n, modulus=0):
@@ -216,17 +192,16 @@ def prewarm(n, modulus):
 _STREAM_FRAC = {"p": 0, "spt": 0, "d": 23, "a": 23}
 
 
-def seed(kind, values, modulus=0, lo=0, frac24=None):
-    """Install a precomputed table into the bank, e.g. from an on-disk cache.
+def seed(kind, values, modulus=0):
+    """Install a precomputed table of kind(0), kind(1), ... into the bank,
+    e.g. from an on-disk cache.
 
     Kept only if it extends further than what is already stored."""
-    if frac24 is None:
-        frac24 = _STREAM_FRAC.get(kind, 0)
     if modulus:
         vals = np.asarray(list(values), dtype=np.int64) % modulus
     else:
         vals = [int(v) for v in values]
-    tab = CoeffStream(vals, kind, frac24, modulus, lo)
+    tab = CoeffStream(vals, kind, _STREAM_FRAC[kind], modulus)
     with _lock:
         got = _tables.get((kind, modulus))
         if got is None or got.hi < tab.hi:

@@ -4,7 +4,6 @@ the named check registry behind the CLI."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .forms import (
@@ -545,6 +544,10 @@ class CheckOptions:
     exact: bool = False
     cache_dir: str | None = None
 
+    def __post_init__(self):
+        if self.nmax is not None and self.nmax < 1:
+            raise ValueError("nmax must be at least 1, got %d" % self.nmax)
+
 
 def _ells(opts, default):
     return tuple(opts.ells) if opts.ells else default
@@ -710,19 +713,13 @@ REGISTRY = {
 }
 
 
-def run_checks(names, opts=None, jobs=1):
-    """Expand the named checks into (check, l, t) tasks and run them,
-    keeping submission order in the returned report list."""
+def run_checks(names, opts=None):
+    """Expand the named checks into (check, l, t) tasks and run them in
+    order, returning their reports in that order."""
     opts = opts or CheckOptions()
     thunks = []
     for name in names:
         if name not in REGISTRY:
             raise ValueError("unknown check %r (have: %s)" % (name, ", ".join(REGISTRY)))
         thunks.extend(REGISTRY[name](opts))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(thunk) for thunk in thunks]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [thunk() for thunk in thunks]
-    return [rep for chunk in chunks for rep in chunk]
+    return [rep for thunk in thunks for rep in thunk()]

@@ -2,11 +2,11 @@
 import json
 import logging
 # test framework
-from pytest import fixture, mark
+from pytest import fixture, mark, raises
 # local package
 from sptlab import cache, partitions
 from sptlab.cache import SeriesKind, load, scan, store
-from sptlab.cli import main
+from sptlab.cli import _seed_from_cache, main
 from sptlab.reports import CongruenceReport
 from sptlab import verifier
 
@@ -81,6 +81,14 @@ def test_corrupt_files_are_misses(tmp_path, caplog, breakage):
     assert "corrupt" in caplog.text
 
 
+def test_rows_short_of_nmax_are_a_miss(tmp_path, caplog):
+    kind = SeriesKind("spt", 5000, modulus=MASTER)
+    store(tmp_path, kind, list(range(10)))
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        assert load(tmp_path, kind) is None
+    assert "miss" in caplog.text and "nmax 5000" in caplog.text
+
+
 def test_scan_picks_largest(tmp_path):
     for n in (5, 40, 12):
         store(tmp_path, SeriesKind("spt", n, modulus=72), [0] * (n + 1))
@@ -123,6 +131,21 @@ def test_check_json_format(capsys):
         assert "statement" in row["params"]
 
 
+@parametrize('nmax', ["-3", "0"])
+def test_check_rejects_nmax_below_one(capsys, nmax):
+    assert main(["check", "spt-hecke", "--ell", "5", "--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert "nmax must be at least 1, got %s" % nmax in captured.err
+    assert "PASS" not in captured.out
+
+
+@parametrize('flag', ["--prec", "--jobs"])
+def test_check_removed_flags(capsys, flag):
+    with raises(SystemExit) as exc:
+        main(["check", "e46d", flag, "2"])
+    assert exc.value.code == 2
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     broken = CongruenceReport(
         "broken", {"n": 1}, 0, "fail", first_failure=(1, 2, 3)
@@ -131,12 +154,6 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert main(["check", "broken"]) == 1
     out = capsys.readouterr().out
     assert "fail" in out
-
-
-def test_check_jobs_flag(capsys):
-    assert main(["check", "level1", "--jobs", "2", "--ell", "5,7"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("level1") >= 2
 
 
 def test_series_stdout(capsys):
@@ -184,3 +201,28 @@ def test_check_cache_dir_roundtrip(tmp_path, capsys, bank_guard):
     assert seeded.hi == spt.hi
     assert seeded.frac24 == 0
     assert [seeded.at(i) for i in range(10)] == [spt.at(i) for i in range(10)]
+
+
+def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
+    store(tmp_path, SeriesKind("p", 10, modulus=MASTER), list(range(1, 11)), lo=1)
+    with partitions._lock:
+        partitions._tables.clear()
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        _seed_from_cache(tmp_path)
+    assert "rows start at 1" in caplog.text
+    assert ("p", MASTER) not in partitions.bank_tables()
+    assert partitions.stream("p", 10, MASTER).at(0) == 1
+
+
+def test_seeded_d_and_a_keep_their_grid(tmp_path, bank_guard):
+    with partitions._lock:
+        partitions._tables.clear()
+    for kind in ("d", "a"):
+        tab = partitions.stream(kind, 20, MASTER)
+        store(tmp_path, SeriesKind(kind, 20, modulus=MASTER), list(tab.values))
+    with partitions._lock:
+        partitions._tables.clear()
+    _seed_from_cache(tmp_path)
+    tabs = partitions.bank_tables()
+    assert tabs[("d", MASTER)].frac24 == 23
+    assert tabs[("a", MASTER)].frac24 == 23

@@ -11,7 +11,6 @@ from sptlab.forms import (
     euler_product,
     form,
     j_series,
-    pentagonal_terms,
 )
 from sptlab.partitions import partition_stream
 
@@ -46,10 +45,6 @@ def sigma(weight, m):
 def test_euler_product_matches_expansion():
     n = 60
     assert euler_product(n).coeff_range(0, n) == euler_oracle(n)
-
-
-def test_pentagonal_terms():
-    assert pentagonal_terms(12) == [(1, -1), (2, -1), (5, 1), (7, 1), (12, -1)]
 
 
 @parametrize('weight,scale', [(2, -24), (4, 240), (6, -504)])

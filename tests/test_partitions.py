@@ -1,3 +1,5 @@
+# standard library
+from functools import lru_cache
 # test framework
 from pytest import fixture, raises, mark
 # local package
@@ -14,7 +16,6 @@ from sptlab.partitions import (
     spt_bruteforce,
     spt_stream,
     stream,
-    weighted_streams,
 )
 
 parametrize = mark.parametrize
@@ -60,6 +61,34 @@ def spt_oracle(n):
     return sum(p.count(min(p)) for p in all_partitions(n) if p)
 
 
+@lru_cache(maxsize=None)
+def spt_tail_oracle(n):
+    """spt(0..n) by the backward tail-product recurrence, in plain ints.
+
+    T_m = q^m/(1-q^m) + (1-q^m) T_{m+1} accumulates the tail products, so
+    T_1 = (q)_inf * sum spt(n) q^n; a pentagonal-number division by the
+    Euler product finishes it.  Shares no code with sptlab."""
+    t = [0] * (n + 1)
+    for m in range(n, 0, -1):
+        for i in range(n, m - 1, -1):
+            t[i] -= t[i - m]
+        for j in range(m, n + 1, m):
+            t[j] += 1
+    pents = []  # (g, sign) for the terms of (q)_inf with 1 <= g <= n
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        sign = 1 if k % 2 == 0 else -1
+        pents.append((k * (3 * k - 1) // 2, sign))
+        if k * (3 * k + 1) // 2 <= n:
+            pents.append((k * (3 * k + 1) // 2, sign))
+        k += 1
+    pents.sort()
+    vals = [0] * (n + 1)
+    for i in range(1, n + 1):
+        vals[i] = t[i] - sum(e * vals[i - g] for g, e in pents if g <= i)
+    return tuple(vals)
+
+
 # -- partition and spt values ----------------------------------------------------
 
 def test_partition_values():
@@ -89,6 +118,20 @@ def test_spt_stream_against_bruteforce():
     assert [s.at(n) for n in range(36)] == [spt_bruteforce(n) for n in range(36)]
 
 
+def test_spt_tail_oracle_against_bruteforce():
+    assert list(spt_tail_oracle(35)) == [spt_bruteforce(n) for n in range(36)]
+
+
+def test_spt_stream_against_tail_oracle_exact(bank_guard):
+    assert spt_stream(600).values == list(spt_tail_oracle(600))
+
+
+@parametrize('modulus', [360360, 343, 169])
+def test_spt_stream_against_tail_oracle_modular(bank_guard, modulus):
+    got = spt_stream(2000, modulus=modulus)
+    assert [int(v) for v in got.values] == [v % modulus for v in spt_tail_oracle(2000)]
+
+
 def test_spt_bruteforce_guard():
     with raises(ValueError):
         spt_bruteforce(46)
@@ -109,9 +152,9 @@ def test_spt_linear_congruences(t, r):
     assert all(s.at(t * k + r) % t == 0 for k in range(12))
 
 
-def test_weighted_streams():
+def test_weighted_streams(bank_guard):
     n = 40
-    d, a = weighted_streams(n)
+    d, a = stream("d", n), stream("a", n)
     p = partition_stream(n)
     s = spt_stream(n)
     assert d.frac24 == 23 and a.frac24 == 23
@@ -180,6 +223,16 @@ def test_bank_builds_d_and_a_together(bank_guard):
     assert ("a", 97) in tabs
     prewarm(25, 97)  # already warm; must not shrink anything
     assert bank_tables()[("a", 97)].hi >= 30
+
+
+def test_d_build_reads_only_p(bank_guard):
+    with partitions._lock:
+        partitions._tables.clear()
+    d = stream("d", 30, modulus=97)
+    assert d.hi == 30 and d.frac24 == 23
+    tabs = bank_tables()
+    assert ("p", 97) in tabs
+    assert ("spt", 97) not in tabs
 
 
 def test_seed_keeps_longest(bank_guard):

@@ -194,16 +194,9 @@ def test_run_checks_classical():
         assert "statement" in r.params
 
 
-def test_run_checks_parallel_matches_serial():
-    opts = CheckOptions(nmax=12)
-    serial = run_checks(["level1", "e46d"], opts)
-    parallel = run_checks(["level1", "e46d"], opts, jobs=2)
-    key = lambda r: (r.check, sorted(
-        (k, str(v)) for k, v in r.params.items()), r.status, r.n_verified)
-    assert sorted(map(key, serial)) == sorted(map(key, parallel))
-
-
 def test_options_defaults():
     opts = CheckOptions()
     assert opts.ells is None and opts.t is None and opts.nmax is None
     assert opts.modulus is None and opts.exact is False and opts.cache_dir is None
+    with raises(ValueError):
+        CheckOptions(nmax=0)
