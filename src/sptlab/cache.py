@@ -71,21 +71,20 @@ def load(cache_dir, kind):
             if int(meta.get("nmax", -1)) != kind.nmax:
                 raise ValueError("nmax mismatch")
             rows = int(fh.readline().split("=", 1)[1])
-            pairs = []
-            for _ in range(rows):
+            values = []
+            lo = 0
+            for i in range(rows):
                 n_s, c_s = fh.readline().split()
-                pairs.append((int(n_s), int(c_s)))
+                if i == 0:
+                    lo = int(n_s)
+                elif int(n_s) != lo + i:
+                    raise ValueError("non-contiguous rows")
+                values.append(int(c_s))
             if fh.readline().strip() != "end":
                 raise ValueError("missing end marker")
-        if pairs:
-            lo = pairs[0][0]
-            if [n for n, _ in pairs] != list(range(lo, lo + rows)):
-                raise ValueError("non-contiguous rows")
-        else:
-            lo = 0
         if lo + rows - 1 != kind.nmax:
             raise ValueError("rows end at %d, not at nmax %d" % (lo + rows - 1, kind.nmax))
-        return [c for _, c in pairs], lo
+        return values, lo
     except (ValueError, IndexError, OSError) as exc:
         log.warning("treating corrupt cache file %s as a miss: %s", path, exc)
         return None

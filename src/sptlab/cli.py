@@ -99,6 +99,13 @@ def _seed_from_cache(cache_dir):
                 best.filename(), lo,
             )
             continue
+        bad = partitions.first_violation(kind, values, MASTER_MODULUS)
+        if bad is not None:
+            cache.log.warning(
+                "treating cache file %s as a miss: its %s table breaks its "
+                "defining identity at n = %d", best.filename(), kind, bad,
+            )
+            continue
         partitions.seed(kind, values, MASTER_MODULUS)
 
 

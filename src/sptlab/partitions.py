@@ -9,8 +9,8 @@ product (q)_inf = prod_{r>=1} (1 - q^r):
     (q)_inf * sum spt(n) q^n
         = sum sigma(n) q^n + sum_{k>=1} (-1)^k q^(k(3k+1)/2) (1 + q^k) / (1 - q^k)^2.
 
-The right side costs O(N) per k and O(N^1.5) in all; one product with the
-partition table p = 1/(q)_inf finishes it.  The same Series expression
+The tail sum costs O(N/k) per k; one product with the partition table
+p = 1/(q)_inf finishes it.  The same Series expression
 serves the exact and the modular backend.
 """
 
@@ -87,23 +87,28 @@ def partition_stream(n, modulus=0, cap=None):
     return CoeffStream(inv.coeffs, "p", 0, modulus)
 
 
-def spt_stream(n, modulus=0, cap=None):
-    """spt(0..n) from Andrews' identity (see the module docstring).
+def _andrews_rhs(n, modulus=0):
+    """The right side of Andrews' identity through q^n (module docstring).
 
-    Each k term is q^g (1 + q^k) divided twice by (1 - q^k), g = k(3k+1)/2;
-    one product with the bank's p table then divides by the Euler product.
+    (1 + q^k) / (1 - q^k)^2 = sum_j (2j + 1) q^(jk), so each k term is one
+    strided add; every entry stays below sum_k (2n/k + 1) in absolute value.
     """
-    _check_cap(n, modulus, cap)
-    rhs = Series(_divisor_power_sums(1, n, modulus), 0, 0, modulus)
+    tail = np.zeros(n + 1, dtype=np.int64)
     k = 1
     while k * (3 * k + 1) // 2 <= n:
-        g = k * (3 * k + 1) // 2
-        term = Series.monomial(g, n, 0, modulus) + Series.monomial(g + k, n, 0, modulus)
-        term = term.div_one_minus_q_pow(k).div_one_minus_q_pow(k)
-        rhs = rhs.lincomb(term, 1, -1 if k % 2 else 1)
+        seg = tail[k * (3 * k + 1) // 2 :: k]
+        seg += (-1) ** k * (2 * np.arange(len(seg), dtype=np.int64) + 1)
         k += 1
+    sigma = Series(_divisor_power_sums(1, n, modulus), 0, 0, modulus)
+    return sigma + Series(tail, 0, 0, modulus)
+
+
+def spt_stream(n, modulus=0, cap=None):
+    """spt(0..n) from Andrews' identity: one product of its right side with
+    the bank's p table divides by the Euler product."""
+    _check_cap(n, modulus, cap)
     p = stream("p", n, modulus).to_series().truncate(n)
-    return CoeffStream(rhs.mul(p).coeffs, "spt", 0, modulus)
+    return CoeffStream(_andrews_rhs(n, modulus).mul(p).coeffs, "spt", 0, modulus)
 
 
 def spt_bruteforce(n):
@@ -207,6 +212,26 @@ def seed(kind, values, modulus=0):
         if got is None or got.hi < tab.hi:
             _tables[(kind, modulus)] = tab
         return _tables[(kind, modulus)]
+
+
+def first_violation(kind, values, modulus=0):
+    """First n at which the table kind(0), kind(1), ... breaks the identity
+    that defines it, or None if it holds throughout:
+
+        p:    p (q)_inf = 1
+        spt:  (q)_inf spt = the right side of Andrews' identity
+        d, a: the table equals its build from the bank's p (d) or spt and d (a)
+    """
+    n = len(values) - 1
+    got = Series(values, 0, 0, modulus)
+    if kind == "p":
+        lhs, rhs = got.mul(euler_product(n, modulus)), Series.one(n, modulus)
+    elif kind == "spt":
+        lhs, rhs = got.mul(euler_product(n, modulus)), _andrews_rhs(n, modulus)
+    else:
+        lhs, rhs = got, _build(kind, n, modulus).to_series()
+    bad = np.flatnonzero(np.asarray(lhs.coeffs) != np.asarray(rhs.coeffs))
+    return int(bad[0]) if len(bad) else None
 
 
 def bank_tables():

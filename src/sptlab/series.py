@@ -92,13 +92,6 @@ class Series:
             s.coeffs[0] = 1 % modulus if modulus else 1
         return s
 
-    @classmethod
-    def monomial(cls, index, valid_to, frac24=0, modulus=0, coeff=1):
-        s = cls.zero(valid_to, frac24, modulus, lo=min(index, valid_to + 1))
-        if index <= valid_to:
-            s.coeffs[index - s.lo] = coeff % modulus if modulus else coeff
-        return s
-
     # -- basic accessors -----------------------------------------------------
 
     @property
@@ -368,37 +361,6 @@ class Series:
         arr = np.array([c % m for c in self.coeffs], dtype=np.int64)
         return Series._wrap(arr, self.lo, self.frac24, m)
 
-    # -- geometric-factor helpers -------------------------------------------
-
-    def mul_one_minus_q_pow(self, m):
-        """Multiply by (1 - q^m) in O(N)."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        if self.modulus:
-            out = self.coeffs.copy()
-            if len(out) > m:
-                out[m:] -= self.coeffs[:-m]
-            return Series._wrap(out % self.modulus, self.lo, self.frac24, self.modulus)
-        out = list(self.coeffs)
-        for i in range(m, len(out)):
-            out[i] -= self.coeffs[i - m]
-        return Series._wrap(out, self.lo, self.frac24, self.modulus)
-
-    def div_one_minus_q_pow(self, m):
-        """Divide by (1 - q^m) in O(N) via the prefix recurrence."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        if self.modulus:
-            out = self.coeffs.copy()
-            for r in range(min(m, len(out))):
-                np.cumsum(out[r::m], out=out[r::m])
-                out[r::m] %= self.modulus
-            return Series._wrap(out, self.lo, self.frac24, self.modulus)
-        out = list(self.coeffs)
-        for i in range(m, len(out)):
-            out[i] += out[i - m]
-        return Series._wrap(out, self.lo, self.frac24, self.modulus)
-
     # -- comparisons ---------------------------------------------------------
 
     def first_difference(self, other, lo=None, hi=None):
@@ -503,12 +465,88 @@ def _check_conv_bound(m, n):
         )
 
 
+# Below this length of the shorter operand np.convolve beats the FFT path:
+# on a 2-core x86-64 host with numpy 2.4 the two cross between 200 (longer
+# operand 5000) and 350 (equal lengths), at about 0.3 ms a product.
+_FFT_CUTOFF = 256
+
+
 def _conv_mod(a, b, m, n_out):
-    _check_conv_bound(m, min(len(a), len(b)))
-    conv = np.convolve(a, b)[:n_out] % m
+    """a*b mod m truncated to n_out coefficients; entries lie in [0, m)."""
+    a, b = a[:n_out], b[:n_out]
+    short = min(len(a), len(b))
+    conv = None
+    # the FFT also takes short operands whose int64 np.convolve could overflow
+    if short >= _FFT_CUTOFF or (m - 1) * (m - 1) * short >= 2**63:
+        conv = _conv_fft(a, b, m, n_out)
+    if conv is None:
+        _check_conv_bound(m, short)
+        conv = np.convolve(a, b)[:n_out] % m
     if len(conv) < n_out:
         conv = np.concatenate([conv, np.zeros(n_out - len(conv), dtype=np.int64)])
     return conv
+
+
+def _fft_size(n):
+    """Smallest 2^i 3^j >= n: a fast pocketfft length that pads far less
+    than the next power of two."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 3
+    while p3 < best:
+        p = p3
+        while p < n:
+            p *= 2
+        best = min(best, p)
+        p3 *= 3
+    return best
+
+
+def _conv_fft(a, b, m, n_out):
+    """Exact a*b mod m from float64 FFTs of the w-bit limbs of a and b.
+
+    A residue below m < 2^31 splits into k limbs of w = ceil(bits(m-1)/k)
+    bits: k = 2 (w <= 10) for m < 2^20, else k = 3 (w <= 11).  The limb
+    products with i + j = s are summed as spectra and rounded after one
+    inverse transform.  For operands of at most L terms each such sum is
+    below k L 2^(2w), exact in float64 and int64.  Percival's bound for a
+    float64 FFT product of length up to 2^19, about 230 ulp of
+    ||x|| ||y|| < L 2^(2w), puts the error below k L 2^(2w) 2^-45: 0.07 at
+    L = MODULAR_CAP + 1 for k = 3, and 0.012 for k = 2.  That bound is for
+    radix-2 transforms and these are mixed radix 2/3, so a guard measures
+    the error instead: if any float lies 1/4 or more from its rounding,
+    the result is None and the caller uses np.convolve.
+    """
+    k = 2 if m < 1 << 20 else 3
+    w = -(-(m - 1).bit_length() // k)
+    mask = (1 << w) - 1
+    size = _fft_size(len(a) + len(b) - 1)
+    n = min(n_out, len(a) + len(b) - 1)
+    fa = [np.fft.rfft((a >> (w * i)) & mask, size) for i in range(k)]
+    fb = [np.fft.rfft((b >> (w * i)) & mask, size) for i in range(k)]
+    out = np.zeros(n, dtype=np.int64)
+    for s in range(2 * k - 1):
+        lo, hi = max(0, s - k + 1), min(s, k - 1)
+        spec = fa[lo] * fb[s - lo]
+        for i in range(lo + 1, hi + 1):
+            spec += fa[i] * fb[s - i]
+        if lo + k - 1 == s:
+            # the last limb-sum to read fa[lo] and fb[lo]
+            fa[lo] = fb[lo] = None
+        x = np.fft.irfft(spec, size)[:n]
+        del spec
+        r = np.rint(x)
+        x -= r
+        if np.abs(x, out=x).max() >= 0.25:
+            return None
+        del x
+        c = r.astype(np.int64)
+        del r
+        c %= m
+        c *= pow(2, w * s, m)
+        c %= m
+        out += c
+    out %= m
+    return out
 
 
 def _invert_exact(a, c0_inv):
@@ -538,9 +576,7 @@ def _invert_mod(a, m, c0_inv):
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        _check_conv_bound(m, prec)
-        ax = np.convolve(a[:prec], x)[:prec] % m
-        t = (-ax) % m
+        t = (-_conv_mod(a, x, m, prec)) % m
         t[0] = (t[0] + 2) % m
-        x = np.convolve(x, t)[:prec] % m
+        x = _conv_mod(x, t, m, prec)
     return x

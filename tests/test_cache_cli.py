@@ -226,3 +226,35 @@ def test_seeded_d_and_a_keep_their_grid(tmp_path, bank_guard):
     tabs = partitions.bank_tables()
     assert tabs[("d", MASTER)].frac24 == 23
     assert tabs[("a", MASTER)].frac24 == 23
+
+
+def test_cached_zero_tables_are_misses(tmp_path, caplog, bank_guard):
+    # well-formed files whose values are all zero satisfy every "== 0 mod m"
+    # sweep; each must fail its defining identity and be rebuilt instead
+    for kind in ("p", "spt", "d", "a"):
+        store(tmp_path, SeriesKind(kind, 30, modulus=MASTER), [0] * 31)
+    with partitions._lock:
+        partitions._tables.clear()
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        _seed_from_cache(tmp_path)
+    rejected = [r for r in caplog.records if "defining identity" in r.getMessage()]
+    assert len(rejected) == 4
+    exact = {kind: partitions.stream(kind, 30) for kind in ("p", "spt", "d", "a")}
+    for kind, tab in exact.items():
+        got = partitions.stream(kind, 30, MASTER)
+        assert [got.at(n) for n in range(31)] == [tab.at(n) % MASTER for n in range(31)]
+        assert any(got.at(n) for n in range(31))
+
+
+def test_cached_p_with_one_wrong_coefficient_is_rejected(tmp_path, caplog, bank_guard):
+    good = [v % MASTER for v in partitions.partition_stream(50).values]
+    bad = list(good)
+    bad[17] = (bad[17] + 1) % MASTER
+    store(tmp_path, SeriesKind("p", 50, modulus=MASTER), bad)
+    with partitions._lock:
+        partitions._tables.clear()
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        _seed_from_cache(tmp_path)
+    assert "p table breaks its defining identity at n = 17" in caplog.text
+    assert ("p", MASTER) not in partitions.bank_tables()
+    assert list(partitions.stream("p", 50, MASTER).values) == good

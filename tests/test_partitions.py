@@ -132,6 +132,14 @@ def test_spt_stream_against_tail_oracle_modular(bank_guard, modulus):
     assert [int(v) for v in got.values] == [v % modulus for v in spt_tail_oracle(2000)]
 
 
+def test_spt_modular_master_matches_exact(bank_guard):
+    # above the FFT cutoff: the p inversion and the final product mod 360360
+    # against the exact Kronecker path
+    exact = spt_stream(5000)
+    got = spt_stream(5000, modulus=360360)
+    assert [int(v) for v in got.values] == [v % 360360 for v in exact.values]
+
+
 def test_spt_bruteforce_guard():
     with raises(ValueError):
         spt_bruteforce(46)

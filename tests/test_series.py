@@ -1,5 +1,7 @@
 # standard library
 from fractions import Fraction
+# third party
+import numpy as np
 # test framework
 from pytest import raises, mark
 from hypothesis import given, settings
@@ -12,7 +14,10 @@ from sptlab.series import (
     _conv_schoolbook,
     _conv_kronecker,
     _check_conv_bound,
+    _conv_mod,
+    _FFT_CUTOFF,
 )
+from sptlab.forms import euler_product
 
 parametrize = mark.parametrize
 
@@ -72,11 +77,10 @@ def test_truncate_and_strip():
     assert s.truncate(99) is s
 
 
-def test_monomial_and_shift():
-    m = Series.monomial(3, 8, coeff=-2)
-    assert m.coeff(3) == -2
-    assert sum(1 for _ in m.terms()) == 1
+def test_shift():
+    m = Series([-2, 0, 0, 0, 0, 0], lo=3)
     assert m.shift(2).coeff(5) == -2
+    assert m.shift(2).coeff(4) == 0
     assert m.shift(2).valid_to == 10
 
 
@@ -234,13 +238,6 @@ def test_qderiv_integer_grid_only():
         Series([1], frac24=23).qderiv()
 
 
-def test_geometric_factor_roundtrip():
-    s = Series(list(range(1, 20)), lo=0)
-    assert s.div_one_minus_q_pow(3).mul_one_minus_q_pow(3).agrees(s)
-    m = s.reduce_mod(97)
-    assert m.mul_one_minus_q_pow(2).div_one_minus_q_pow(2).agrees(m)
-
-
 def test_first_difference_reporting():
     a = Series([1, 2, 3], lo=0)
     b = Series([1, 5, 3], lo=0)
@@ -357,3 +354,77 @@ def test_kronecker_large_coefficients():
     a = [(-3) ** i for i in range(80)]
     b = [7 ** (i % 40) - 2 ** i for i in range(70)]
     assert _conv_kronecker(a, b, 149) == _conv_schoolbook(a, b, 149)
+
+
+# -- the modular product kernel -------------------------------------------------
+
+def schoolbook_mod(a, b, m, n_out):
+    """Truncated product mod m in plain ints; shares no code with sptlab."""
+    out = [0] * n_out
+    for i, x in enumerate(a[:n_out]):
+        for j in range(min(len(b), n_out - i)):
+            out[i + j] += x * b[j]
+    return [v % m for v in out]
+
+
+MODULI = [2, 72, 169, 343, 15625, 360360, 2**31 - 1]
+
+
+@st.composite
+def mod_operands(draw):
+    m = draw(st.sampled_from(MODULI))
+    # the shorter side lands below or at/above the np.convolve cutoff
+    la = draw(st.one_of(st.integers(1, _FFT_CUTOFF - 1),
+                        st.integers(_FFT_CUTOFF, _FFT_CUTOFF + 80)))
+    lb = la + draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        la, lb = lb, la
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, m, la, dtype=np.int64)
+    b = rng.integers(0, m, lb, dtype=np.int64)
+    # n_out below, at and above the full product length
+    full = la + lb - 1
+    n_out = draw(st.sampled_from([1, full // 2, full - 1, full, full + 7]))
+    return a, b, m, n_out
+
+
+@settings(max_examples=40, deadline=None)
+@given(mod_operands())
+def test_conv_mod_matches_schoolbook(case):
+    a, b, m, n_out = case
+    got = _conv_mod(a, b, m, n_out)
+    assert got.dtype == np.int64
+    assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), m, n_out)
+
+
+def test_conv_mod_extreme_residues():
+    # every limb at its maximum: the largest exact limb sums the kernel sees
+    for m in (2**20 - 1, 2**20, 2**31 - 1):
+        a = np.full(700, m - 1, dtype=np.int64)
+        b = np.full(900, m - 1, dtype=np.int64)
+        got = _conv_mod(a, b, m, 1599)
+        assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), m, 1599)
+
+
+@parametrize('noise', [0.3, 0.7])
+def test_conv_mod_rounding_guard(monkeypatch, noise):
+    # noise on every inverse transform must trip the guard and fall back to
+    # np.convolve; at 0.7 rounding alone would give wrong residues
+    irfft, convolve = np.fft.irfft, np.convolve
+    fallbacks = []
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + noise)
+    monkeypatch.setattr(np, "convolve", lambda *args: fallbacks.append(1) or convolve(*args))
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 360360, 600, dtype=np.int64)
+    b = rng.integers(0, 360360, 500, dtype=np.int64)
+    got = _conv_mod(a, b, 360360, 1099)
+    assert fallbacks == [1]
+    assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), 360360, 1099)
+
+
+def test_master_inverse_is_exact():
+    e = euler_product(40000, 360360)
+    prod = e.invert().mul(e)
+    assert prod.valid_to == 40000
+    assert prod.coeffs[0] == 1
+    assert not prod.coeffs[1:].any()
