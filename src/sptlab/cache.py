@@ -79,7 +79,10 @@ def load(cache_dir, kind):
                     lo = int(n_s)
                 elif int(n_s) != lo + i:
                     raise ValueError("non-contiguous rows")
-                values.append(int(c_s))
+                v = int(c_s)
+                if kind.modulus and not 0 <= v < kind.modulus:
+                    raise ValueError("row %s value is not a residue mod %d" % (n_s, kind.modulus))
+                values.append(v)
             if fh.readline().strip() != "end":
                 raise ValueError("missing end marker")
         if lo + rows - 1 != kind.nmax:

@@ -4,6 +4,7 @@ plus the small-modulus Eisenstein congruences used by the verifier."""
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -35,9 +36,19 @@ def euler_product(n, modulus=0):
 def _divisor_power_sums(weight, n, modulus=0):
     """sigma_{weight}(m) for 1 <= m <= n (index 0 unused)."""
     if modulus:
+        dk = np.ones(n + 1, dtype=np.int64)
+        base = np.arange(n + 1, dtype=np.int64) % modulus
+        for _ in range(weight):
+            dk *= base
+            dk %= modulus
         sig = np.zeros(n + 1, dtype=np.int64)
-        for d in range(1, n + 1):
-            sig[d::d] += pow(d, weight, modulus)
+        # every divisor pair d * j = m has d <= sqrt(n) or j <= n / (r + 1):
+        # the small d one strided add each, the large d one per cofactor j
+        r = math.isqrt(n)
+        for d in range(1, r + 1):
+            sig[d::d] += dk[d]
+        for j in range(1, n // (r + 1) + 1):
+            sig[j * (r + 1) :: j] += dk[r + 1 : n // j + 1]
         return sig % modulus
     sig = [0] * (n + 1)
     for d in range(1, n + 1):
@@ -78,17 +89,23 @@ def delta_series(n, modulus=0):
     return (euler_product(n, modulus) ** 24).shift(1).truncate(n)
 
 
+def _inverse_delta(n, modulus=0):
+    """1/Delta = q^-1 ((q)_inf^-1)^24 through q^n: one sparse inversion of the
+    Euler product, then five products, instead of inverting the dense Delta."""
+    return (euler_product(n + 1, modulus).invert() ** 24).shift(-1)
+
+
 def j_series(n, modulus=0):
     """Klein j-function expansion q^-1 + 744 + 196884 q + ..."""
     e4 = eisenstein(4, n + 2, modulus)
-    return (e4 ** 3 * delta_series(n + 2, modulus).invert()).truncate(n)
+    return (e4 ** 3 * _inverse_delta(n, modulus)).truncate(n)
 
 
 def e14_over_delta(n, modulus=0):
     """E4^2 E6 / Delta = q^-1 - 196884 q - 42987520 q^2 - ..."""
     e4 = eisenstein(4, n + 2, modulus)
     e6 = eisenstein(6, n + 2, modulus)
-    return (e4 * e4 * e6 * delta_series(n + 2, modulus).invert()).truncate(n)
+    return (e4 * e4 * e6 * _inverse_delta(n, modulus)).truncate(n)
 
 
 # -- grow-cache for the expensive builders ------------------------------------

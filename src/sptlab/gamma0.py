@@ -38,8 +38,10 @@ def s_t(t):
 def hauptmodul(t, n, modulus=0):
     """G_t = (eta(z)/eta(tz))^(24/(t-1)) = q^-1 (1 + ...) on Gamma0(t)."""
     e = _eta_exponent(t)
-    eu = euler_product(n + e + 1, modulus)
-    body = eu**e * eu.dilate(t) ** (-e)
+    top = n + e + 1
+    eu = euler_product(top, modulus)
+    # dilation is a ring map: raise to -e before dilating, at the length read
+    body = eu**e * (eu.truncate(-(-top // t)) ** (-e)).dilate(t)
     return body.shift(-1).truncate(n)
 
 
@@ -61,8 +63,9 @@ def e2t(t, n, modulus=0):
 def phi_t(t, n, modulus=0):
     """Phi_t = eta(z)/eta(t^2 z) = q^(-s_t) (1 + ...)."""
     s = s_t(t)
-    eu = euler_product(n + s + 1, modulus)
-    body = eu * eu.dilate(t * t).invert()
+    top = n + s + 1
+    eu = euler_product(top, modulus)
+    body = eu * eu.truncate(-(-top // (t * t))).invert().dilate(t * t)
     return body.shift(-s).truncate(n)
 
 
@@ -263,8 +266,8 @@ def psi_form(t, k, n):
     prec1 = need // t + jmax + 4
     g = hauptmodul(t, prec1)
     inner = e2t(t, prec1).mul(kstar.eval(g))
-    eta_t2 = eta_pow(1, need // (t * t) + 4).dilate(t * t)
-    term1 = inner.dilate(t).mul(eta_t2.invert()).truncate(need)
+    inv_eta_t2 = eta_pow(1, need // (t * t) + 4).invert().dilate(t * t)
+    term1 = inner.dilate(t).mul(inv_eta_t2).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))
     term3 = beta.series.sift(t * t, -s)

@@ -258,3 +258,23 @@ def test_cached_p_with_one_wrong_coefficient_is_rejected(tmp_path, caplog, bank_
     assert "p table breaks its defining identity at n = 17" in caplog.text
     assert ("p", MASTER) not in partitions.bank_tables()
     assert list(partitions.stream("p", 50, MASTER).values) == good
+
+
+@parametrize('value', [10**30, -(MASTER - 3)])
+def test_cached_values_outside_the_residues_are_misses(tmp_path, capsys, caplog, bank_guard, value):
+    # p(3) = 3; 10^30 does not fit int64 and -360357 is 3 mod 360360, but
+    # neither is a residue in [0, 360360), so both files are corrupt
+    kind = SeriesKind("p", 3, modulus=MASTER)
+    path = store(tmp_path, kind, [1, 1, 2, 3])
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("\n3 3\n", "\n3 %d\n" % value))
+    with partitions._lock:
+        partitions._tables.clear()
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert "not a residue mod 360360" in caplog.text
+    assert ("p", MASTER) not in partitions.bank_tables()
+    assert [partitions.stream("p", 3, MASTER).at(n) for n in range(4)] == [1, 1, 2, 3]

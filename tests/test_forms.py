@@ -2,6 +2,8 @@
 from pytest import raises, mark
 # local package
 from sptlab.forms import (
+    _divisor_power_sums,
+    _inverse_delta,
     classical_congruence_reports,
     check_classical_congruences,
     delta_series,
@@ -13,6 +15,7 @@ from sptlab.forms import (
     j_series,
 )
 from sptlab.partitions import partition_stream
+from sptlab.series import Series
 
 parametrize = mark.parametrize
 
@@ -55,6 +58,15 @@ def test_eisenstein_against_divisor_sums(weight, scale):
         assert e.coeff(m) == scale * sigma(weight - 1, m)
 
 
+@parametrize('n', [1, 2, 3, 4, 99, 100, 101, 40000])
+@parametrize('weight', [1, 3, 5])
+def test_modular_divisor_sums_match_exact(weight, n):
+    # the modular sieve splits divisors at sqrt(n); n on and around squares
+    exact = _divisor_power_sums(weight, n)
+    got = _divisor_power_sums(weight, n, 360360)
+    assert got.tolist() == [v % 360360 for v in exact]
+
+
 def test_eisenstein_modular_agrees_with_exact():
     e = eisenstein(4, 100)
     em = eisenstein(4, 100, modulus=65520)
@@ -79,6 +91,15 @@ def test_j_expansion():
     assert j.coeff(0) == 744
     assert j.coeff(1) == 196884
     assert j.coeff(2) == 21493760
+
+
+@parametrize('n,modulus', [(0, 0), (7, 0), (2002, 0), (3000, 360360)])
+def test_inverse_delta_times_delta_is_one(n, modulus):
+    inv = _inverse_delta(n, modulus)
+    assert (inv.lo, inv.valid_to, inv.frac24) == (-1, n, 0)
+    prod = inv.mul(delta_series(n + 2, modulus))
+    assert prod.valid_to == n + 1
+    assert prod.agrees(Series.one(n + 1, modulus))
 
 
 def test_e14_over_delta_identity():

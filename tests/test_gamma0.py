@@ -5,7 +5,7 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
-from sptlab.forms import eta_pow
+from sptlab.forms import eta_pow, euler_product
 from sptlab.gamma0 import (
     GPoly,
     LEVELS,
@@ -25,7 +25,9 @@ from sptlab.gamma0 import (
     s_t,
     solve_in_e2t_basis,
     verify_beta_vanish,
+    _legendre_twist,
 )
+from sptlab.hecke import chi12
 from sptlab.series import GridError, Series
 
 parametrize = mark.parametrize
@@ -72,6 +74,53 @@ def test_phi_eta_quotient(t):
     assert phi.lo == -s and phi.coeff(-s) == 1
     eta_sq = eta_pow(1, (n + s + 2) * t * t).dilate(t * t)
     assert phi.mul(eta_sq).agrees(eta_pow(1, n), hi=n - s)
+
+
+# The builders invert and raise to powers before dilating q -> q^t; these are
+# the definitions with the dilation first, at t times the length.
+
+def same_series(a, b):
+    return (a.lo, a.valid_to, a.frac24, [int(c) for c in a.coeffs]) == (
+        b.lo, b.valid_to, b.frac24, [int(c) for c in b.coeffs])
+
+
+def hauptmodul_dilated_first(t, n, modulus=0):
+    e = 24 // (t - 1)
+    eu = euler_product(n + e + 1, modulus)
+    return (eu**e * eu.dilate(t) ** (-e)).shift(-1).truncate(n)
+
+
+def phi_dilated_first(t, n, modulus=0):
+    s = s_t(t)
+    eu = euler_product(n + s + 1, modulus)
+    return (eu * eu.dilate(t * t).invert()).shift(-s).truncate(n)
+
+
+def psi_dilated_first(t, k, n):
+    s = s_t(t)
+    need = n + s + 6
+    prec1 = need // t + max(abs(j) for j in k.support) + 4
+    inner = e2t(t, prec1).mul(k.fricke().eval(hauptmodul(t, prec1)))
+    eta_t2 = eta_pow(1, need // (t * t) + 4).dilate(t * t)
+    term1 = inner.dilate(t).mul(eta_t2.invert()).truncate(need)
+    beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
+    term2 = _legendre_twist(beta, t).scale(chi12(t))
+    term3 = beta.series.sift(t * t, -s)
+    return (term1 - term2 - term3).truncate(n)
+
+
+@parametrize('modulus', [0, 5**6])
+@parametrize('n', [0, 1, 40])
+@parametrize('t', LEVELS)
+def test_level_builders_match_dilation_first(t, n, modulus):
+    assert same_series(hauptmodul(t, n, modulus), hauptmodul_dilated_first(t, n, modulus))
+    assert same_series(phi_t(t, n, modulus), phi_dilated_first(t, n, modulus))
+
+
+@parametrize('t', LEVELS)
+def test_psi_form_matches_dilation_first(t):
+    k = GPoly.from_dict(t, {1: 1, 0: 3})
+    assert same_series(psi_form(t, k, 4), psi_dilated_first(t, k, 4))
 
 
 # -- Laurent polynomials in the hauptmodul ---------------------------------------

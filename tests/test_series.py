@@ -1,5 +1,10 @@
 # standard library
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 # third party
 import numpy as np
 # test framework
@@ -8,13 +13,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
 from sptlab import __version__, Series, GridError, UnitError, ValidityError
+from sptlab import series
 from sptlab.series import (
     sgn24,
     split_e24,
     _conv_schoolbook,
     _conv_kronecker,
     _check_conv_bound,
+    _conv_crt,
+    _conv_exact,
     _conv_mod,
+    _crt_primes,
     _FFT_CUTOFF,
 )
 from sptlab.forms import euler_product
@@ -428,3 +437,119 @@ def test_master_inverse_is_exact():
     assert prod.valid_to == 40000
     assert prod.coeffs[0] == 1
     assert not prod.coeffs[1:].any()
+
+
+# -- the multi-modular exact product --------------------------------------------
+
+def schoolbook_exact(a, b, n_out):
+    """Truncated product in plain ints; shares no code with sptlab."""
+    out = [0] * n_out
+    for i, x in enumerate(a[:n_out]):
+        for j in range(min(len(b), n_out - i)):
+            out[i + j] += x * b[j]
+    return out
+
+
+def is_prime(n):
+    # deterministic Miller-Rabin for n < 2^32
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_crt_prime_table():
+    primes = _crt_primes().tolist()
+    lo = 2**31 - 2**17
+    assert primes == sorted(primes, reverse=True)
+    assert primes == [n for n in range(2**31 - 1, lo - 1, -2) if is_prime(n)]
+    assert len(primes) == 6121
+
+
+def test_import_leaves_prime_table_unbuilt():
+    code = "import sptlab.cli, sptlab.series; print(sptlab.series._PRIMES is None)"
+    src = os.path.dirname(os.path.dirname(series.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "True"
+
+
+@st.composite
+def exact_operands(draw):
+    bits = draw(st.sampled_from([1, 30, 31, 62, 200, 1000]))
+    coeff = st.one_of(st.just(0), st.integers(-2**bits, 2**bits))
+    a = draw(st.lists(coeff, min_size=1, max_size=40))
+    b = draw(st.lists(coeff, min_size=1, max_size=40))
+    full = len(a) + len(b) - 1
+    n_out = draw(st.sampled_from([1, max(1, full // 2), full, full + 5]))
+    return a, b, n_out
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_operands())
+def test_conv_exact_multimodular_matches_schoolbook(case):
+    # with every threshold at zero, each nonzero product takes the CRT path
+    a, b, n_out = case
+    calls = []
+    crt = series._conv_crt
+    with mock.patch.multiple(series, _SCHOOLBOOK_CUTOFF=0, _FFT_CUTOFF=1, _CRT_MIN_BITS=0,
+                             _conv_crt=lambda *args: calls.append(1) or crt(*args)):
+        got = _conv_exact(a, b, n_out)
+    assert got == schoolbook_exact(a, b, n_out)
+    assert calls == ([1] if any(a[:n_out]) and any(b[:n_out]) else [])
+
+
+def operands_with_bound(bound, length, sign):
+    """a, b of the given length whose product has a coefficient of exactly
+    sign * L * A * B, where L * A * B is the smallest such product >= bound."""
+    a_val = math.isqrt(bound // length) + 1
+    b_val = -(-bound // (length * a_val))
+    return [a_val] * length, [sign * b_val] * length, length * a_val * b_val
+
+
+@parametrize('k', [1, 2, 5])
+@parametrize('side', [-1, 1])
+@parametrize('sign', [-1, 1])
+def test_conv_crt_at_a_prime_count_boundary(k, side, sign):
+    # the product of the primes used must exceed 4 * bound; a bound just below
+    # or just above M / 4 for M the product of the first k primes takes k or
+    # k + 1 primes, and the middle coefficient sits at the edge of the
+    # balanced residue, sign * bound ~ +-M / 4
+    primes = _crt_primes().tolist()
+    m = math.prod(primes[:k])
+    length = 9
+    target = m // 4 - 3 * length * math.isqrt(m) if side < 0 else m // 4 + 1
+    a, b, bound = operands_with_bound(target, length, sign)
+    assert (bound < m // 4) if side < 0 else (bound > m // 4)
+    used = []
+    lift = series._crt_lift
+    with mock.patch.object(series, "_crt_lift",
+                           lambda res, ps, mm: used.append(len(ps)) or lift(res, ps, mm)):
+        got = _conv_crt(a, b, 2 * length + 3, bound)
+    assert used == [k if side < 0 else k + 1]
+    assert got[length - 1] == sign * bound
+    assert got == schoolbook_exact(a, b, 2 * length + 3)
+
+
+def test_conv_crt_declines_beyond_the_prime_table():
+    assert _conv_crt([2**200000], [3], 1, 2**200001) is None
+
+
+def test_conv_crt_falls_back_when_the_guard_trips():
+    # a tripped rounding guard sends the exact product back to Kronecker
+    a = [(-7) ** i for i in range(300)]
+    b = [5 ** (i % 90) - 3 ** i for i in range(400)]
+    with mock.patch.object(series, "_conv_fft", lambda *args: None):
+        assert _conv_crt(a, b, 699, 10**400) is None
+        got = _conv_exact(a, b, 699)
+    assert got == schoolbook_exact(a, b, 699)
