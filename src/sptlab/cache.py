@@ -8,6 +8,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 log = logging.getLogger("sptlab.cache")
 
 MAGIC = "QSCACHE v1"
@@ -39,7 +41,9 @@ def store(cache_dir, kind, values, lo=0):
         % (kind.tag, params, kind.nmax, kind.modulus, kind.frac24),
         "rows=%d" % len(values),
     ]
-    lines.extend("%d %d" % (lo + i, int(v)) for i, v in enumerate(values))
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # Python ints format faster than numpy scalars
+    lines.extend(map("%d %d".__mod__, enumerate(values, lo)))
     lines.append("end")
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

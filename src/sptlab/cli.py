@@ -117,7 +117,7 @@ def _store_to_cache(cache_dir):
         if existing and existing.nmax >= tab.hi:
             continue
         sk = cache.SeriesKind(kind, tab.hi, 0, modulus, tab.frac24)
-        cache.store(cache_dir, sk, [int(v) for v in tab.values], tab.lo)
+        cache.store(cache_dir, sk, tab.values, tab.lo)
 
 
 def _run_check(args):

@@ -1,16 +1,16 @@
 """Classical level-one q-expansions: Euler product, Eisenstein series,
 discriminant, j-function, and the weight-14-over-discriminant combination,
-plus the small-modulus Eisenstein congruences used by the verifier."""
+plus the small-modulus Eisenstein congruences used by the verifier, and the
+memo bank every module shares, with the one p = 1/(q)_inf per modulus."""
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
 from .reports import CongruenceReport, identity_report
-from .series import Series, sgn24
+from .series import CoeffStream, Series, sgn24
 
 
 def euler_product(n, modulus=0):
@@ -77,10 +77,15 @@ def eisenstein(weight, n, modulus=0):
 
 
 def eta_pow(k, n, modulus=0):
-    """eta(z)^k = q^(k/24) prod (1-q^m)^k as a Series on the k mod 24 grid."""
+    """eta(z)^k = q^(k/24) prod (1-q^m)^k as a Series on the k mod 24 grid;
+    for k < 0 the product is p^-k, from the bank's p."""
     frac = k % 24
     lo = (k - sgn24(frac)) // 24
-    body = euler_product(n - min(lo, 0) + abs(lo) + 1, modulus) ** k
+    top = n - min(lo, 0) + abs(lo) + 1
+    if k < 0:
+        body = inverse_euler(top, modulus) ** -k
+    else:
+        body = euler_product(top, modulus) ** k
     return Series(body.coeffs, lo, frac, modulus, copy=False).truncate(n)
 
 
@@ -90,9 +95,9 @@ def delta_series(n, modulus=0):
 
 
 def _inverse_delta(n, modulus=0):
-    """1/Delta = q^-1 ((q)_inf^-1)^24 through q^n: one sparse inversion of the
-    Euler product, then five products, instead of inverting the dense Delta."""
-    return (euler_product(n + 1, modulus).invert() ** 24).shift(-1)
+    """1/Delta = q^-1 p^24 through q^n: five products of the bank's p instead
+    of inverting the dense Delta."""
+    return (inverse_euler(n + 1, modulus) ** 24).shift(-1)
 
 
 def j_series(n, modulus=0):
@@ -108,10 +113,45 @@ def e14_over_delta(n, modulus=0):
     return (e4 * e4 * e6 * _inverse_delta(n, modulus)).truncate(n)
 
 
-# -- grow-cache for the expensive builders ------------------------------------
+# -- the memo bank -----------------------------------------------------------
 
+# (tag, modulus) -> the longest table built so far: a Series for the forms
+# below, a CoeffStream for p/spt/d/a (partitions.stream)
 _bank: dict = {}
-_bank_lock = threading.Lock()
+
+
+def memo(tag, n, modulus, build):
+    """The bank's (tag, modulus) table, valid at least to q^n: the stored one,
+    else one reduced from a table of the same tag that is exact or modulo a
+    multiple of modulus (one master serves many sweeps), else build(n, modulus).
+    """
+    key = (tag, modulus)
+    got = _bank.get(key)
+    if got is not None and got.valid_to >= n:
+        return got
+    if modulus:
+        for (t, m), tab in _bank.items():
+            refines = m == 0 or (m != modulus and m % modulus == 0)
+            if t == tag and refines and tab.valid_to >= n:
+                _bank[key] = tab.reduce_mod(modulus)
+                return _bank[key]
+    _bank[key] = build(n, modulus)
+    return _bank[key]
+
+
+def _build_p(n, modulus):
+    """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one."""
+    got = _bank.get(("p", modulus))
+    inv = euler_product(n, modulus).invert(got.values if got is not None else None)
+    return CoeffStream(inv.coeffs, "p", 0, modulus)
+
+
+def inverse_euler(n, modulus=0):
+    """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table; every
+    Euler-product inverse reads it, so each p(k) is computed once per modulus."""
+    tab = memo("p", n, modulus, _build_p)
+    return Series._wrap(tab.values[: n + 1], 0, 0, modulus)
+
 
 _BUILDERS = {
     "euler": euler_product,
@@ -126,14 +166,7 @@ _BUILDERS = {
 
 def form(tag, n, modulus=0):
     """Cached access to a named classical expansion, valid to q^n."""
-    key = (tag, modulus)
-    with _bank_lock:
-        got = _bank.get(key)
-        if got is not None and got.valid_to >= n:
-            return got.truncate(n)
-        built = _BUILDERS[tag](n, modulus)
-        _bank[key] = built
-        return built
+    return memo(tag, n, modulus, _BUILDERS[tag]).truncate(n)
 
 
 # -- classical congruence checks -----------------------------------------------

@@ -9,16 +9,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import (
-    delta_series,
     e14_over_delta,
     eisenstein,
     eta_pow,
     euler_product,
+    inverse_euler,
     j_series,
 )
 from .hecke import chi12, legendre
 from .reports import CongruenceReport, identity_report, timed_report
-from .series import Series, UnitError
+from .series import Series
 
 LEVELS = (5, 7, 13)
 
@@ -41,7 +41,7 @@ def hauptmodul(t, n, modulus=0):
     top = n + e + 1
     eu = euler_product(top, modulus)
     # dilation is a ring map: raise to -e before dilating, at the length read
-    body = eu**e * (eu.truncate(-(-top // t)) ** (-e)).dilate(t)
+    body = eu**e * (inverse_euler(-(-top // t), modulus) ** e).dilate(t)
     return body.shift(-1).truncate(n)
 
 
@@ -65,7 +65,7 @@ def phi_t(t, n, modulus=0):
     s = s_t(t)
     top = n + s + 1
     eu = euler_product(top, modulus)
-    body = eu * eu.truncate(-(-top // (t * t))).invert().dilate(t * t)
+    body = eu * inverse_euler(-(-top // (t * t)), modulus).dilate(t * t)
     return body.shift(-s).truncate(n)
 
 
@@ -175,7 +175,7 @@ def beta_stream(t, k, n, modulus=0):
         body = body.mul(k.eval(hauptmodul(t, prec, modulus)))
     else:
         body = body.scale(k.coeff(0))
-    ser = body.mul(eta_pow(1, prec, modulus).invert()).truncate(n)
+    ser = body.mul(eta_pow(-1, prec, modulus)).truncate(n)
     return BetaStream(t, k, ser)
 
 
@@ -266,7 +266,7 @@ def psi_form(t, k, n):
     prec1 = need // t + jmax + 4
     g = hauptmodul(t, prec1)
     inner = e2t(t, prec1).mul(kstar.eval(g))
-    inv_eta_t2 = eta_pow(1, need // (t * t) + 4).invert().dilate(t * t)
+    inv_eta_t2 = eta_pow(-1, need // (t * t) + 4).dilate(t * t)
     term1 = inner.dilate(t).mul(inv_eta_t2).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))

@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import delta_series, eisenstein, eta_pow, euler_product, e14_over_delta, j_series
-from .partitions import CoeffStream, stream
+from .partitions import stream
 from .reports import CongruenceReport, identity_report, timed_report
-from .series import Series
+from .series import CoeffStream, Series
 
 _CHI12 = {1: 1, 11: 1, 5: -1, 7: -1}
 
@@ -126,22 +126,10 @@ def _ptrim(a):
     return tuple(a[:n])
 
 
-@dataclass(frozen=True)
-class PolySeries:
-    """q-expansion whose coefficients are integer polynomials in x."""
-
-    polys: tuple
-
-    @property
-    def valid_to(self):
-        return len(self.polys) - 1
-
-    def poly(self, m):
-        return self.polys[m]
-
-
 def ono_poly_A(m_max, n=None):
-    """A_m(x) defined by sum_m A_m(x) q^m = E(q) (E4^2 E6/Delta) / (j - x).
+    """The tuple (A_0, ..., A_m_max) of integer polynomials in x, each a
+    tuple of coefficients from x^0 up, defined by
+    sum_m A_m(x) q^m = E(q) (E4^2 E6/Delta) / (j - x).
 
     A_0 = 1, A_1 = x - 745, and A_m is monic of degree m.
     """
@@ -172,13 +160,13 @@ def ono_poly_A(m_max, n=None):
         acc = _ptrim(acc)
         assert len(acc) == m + 1 and acc[m] == 1, "A_%d is not monic of degree %d" % (m, m)
         polys.append(acc)
-    return PolySeries(tuple(polys))
+    return tuple(polys)
 
 
 def c_ell(ell):
     """The monic degree-s polynomial ell*chi12(ell) + A_s(x), s = (ell^2-1)/24."""
     s = s_ell(ell)
-    a = list(ono_poly_A(s).poly(s))
+    a = list(ono_poly_A(s)[s])
     a[0] += ell * chi12(ell)
     out = _ptrim(tuple(a))
     assert len(out) == s + 1 and out[s] == 1

@@ -16,58 +16,13 @@ serves the exact and the modular backend.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-
 import numpy as np
 
-from .forms import _divisor_power_sums, euler_product
-from .series import Series, ValidityError
+from .forms import _bank, _divisor_power_sums, euler_product, inverse_euler, memo
+from .series import CoeffStream, Series
 
 EXACT_CAP = 5000
 MODULAR_CAP = 200000
-
-
-@dataclass(eq=False)
-class CoeffStream:
-    """Arithmetic-function values f(lo), ..., f(hi) with a fractional tag.
-
-    Reads below lo return 0 (the function vanishes there); reads above hi
-    raise, so truncation errors can never masquerade as zeros.
-    """
-
-    values: object
-    kind: str
-    frac24: int = 0
-    modulus: int = 0
-    lo: int = 0
-
-    @property
-    def hi(self):
-        return self.lo + len(self.values) - 1
-
-    def at(self, n):
-        if n > self.hi:
-            raise ValidityError("%s(%d) beyond computed range %d" % (self.kind, n, self.hi))
-        if n < self.lo:
-            return 0
-        v = self.values[n - self.lo]
-        return int(v)
-
-    def to_series(self):
-        return Series(self.values, self.lo, self.frac24, self.modulus)
-
-    def reduce_to(self, m):
-        """View this stream modulo m (m must divide the stored modulus)."""
-        if self.modulus == m:
-            return self
-        if self.modulus == 0:
-            vals = np.array([int(v) % m for v in self.values], dtype=np.int64)
-        elif self.modulus % m == 0:
-            vals = np.asarray(self.values, dtype=np.int64) % m
-        else:
-            raise ValueError("cannot reduce mod %d from mod %d" % (m, self.modulus))
-        return CoeffStream(vals, self.kind, self.frac24, m, self.lo)
 
 
 def _check_cap(n, modulus, cap):
@@ -81,10 +36,9 @@ def _check_cap(n, modulus, cap):
 
 
 def partition_stream(n, modulus=0, cap=None):
-    """p(0..n) by inverting the Euler product."""
+    """p(0..n), read from the bank's p table (forms.inverse_euler)."""
     _check_cap(n, modulus, cap)
-    inv = euler_product(n, modulus).invert()
-    return CoeffStream(inv.coeffs, "p", 0, modulus)
+    return CoeffStream(inverse_euler(n, modulus).coeffs, "p", 0, modulus)
 
 
 def _andrews_rhs(n, modulus=0):
@@ -107,7 +61,7 @@ def spt_stream(n, modulus=0, cap=None):
     """spt(0..n) from Andrews' identity: one product of its right side with
     the bank's p table divides by the Euler product."""
     _check_cap(n, modulus, cap)
-    p = stream("p", n, modulus).to_series().truncate(n)
+    p = inverse_euler(n, modulus)
     return CoeffStream(_andrews_rhs(n, modulus).mul(p).coeffs, "spt", 0, modulus)
 
 
@@ -138,11 +92,7 @@ def spt_bruteforce(n):
     return total
 
 
-# -- shared stream bank --------------------------------------------------------
-
-_lock = threading.RLock()
-_tables: dict = {}
-
+# -- the p/spt/d/a tables in the shared bank -----------------------------------
 
 def _build(kind, n, modulus):
     if kind == "p":
@@ -153,7 +103,7 @@ def _build(kind, n, modulus):
     # grid and tagged 23 at the end
     if kind == "d":
         # d(n) = (24n - 1) p(n), i.e. D = 24 q dP/dq - P
-        p = stream("p", n, modulus).to_series().truncate(n)
+        p = inverse_euler(n, modulus)
         out = p.qderiv().lincomb(p, 24, -1)
     elif kind == "a":
         # a(n) = 12 spt(n) + d(n), i.e. A = 12 SPT + D
@@ -166,25 +116,9 @@ def _build(kind, n, modulus):
 
 
 def stream(kind, n, modulus=0):
-    """Cached access to p/spt/d/a tables; reuses larger or refining moduli.
-
-    A stored table with modulus M' serves a request for modulus M whenever
-    M divides M' (or M' is exact), so one master table can answer many
-    congruence sweeps.
-    """
-    with _lock:
-        got = _tables.get((kind, modulus))
-        if got is not None and got.hi >= n:
-            return got
-        if modulus:
-            for (k, m2), tab in _tables.items():
-                if k == kind and tab.hi >= n and (m2 == 0 or (m2 != modulus and m2 % modulus == 0)):
-                    red = tab.reduce_to(modulus)
-                    _tables[(kind, modulus)] = red
-                    return red
-        built = _build(kind, n, modulus)
-        _tables[(kind, modulus)] = built
-        return built
+    """Cached access to p/spt/d/a tables through the shared bank (forms.memo),
+    which also serves a modulus from a stored table modulo a multiple of it."""
+    return memo(kind, n, modulus, lambda n, modulus: _build(kind, n, modulus))
 
 
 def prewarm(n, modulus):
@@ -207,11 +141,10 @@ def seed(kind, values, modulus=0):
     else:
         vals = [int(v) for v in values]
     tab = CoeffStream(vals, kind, _STREAM_FRAC[kind], modulus)
-    with _lock:
-        got = _tables.get((kind, modulus))
-        if got is None or got.hi < tab.hi:
-            _tables[(kind, modulus)] = tab
-        return _tables[(kind, modulus)]
+    got = _bank.get((kind, modulus))
+    if got is None or got.hi < tab.hi:
+        _bank[(kind, modulus)] = tab
+    return _bank[(kind, modulus)]
 
 
 def first_violation(kind, values, modulus=0):
@@ -235,6 +168,5 @@ def first_violation(kind, values, modulus=0):
 
 
 def bank_tables():
-    """Snapshot of the stream bank, keyed by (kind, modulus)."""
-    with _lock:
-        return dict(_tables)
+    """Snapshot of the shared bank, keyed by (tag, modulus)."""
+    return dict(_bank)

@@ -8,12 +8,14 @@ above valid_to are unknown and reading them is a hard error.
 
 Two coefficient domains are supported: exact (python ints, with Fractions
 tolerated where linear algebra produces them) and residues modulo M >= 2
-stored in numpy int64 arrays.
+stored in numpy int64 arrays.  A CoeffStream is the same window read as a
+table of arithmetic-function values f(lo..hi), such as p(n) or spt(n).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -121,12 +123,6 @@ class Series:
         if self.modulus:
             return not self.coeffs.any()
         return all(c == 0 for c in self.coeffs)
-
-    def terms(self):
-        """Iterate (index, coefficient) over nonzero stored terms."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.lo + i, int(c) if isinstance(c, np.integer) else c
 
     def __repr__(self):
         dom = "mod %d" % self.modulus if self.modulus else "exact"
@@ -259,8 +255,9 @@ class Series:
 
     # -- inversion ---------------------------------------------------------
 
-    def invert(self):
-        """Laurent inverse; leading retained coefficient must be a unit."""
+    def invert(self, prefix=None):
+        """Laurent inverse; leading retained coefficient must be a unit.  A known
+        leading part of the inverse (prefix) is continued, not recomputed."""
         a = self.strip()
         if len(a.coeffs) == 0:
             raise UnitError("cannot invert a series with no retained terms")
@@ -273,7 +270,7 @@ class Series:
                 c0_inv = pow(c0, -1, m)
             except ValueError:
                 raise UnitError("leading coefficient %d is not a unit mod %d" % (c0, m))
-            inv = _invert_mod(a.coeffs, m, c0_inv)
+            inv = _invert_mod(a.coeffs, m, c0_inv, prefix)
             return Series._wrap(inv, lo, frac, m)
         c0 = a.coeffs[0]
         if isinstance(c0, Fraction) or any(isinstance(c, Fraction) for c in a.coeffs):
@@ -282,7 +279,7 @@ class Series:
             c0_inv = c0
         else:
             raise UnitError("exact inversion needs leading coefficient +-1, got %r" % (c0,))
-        inv = _invert_exact(a.coeffs, c0_inv)
+        inv = _invert_exact(a.coeffs, c0_inv, prefix)
         return Series._wrap(inv, lo, frac, 0)
 
     # -- reindexing operations ---------------------------------------------
@@ -384,6 +381,49 @@ class Series:
 
     def agrees(self, other, lo=None, hi=None):
         return self.first_difference(other, lo, hi) is None
+
+
+@dataclass(eq=False)
+class CoeffStream:
+    """Arithmetic-function values f(lo), ..., f(hi) with a fractional tag.
+
+    Reads below lo return 0 (the function vanishes there); reads above hi
+    raise, so truncation errors can never masquerade as zeros.
+    """
+
+    values: object
+    kind: str
+    frac24: int = 0
+    modulus: int = 0
+    lo: int = 0
+
+    @property
+    def hi(self):
+        return self.lo + len(self.values) - 1
+
+    def at(self, n):
+        if n > self.hi:
+            raise ValidityError("%s(%d) beyond computed range %d" % (self.kind, n, self.hi))
+        if n < self.lo:
+            return 0
+        return int(self.values[n - self.lo])
+
+    def to_series(self):
+        return Series(self.values, self.lo, self.frac24, self.modulus)
+
+    def reduce_to(self, m):
+        """View this stream modulo m (m must divide the stored modulus)."""
+        if self.modulus == m:
+            return self
+        if self.modulus % m:
+            raise ValueError("cannot reduce mod %d from mod %d" % (m, self.modulus))
+        vals = self.values if self.modulus else [int(v) % m for v in self.values]
+        vals = np.asarray(vals, dtype=np.int64) % m
+        return CoeffStream(vals, self.kind, self.frac24, m, self.lo)
+
+    # the names Series uses, so one memo bank serves both types
+    valid_to = hi
+    reduce_mod = reduce_to
 
 
 # -- low-level coefficient kernels -------------------------------------------
@@ -694,14 +734,16 @@ def _conv_fft(a, b, m, n_out):
     return out
 
 
-def _invert_exact(a, c0_inv):
-    """Power-series inverse of an exact coefficient list (a[0] a unit)."""
+def _invert_exact(a, c0_inv, prefix=None):
+    """Power-series inverse of an exact coefficient list (a[0] a unit); out[i]
+    reads only out[:i], so a known prefix is kept and the recurrence resumes."""
     n = len(a)
     nz = [(k, a[k]) for k in range(1, n) if a[k]]
-    out = [0] * n
-    out[0] = c0_inv
+    out = list(prefix[:n]) if prefix is not None and len(prefix) else [c0_inv]
+    start = len(out)
+    out.extend([0] * (n - start))
     neg = c0_inv == -1
-    for i in range(1, n):
+    for i in range(start, n):
         s = 0
         for k, ak in nz:
             if k > i:
@@ -714,11 +756,13 @@ def _invert_exact(a, c0_inv):
     return out
 
 
-def _invert_mod(a, m, c0_inv):
-    """Newton iteration x <- x(2 - ax) mod (m, q^n)."""
+def _invert_mod(a, m, c0_inv, prefix=None):
+    """Newton iteration x <- x(2 - ax) mod (m, q^n), from a known prefix of
+    the inverse if given (each step doubles the correct length)."""
     n = len(a)
-    x = np.array([c0_inv], dtype=np.int64)
-    prec = 1
+    known = prefix is not None and len(prefix)
+    x = np.array(prefix[:n] if known else [c0_inv], dtype=np.int64)
+    prec = len(x)
     while prec < n:
         prec = min(2 * prec, n)
         t = (-_conv_mod(a, x, m, prec)) % m

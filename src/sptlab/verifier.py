@@ -341,7 +341,7 @@ def _eta_quotient(num_pow, den_pow, dilate, n):
     """eta(dilate*z)^num_pow / eta(z)^den_pow as a series valid past q^n."""
     hi = n + den_pow + dilate * num_pow + 8
     num = eta_pow(num_pow, hi // dilate + 4).dilate(dilate)
-    return num * eta_pow(den_pow, hi).invert()
+    return num * eta_pow(-den_pow, hi)
 
 
 def s_psi_display_reports(n=100):
@@ -414,7 +414,7 @@ def s_psi_display_reports(n=100):
     hi = n + 10
     e4, e6 = eisenstein(4, hi), eisenstein(6, hi)
     lhs = psi_form(5, k5, n)
-    rhs = e4**2 * e6 * eta_pow(25, hi).invert()
+    rhs = e4**2 * e6 * eta_pow(-25, hi)
     reps.append(
         identity_report(
             "psi-display-5",
@@ -426,9 +426,7 @@ def s_psi_display_reports(n=100):
     )
 
     lhs = psi_form(7, k7, n)
-    rhs = (e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)) * eta_pow(
-        49, hi
-    ).invert()
+    rhs = (e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)) * eta_pow(-49, hi)
     reps.append(
         identity_report(
             "psi-display-7",

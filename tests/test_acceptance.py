@@ -41,9 +41,9 @@ def _spt_hecke_reports():
 def test_criterion_01_polynomial_family(capsys):
     t0 = perf_counter()
     fam = ono_poly_A(2)
-    ok = (fam.poly(0) == (1,)
-          and fam.poly(1) == (-745, 1)
-          and fam.poly(2) == (160511, -1489, 1))
+    ok = (fam[0] == (1,)
+          and fam[1] == (-745, 1)
+          and fam[2] == (160511, -1489, 1))
     elapsed = perf_counter() - t0
     ok = ok and elapsed < 1.0
     _line(capsys, 1, ok, elapsed, "A_0, A_1, A_2 pinned, under 1s")

@@ -1,8 +1,10 @@
 # standard library
 import json
 import logging
+# third party
+import numpy as np
 # test framework
-from pytest import fixture, mark, raises
+from pytest import mark, raises
 # local package
 from sptlab import cache, partitions
 from sptlab.cache import SeriesKind, load, scan, store
@@ -15,16 +17,6 @@ parametrize = mark.parametrize
 MASTER = verifier.MASTER_MODULUS
 
 
-@fixture
-def bank_guard():
-    with partitions._lock:
-        saved = dict(partitions._tables)
-    yield
-    with partitions._lock:
-        partitions._tables.clear()
-        partitions._tables.update(saved)
-
-
 # -- the on-disk format -------------------------------------------------------
 
 def test_store_load_roundtrip(tmp_path):
@@ -32,6 +24,30 @@ def test_store_load_roundtrip(tmp_path):
     path = store(tmp_path, kind, list(range(10)))
     assert path.endswith("spt_n9_m360360.qsc")
     assert load(tmp_path, kind) == (list(range(10)), 0)
+
+
+def test_store_writes_the_exact_bytes(tmp_path):
+    # a modular table as the bank holds it (int64 array) and an exact one
+    # with a negative start and an entry past int64
+    path = store(tmp_path, SeriesKind("spt", 3, modulus=72),
+                 np.array([0, 1, 3, 71], dtype=np.int64))
+    with open(path, "rb") as fh:
+        assert fh.read() == (
+            b"QSCACHE v1\n"
+            b"kind=spt params=- nmax=3 mod=72 frac24=0\n"
+            b"rows=4\n"
+            b"0 0\n1 1\n2 3\n3 71\n"
+            b"end\n"
+        )
+    path = store(tmp_path, SeriesKind("G", 2, t=5), [1, -6, 9, 10**30], lo=-1)
+    with open(path, "rb") as fh:
+        assert fh.read() == (
+            b"QSCACHE v1\n"
+            b"kind=G params=t=5 nmax=2 mod=0 frac24=0\n"
+            b"rows=4\n"
+            b"-1 1\n0 -6\n1 9\n2 1000000000000000000000000000000\n"
+            b"end\n"
+        )
 
 
 def test_store_load_negative_lo_and_t(tmp_path):
@@ -193,8 +209,7 @@ def test_check_cache_dir_roundtrip(tmp_path, capsys, bank_guard):
     capsys.readouterr()
     stored = scan(tmp_path, "spt", MASTER)
     assert stored is not None and stored.nmax >= 60
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     seeded = partitions.bank_tables()[("spt", MASTER)]
@@ -205,8 +220,7 @@ def test_check_cache_dir_roundtrip(tmp_path, capsys, bank_guard):
 
 def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
     store(tmp_path, SeriesKind("p", 10, modulus=MASTER), list(range(1, 11)), lo=1)
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
         _seed_from_cache(tmp_path)
     assert "rows start at 1" in caplog.text
@@ -215,13 +229,11 @@ def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
 
 
 def test_seeded_d_and_a_keep_their_grid(tmp_path, bank_guard):
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     for kind in ("d", "a"):
         tab = partitions.stream(kind, 20, MASTER)
         store(tmp_path, SeriesKind(kind, 20, modulus=MASTER), list(tab.values))
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     _seed_from_cache(tmp_path)
     tabs = partitions.bank_tables()
     assert tabs[("d", MASTER)].frac24 == 23
@@ -233,8 +245,7 @@ def test_cached_zero_tables_are_misses(tmp_path, caplog, bank_guard):
     # sweep; each must fail its defining identity and be rebuilt instead
     for kind in ("p", "spt", "d", "a"):
         store(tmp_path, SeriesKind(kind, 30, modulus=MASTER), [0] * 31)
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
         _seed_from_cache(tmp_path)
     rejected = [r for r in caplog.records if "defining identity" in r.getMessage()]
@@ -251,8 +262,7 @@ def test_cached_p_with_one_wrong_coefficient_is_rejected(tmp_path, caplog, bank_
     bad = list(good)
     bad[17] = (bad[17] + 1) % MASTER
     store(tmp_path, SeriesKind("p", 50, modulus=MASTER), bad)
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
         _seed_from_cache(tmp_path)
     assert "p table breaks its defining identity at n = 17" in caplog.text
@@ -270,8 +280,7 @@ def test_cached_values_outside_the_residues_are_misses(tmp_path, capsys, caplog,
         text = fh.read()
     with open(path, "w") as fh:
         fh.write(text.replace("\n3 3\n", "\n3 %d\n" % value))
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
         assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -134,15 +134,15 @@ def test_hecke_combo_third_term_sites():
 
 def test_poly_family_first_terms():
     fam = ono_poly_A(2)
-    assert fam.poly(0) == (1,)
-    assert fam.poly(1) == (-745, 1)
-    assert fam.poly(2) == (160511, -1489, 1)
+    assert fam[0] == (1,)
+    assert fam[1] == (-745, 1)
+    assert fam[2] == (160511, -1489, 1)
 
 
 def test_poly_family_monic():
     fam = ono_poly_A(7)
     for m in range(8):
-        poly = fam.poly(m)
+        poly = fam[m]
         assert len(poly) == m + 1
         assert poly[m] == 1
 
@@ -165,7 +165,7 @@ def test_c_ell_eleven_thirteen_shape():
         c = c_ell(ell)
         assert len(c) == s_ell(ell) + 1
         assert c[-1] == 1
-        assert c[0] == ono_poly_A(s_ell(ell)).poly(s_ell(ell))[0] + ell * chi12(ell)
+        assert c[0] == ono_poly_A(s_ell(ell))[s_ell(ell)][0] + ell * chi12(ell)
 
 
 def test_poly_at_series_horner():

@@ -1,10 +1,9 @@
 # standard library
 from functools import lru_cache
 # test framework
-from pytest import fixture, raises, mark
+from pytest import raises, mark
 # local package
-from sptlab import ValidityError
-from sptlab import partitions
+from sptlab import ValidityError, series
 from sptlab.partitions import (
     CoeffStream,
     EXACT_CAP,
@@ -19,17 +18,6 @@ from sptlab.partitions import (
 )
 
 parametrize = mark.parametrize
-
-
-@fixture
-def bank_guard():
-    """Restore the shared stream bank after a test that mutates it."""
-    with partitions._lock:
-        saved = dict(partitions._tables)
-    yield
-    with partitions._lock:
-        partitions._tables.clear()
-        partitions._tables.update(saved)
 
 
 # -- reference oracles ---------------------------------------------------------
@@ -223,8 +211,7 @@ def test_bank_divisor_modulus_reuse(bank_guard):
 
 
 def test_bank_builds_d_and_a_together(bank_guard):
-    with partitions._lock:
-        partitions._tables.clear()  # force the build path under the guard
+    bank_guard.clear()  # force the build path under the guard
     stream("a", 30, modulus=97)
     tabs = bank_tables()
     assert ("d", 97) in tabs
@@ -234,13 +221,56 @@ def test_bank_builds_d_and_a_together(bank_guard):
 
 
 def test_d_build_reads_only_p(bank_guard):
-    with partitions._lock:
-        partitions._tables.clear()
+    bank_guard.clear()
     d = stream("d", 30, modulus=97)
     assert d.hi == 30 and d.frac24 == 23
     tabs = bank_tables()
     assert ("p", 97) in tabs
     assert ("spt", 97) not in tabs
+
+
+def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
+    # p to 100, then to 3000: the second build continues the stored 101
+    # values, and both backends match a fresh build and the coin-counting DP
+    want = partition_oracle(3000)
+    starts = []
+
+    def spy(inner):
+        def call(a, *args):
+            prefix = args[-1]
+            starts.append(0 if prefix is None else len(prefix))
+            return inner(a, *args)
+        return call
+
+    newton_lengths = []
+    conv_mod = series._conv_mod
+
+    def conv_spy(a, b, m, n_out):
+        newton_lengths.append(n_out)
+        return conv_mod(a, b, m, n_out)
+
+    monkeypatch.setattr(series, "_invert_exact", spy(series._invert_exact))
+    monkeypatch.setattr(series, "_invert_mod", spy(series._invert_mod))
+    monkeypatch.setattr(series, "_conv_mod", conv_spy)
+    for modulus in (0, 169):
+        bank_guard.clear()
+        del starts[:]
+        small = stream("p", 100, modulus)
+        del newton_lengths[:]
+        grown = stream("p", 3000, modulus)
+        assert starts == [0, 101]
+        if modulus:
+            # Newton's first step doubles the stored 101 terms
+            assert min(newton_lengths) == 202
+        else:
+            # the same int objects: indices 0..100 were copied, not recomputed
+            assert all(x is y for x, y in zip(grown.values, small.values))
+        bank_guard.clear()
+        fresh = stream("p", 3000, modulus)
+        assert list(map(int, grown.values)) == list(map(int, fresh.values))
+        assert [grown.at(k) for k in range(3001)] == [
+            v % modulus if modulus else v for v in want
+        ]
 
 
 def test_seed_keeps_longest(bank_guard):

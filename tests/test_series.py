@@ -321,6 +321,21 @@ def test_invert_roundtrip_mod(c, m):
 
 
 @CASES
+@given(coeffs, st.sampled_from([1, -1]), st.sampled_from([0, 2, 169, 360360]), st.data())
+def test_invert_continues_a_known_prefix(c, lead, m, data):
+    # the recurrence (exact) or Newton iteration (modular) started from any
+    # prefix of the inverse, even an empty or over-long one, gives the inverse
+    f = Series([lead] + c, lo=0)
+    if m:
+        f = f.reduce_mod(m)
+    full = f.invert()
+    k = data.draw(st.integers(0, len(full.coeffs) + 2))
+    got = f.invert(full.coeffs[:k])
+    assert list(map(int, got.coeffs)) == list(map(int, full.coeffs))
+    assert (got.lo, got.frac24) == (full.lo, full.frac24)
+
+
+@CASES
 @given(coeffs, coeffs, st.integers(-4, 4), st.integers(-4, 4))
 def test_qderiv_leibniz(c1, c2, lo1, lo2):
     a = Series(c1, lo=lo1)
