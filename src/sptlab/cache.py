@@ -58,43 +58,104 @@ def store(cache_dir, kind, values, lo=0):
 
 
 def load(cache_dir, kind):
-    """Read a cached stream; returns (values, lo) or None on miss/corruption."""
+    """Read a cached stream; returns (values, lo) or None on miss/corruption.
+
+    values is an int64 array for a modular file and a list of Python ints for
+    an exact one (mod 0)."""
     path = os.path.join(cache_dir, kind.filename())
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            if header != MAGIC:
-                raise ValueError("bad magic %r" % header)
-            meta = dict(
-                item.split("=", 1) for item in fh.readline().split() if "=" in item
-            )
-            if meta.get("kind") != kind.tag or int(meta.get("mod", -1)) != kind.modulus:
-                raise ValueError("metadata mismatch: %r" % meta)
-            if int(meta.get("nmax", -1)) != kind.nmax:
-                raise ValueError("nmax mismatch")
-            rows = int(fh.readline().split("=", 1)[1])
-            values = []
-            lo = 0
-            for i in range(rows):
-                n_s, c_s = fh.readline().split()
-                if i == 0:
-                    lo = int(n_s)
-                elif int(n_s) != lo + i:
-                    raise ValueError("non-contiguous rows")
-                v = int(c_s)
-                if kind.modulus and not 0 <= v < kind.modulus:
-                    raise ValueError("row %s value is not a residue mod %d" % (n_s, kind.modulus))
-                values.append(v)
-            if fh.readline().strip() != "end":
-                raise ValueError("missing end marker")
+            text = fh.read()
+        header, meta_line, rows_line, rest = text.split("\n", 3)
+        if header != MAGIC:
+            raise ValueError("bad magic %r" % header)
+        meta = dict(item.split("=", 1) for item in meta_line.split() if "=" in item)
+        if meta.get("kind") != kind.tag or int(meta.get("mod", -1)) != kind.modulus:
+            raise ValueError("metadata mismatch: %r" % meta)
+        if int(meta.get("nmax", -1)) != kind.nmax:
+            raise ValueError("nmax mismatch")
+        rows = int(rows_line.split("=", 1)[1])
+        body, end, tail = rest.rpartition("end")
+        if not end:
+            raise ValueError("missing end marker")
+        if tail.strip():
+            raise ValueError("text after the end marker")
+        if body[-1:] not in ("", "\n"):
+            raise ValueError("the last row line has no newline")
+        if kind.modulus:
+            values, lo = _residue_rows(body, rows, kind.modulus)
+        else:
+            values, lo = _exact_rows(body, rows)
         if lo + rows - 1 != kind.nmax:
             raise ValueError("rows end at %d, not at nmax %d" % (lo + rows - 1, kind.nmax))
         return values, lo
     except (ValueError, IndexError, OSError) as exc:
         log.warning("treating corrupt cache file %s as a miss: %s", path, exc)
         return None
+
+
+def _exact_rows(body, rows):
+    """(values, lo) from the `rows` row lines of an exact file, as Python ints."""
+    lines = body.split("\n")[:-1]
+    if len(lines) != rows:
+        raise ValueError("%d row lines, not rows=%d" % (len(lines), rows))
+    values = []
+    lo = 0
+    for i, line in enumerate(lines):
+        n_s, c_s = line.split()
+        if i == 0:
+            lo = int(n_s)
+        elif int(n_s) != lo + i:
+            raise ValueError("non-contiguous rows")
+        values.append(int(c_s))
+    return values, lo
+
+
+def _residue_rows(body, rows, modulus):
+    """(values, lo) from the `rows` row lines of a modular file, values an
+    int64 array, from whole-array numpy operations and one np.fromstring.
+
+    numpy's text parser is lenient (it reads a lone '-' as 0) and on older
+    versions reads up to a bad token with only a warning, so it is given
+    only text whose structure is checked first: `rows` lines of two tokens,
+    each a digit string with at most a leading sign.  Beyond int64 it
+    saturates, which the index and residue range checks then reject.
+    """
+    raw = body.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = b - ord("0") < 10  # uint8 wraps below '0'
+    sign = (b == ord("-")) | (b == ord("+"))
+    newline = b == ord("\n")
+    if not (digit | sign | newline | (b == ord(" ")) | (b == ord("\t"))).all():
+        raise ValueError("a row holds a byte other than a digit, sign or blank")
+    tok = digit | sign
+    if (sign[1:] & tok[:-1]).any() or (sign[:-1] & ~digit[1:]).any():
+        raise ValueError("a sign that does not lead a number")
+    ends = np.flatnonzero(newline)
+    if len(ends) != rows:
+        raise ValueError("%d row lines, not rows=%d" % (len(ends), rows))
+    starts = np.flatnonzero(tok[1:] > tok[:-1]) + 1
+    if len(b) and tok[0]:
+        starts = np.concatenate(([0], starts))
+    if len(starts) != 2 * rows:
+        raise ValueError("%d numbers in %d row lines" % (len(starts), rows))
+    # tokens 2r and 2r + 1 lie between newlines r - 1 and r
+    pairs = starts.reshape(rows, 2)
+    if (pairs[1:, 0] < ends[:-1]).any() or (pairs[:, 1] > ends).any():
+        raise ValueError("a row line without exactly two numbers")
+    table = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(rows, 2)
+    lo = int(table[0, 0]) if rows else 0
+    if abs(lo) >= 1 << 62 or (table[:, 0] != lo + np.arange(rows)).any():
+        raise ValueError("non-contiguous rows")
+    values = table[:, 1].copy()
+    bad = np.flatnonzero((values < 0) | (values >= modulus))
+    if len(bad):
+        raise ValueError(
+            "row %d value is not a residue mod %d" % (lo + bad[0], modulus)
+        )
+    return values, lo
 
 
 def scan(cache_dir, tag, modulus, t=0):

@@ -76,17 +76,42 @@ def eisenstein(weight, n, modulus=0):
     return Series(out, 0, 0, 0, copy=False)
 
 
+def _euler_power(k, n):
+    """(q)_inf^k through q^n, exact, by J.C.P. Miller's recurrence for a power
+    of a series with constant term 1: with (q)_inf = sum e_g q^g,
+
+        i c_i = sum_{g=1}^{i} ((k + 1) g - i) e_g c_{i-g},
+
+    one pass over the pentagonal g <= i per coefficient; the division by i
+    is exact, which a composite modulus would not allow.
+    """
+    e = euler_product(n).coeffs
+    terms = [(g, (k + 1) * g * e[g], e[g]) for g in range(1, n + 1) if e[g]]
+    c = [1] + [0] * n
+    for i in range(1, n + 1):
+        s = 0
+        for g, kg, eg in terms:
+            if g > i:
+                break
+            s += (kg - eg * i) * c[i - g]
+        c[i] = s // i
+    return c
+
+
 def eta_pow(k, n, modulus=0):
-    """eta(z)^k = q^(k/24) prod (1-q^m)^k as a Series on the k mod 24 grid;
-    for k < 0 the product is p^-k, from the bank's p."""
+    """eta(z)^k = q^(k/24) prod (1-q^m)^k as a Series on the k mod 24 grid.
+    k = -1 is the bank's p; exact k <= -2 comes from Miller's recurrence
+    (_euler_power), modular k <= -2 as a power of the bank's p."""
     frac = k % 24
     lo = (k - sgn24(frac)) // 24
     top = n - min(lo, 0) + abs(lo) + 1
-    if k < 0:
-        body = inverse_euler(top, modulus) ** -k
+    if k < -1 and not modulus:
+        body = _euler_power(k, top)
+    elif k < 0:
+        body = (inverse_euler(top, modulus) ** -k).coeffs
     else:
-        body = euler_product(top, modulus) ** k
-    return Series(body.coeffs, lo, frac, modulus, copy=False).truncate(n)
+        body = (euler_product(top, modulus) ** k).coeffs
+    return Series(body, lo, frac, modulus, copy=False).truncate(n)
 
 
 def delta_series(n, modulus=0):
@@ -95,9 +120,9 @@ def delta_series(n, modulus=0):
 
 
 def _inverse_delta(n, modulus=0):
-    """1/Delta = q^-1 p^24 through q^n: five products of the bank's p instead
-    of inverting the dense Delta."""
-    return (inverse_euler(n + 1, modulus) ** 24).shift(-1)
+    """1/Delta = eta^-24 = q^-1 (q)_inf^-24 through q^n, without inverting
+    the dense Delta."""
+    return eta_pow(-24, n, modulus)
 
 
 def j_series(n, modulus=0):

@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import _bank, _divisor_power_sums, euler_product, inverse_euler, memo
+from .forms import (
+    _bank,
+    _build_p,
+    _divisor_power_sums,
+    euler_product,
+    inverse_euler,
+    memo,
+)
 from .series import CoeffStream, Series
 
 EXACT_CAP = 5000
@@ -96,7 +103,8 @@ def spt_bruteforce(n):
 
 def _build(kind, n, modulus):
     if kind == "p":
-        return partition_stream(n, modulus, cap=n)
+        # the bank's own p table, so the memo stores it once
+        return _build_p(n, modulus)
     if kind == "spt":
         return spt_stream(n, modulus, cap=n)
     # d and a live on the q^(n - 1/24) grid; they are formed on the integer
@@ -137,7 +145,7 @@ def seed(kind, values, modulus=0):
 
     Kept only if it extends further than what is already stored."""
     if modulus:
-        vals = np.asarray(list(values), dtype=np.int64) % modulus
+        vals = np.asarray(values, dtype=np.int64) % modulus
     else:
         vals = [int(v) for v in values]
     tab = CoeffStream(vals, kind, _STREAM_FRAC[kind], modulus)

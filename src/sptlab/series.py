@@ -734,25 +734,57 @@ def _conv_fft(a, b, m, n_out):
     return out
 
 
+# Block length of _invert_exact.  Measured on a 2-core x86-64 host with
+# numpy 2.4, p(0..8444) = 1/(q)_inf (median of 5): 0.20 s unblocked; 0.11 s
+# at 48, 0.095 s at 96, 0.09 s at 128, 0.095 s at 192 and 256.
+_INV_BLOCK = 128
+
+
 def _invert_exact(a, c0_inv, prefix=None):
     """Power-series inverse of an exact coefficient list (a[0] a unit); out[i]
-    reads only out[:i], so a known prefix is kept and the recurrence resumes."""
+    reads only out[:i], so a known prefix is kept and the recurrence resumes.
+
+    The recurrence runs in blocks of _INV_BLOCK indices.  A term a[k] with
+    k >= _INV_BLOCK reads only finished blocks, so its share of a block is one
+    object-array add; only the terms below the block length are summed
+    index by index.
+    """
     n = len(a)
     nz = [(k, a[k]) for k in range(1, n) if a[k]]
+    near = [(k, ak) for k, ak in nz if k < _INV_BLOCK]
+    far = nz[len(near) :]
     out = list(prefix[:n]) if prefix is not None and len(prefix) else [c0_inv]
     start = len(out)
     out.extend([0] * (n - start))
+    done = np.array(out, dtype=object)  # out[:b0] for the block adds
     neg = c0_inv == -1
-    for i in range(start, n):
-        s = 0
-        for k, ak in nz:
-            if k > i:
+    frac = isinstance(c0_inv, Fraction)
+    for b0 in range(start, n, _INV_BLOCK):
+        b1 = min(b0 + _INV_BLOCK, n)
+        acc = np.zeros(b1 - b0, dtype=object)
+        for k, ak in far:
+            if k >= b1:
                 break
-            s += ak * out[i - k]
-        if isinstance(c0_inv, Fraction):
-            out[i] = -s * c0_inv
-        else:
-            out[i] = s if neg else -s
+            lo = max(b0, k)
+            src = done[lo - k : b1 - k]
+            if ak == 1:
+                acc[lo - b0 :] += src
+            elif ak == -1:
+                acc[lo - b0 :] -= src
+            else:
+                acc[lo - b0 :] += ak * src
+        acc = acc.tolist()
+        for i in range(b0, b1):
+            s = acc[i - b0]
+            for k, ak in near:
+                if k > i:
+                    break
+                s += ak * out[i - k]
+            if frac:
+                out[i] = -s * c0_inv
+            else:
+                out[i] = s if neg else -s
+        done[b0:b1] = out[b0:b1]
     return out
 
 

@@ -4,7 +4,7 @@ import logging
 # third party
 import numpy as np
 # test framework
-from pytest import mark, raises
+from pytest import mark, param, raises
 # local package
 from sptlab import cache, partitions
 from sptlab.cache import SeriesKind, load, scan, store
@@ -23,7 +23,10 @@ def test_store_load_roundtrip(tmp_path):
     kind = SeriesKind("spt", 9, modulus=360360, frac24=0)
     path = store(tmp_path, kind, list(range(10)))
     assert path.endswith("spt_n9_m360360.qsc")
-    assert load(tmp_path, kind) == (list(range(10)), 0)
+    # a modular table comes back as the int64 array the bank holds
+    values, lo = load(tmp_path, kind)
+    assert values.dtype == np.int64 and values.tolist() == list(range(10))
+    assert lo == 0
 
 
 def test_store_writes_the_exact_bytes(tmp_path):
@@ -84,17 +87,32 @@ def test_load_kind_mismatch_is_miss(tmp_path, caplog):
     lambda text: text.replace("rows=6", "rows=9"),
     lambda text: text.replace("\n3 3\n", "\n7 3\n"),  # non-contiguous
     lambda text: text.replace("\n3 3\n", "\n3 x\n"),  # non-integer
+    param(lambda text: text.replace("\n3 3\n", "\n3 3 3\n"), id="three-tokens"),
+    param(lambda text: text.replace("\n3 3\n", "\n3\n"), id="one-token"),
+    param(lambda text: text.replace("\n3 3\n", "\n3 3\n\n"), id="blank-line"),
+    param(lambda text: text.replace("\nend", "\n6 11\nend"), id="extra-row"),
+    param(lambda text: text + "6 11\n", id="text-after-end"),
+    # the token counts hold; only the line structure is wrong
+    param(lambda text: text.replace("\n3 3\n4 5\n", "\n3 3 4\n5\n"), id="row-across-lines"),
+    # numpy's parser reads a lone sign at the end as 0, a residue
+    param(lambda text: text.replace("\n5 7\n", "\n5 -\n"), id="lone-sign"),
+    param(lambda text: text.replace("\n3 3\n", "\n3 3-\n"), id="trailing-sign"),
 ])
 def test_corrupt_files_are_misses(tmp_path, caplog, breakage):
-    kind = SeriesKind("p", 5)
-    path = store(tmp_path, kind, [1, 1, 2, 3, 5, 7])
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(breakage(text))
-    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
-        assert load(tmp_path, kind) is None
-    assert "corrupt" in caplog.text
+    # both backends: an exact file is read row by row, a modular one by
+    # whole-array numpy operations
+    for modulus in (0, MASTER):
+        kind = SeriesKind("p", 5, modulus=modulus)
+        path = store(tmp_path, kind, [1, 1, 2, 3, 5, 7])
+        with open(path) as fh:
+            text = fh.read()
+        assert breakage(text) != text
+        with open(path, "w") as fh:
+            fh.write(breakage(text))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+            assert load(tmp_path, kind) is None, modulus
+        assert "corrupt" in caplog.text, modulus
 
 
 def test_rows_short_of_nmax_are_a_miss(tmp_path, caplog):

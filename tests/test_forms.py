@@ -1,8 +1,10 @@
 # test framework
 from pytest import raises, mark
 # local package
+from sptlab import forms, series
 from sptlab.forms import (
     _divisor_power_sums,
+    _euler_power,
     _inverse_delta,
     classical_congruence_reports,
     check_classical_congruences,
@@ -12,9 +14,10 @@ from sptlab.forms import (
     eta_pow,
     euler_product,
     form,
+    inverse_euler,
     j_series,
 )
-from sptlab.partitions import partition_stream
+from sptlab.partitions import partition_stream, stream
 from sptlab.series import Series
 
 parametrize = mark.parametrize
@@ -130,6 +133,55 @@ def test_eta_pow_negative_grid():
     assert s.lo == 0
     assert s.coeff(0) == 1
     assert s.coeff(1) == 6
+
+
+def test_miller_powers_match_repeated_products():
+    # (q)_inf^k for k = -2 .. -49 by schoolbook products of the inverse of
+    # the expanded product, itself inverted by the textbook double loop
+    n = 80
+    euler = euler_oracle(n)
+    p = [1] + [0] * n
+    for i in range(1, n + 1):
+        p[i] = -sum(euler[g] * p[i - g] for g in range(1, i + 1))
+    power = p
+    for k in range(-2, -50, -1):
+        power = poly_mul(power, p, n)
+        for m in (0, 1, 7, n):
+            assert _euler_power(k, m) == power[: m + 1], (k, m)
+
+
+def test_miller_inverse_delta_is_bit_identical_to_the_power_of_p():
+    assert _euler_power(-24, 2002) == (inverse_euler(2002) ** 24).coeffs
+
+
+def test_exact_negative_eta_powers_multiply_nothing(monkeypatch):
+    # exact 1/Delta and eta^-25 come from Miller's recurrence, not from
+    # products of the bank's p
+    def product(*args):
+        raise AssertionError("an exact product was formed")
+
+    monkeypatch.setattr(series, "_conv_exact", product)
+    assert _inverse_delta(4).coeff_range(-1, 4) == [1, 24, 324, 3200, 25650, 176256]
+    assert eta_pow(-25, 300).valid_to == 300
+
+
+@parametrize('modulus', [0, 169])
+def test_eta_pow_minus_one_is_the_banks_p(bank_guard, monkeypatch, modulus):
+    bank_guard.clear()
+    p = stream("p", 300, modulus)
+
+    def recompute(*args):
+        raise AssertionError("eta^-1 recomputed the p table")
+
+    for name in ("_invert_exact", "_invert_mod"):
+        monkeypatch.setattr(series, name, recompute)
+    monkeypatch.setattr(forms, "_euler_power", recompute)
+    got = eta_pow(-1, 250, modulus)
+    assert (got.lo, got.valid_to, got.frac24) == (0, 250, 23)
+    assert list(map(int, got.coeffs)) == list(map(int, p.values[:251]))
+    if not modulus:
+        # the bank's own int objects, not a recomputation of equal values
+        assert all(x is y for x, y in zip(got.coeffs, p.values))
 
 
 def test_form_bank_grows_and_truncates():

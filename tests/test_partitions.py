@@ -273,6 +273,25 @@ def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
         ]
 
 
+@parametrize('modulus', [0, 169])
+def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
+    # the bank keeps the table the inversion returned, not a copy of it
+    made = []
+
+    def spy(inner):
+        def call(*args):
+            made.append(inner(*args))
+            return made[-1]
+        return call
+
+    monkeypatch.setattr(series, "_invert_exact", spy(series._invert_exact))
+    monkeypatch.setattr(series, "_invert_mod", spy(series._invert_mod))
+    bank_guard.clear()
+    got = stream("p", 200, modulus)
+    assert len(made) == 1
+    assert bank_guard[("p", modulus)] is got and got.values is made[0]
+
+
 def test_seed_keeps_longest(bank_guard):
     seeded = seed("spt", list(range(50)), modulus=999983)
     assert seeded.hi == 49

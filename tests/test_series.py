@@ -1,6 +1,7 @@
 # standard library
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -333,6 +334,42 @@ def test_invert_continues_a_known_prefix(c, lead, m, data):
     got = f.invert(full.coeffs[:k])
     assert list(map(int, got.coeffs)) == list(map(int, full.coeffs))
     assert (got.lo, got.frac24) == (full.lo, full.frac24)
+
+
+def _is_inverse(a, inv):
+    """a * inv == 1 through the shared length, by the double loop."""
+    for i in range(len(a)):
+        got = sum(a[j] * inv[i - j] for j in range(i + 1) if a[j])
+        if got != (1 if i == 0 else 0):
+            return False
+    return True
+
+
+B = series._INV_BLOCK
+
+
+@parametrize('c0', [1, -1, Fraction(-1, 2)])
+@parametrize('n', [1, B - 1, B, B + 1, 3 * B + 7])
+def test_blocked_inverse_matches_the_product_oracle(n, c0):
+    # a term below the block length, one at it and one two blocks on
+    rng = random.Random(n)
+    a = [c0] + [rng.choice([0, 0, 0, 0, 0, 1, -1, rng.randint(-50, 50)])
+                for _ in range(n - 1)]
+    for k in (B - 1, B, 2 * B + 3):
+        if k < n:
+            a[k] = rng.choice([1, -1, 7])
+    full = Series(a).invert().coeffs
+    assert len(full) == n and _is_inverse(a, full)
+    # a resumed inverse keeps its prefix and recomputes the rest; the prefix
+    # ends around each block edge and, for integer coefficients at lengths
+    # up to B + 1, at every offset of the first block
+    ends = {0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, n - 1, n}
+    if not isinstance(c0, Fraction) and n <= B + 1:
+        ends |= set(range(n + 1))
+    for k in sorted(e for e in ends if e <= n):
+        got = Series(a).invert(full[:k]).coeffs
+        assert got == full, k
+        assert all(x is y for x, y in zip(got[:k], full))
 
 
 @CASES
