@@ -198,12 +198,15 @@ def form(tag, n, modulus=0):
 
 
 def classical_congruence_reports(n=500):
-    """All displayed Eisenstein/discriminant/j identities and congruences."""
+    """All displayed Eisenstein/discriminant/j identities and congruences; each
+    congruence is computed in its modulus (reduction is a ring map)."""
     e2 = form("E2", n)
     e4 = form("E4", n)
     e6 = form("E6", n)
     delta = form("delta", n)
     j = form("j", n)
+    e4sq = e4 * e4
+    e4cube = e4sq * e4
     reports = []
 
     def identity(name, lhs, rhs, statement):
@@ -214,7 +217,7 @@ def classical_congruence_reports(n=500):
     identity(
         "j-times-delta",
         j * delta,
-        e4 ** 3,
+        e4cube,
         "j(z) * Delta(z) == E4(z)^3",
     )
     identity(
@@ -226,42 +229,35 @@ def classical_congruence_reports(n=500):
     identity(
         "qderiv-j",
         j.qderiv() * delta,
-        -(e4 * e4) * e6,
+        -e4sq * e6,
         "(q d/dq j) * Delta == -E4^2 * E6",
     )
     identity(
         "e4cube-e6square",
-        e4 ** 3 - e6 ** 2,
+        e4cube - e6 ** 2,
         delta.scale(1728),
         "E4^3 - E6^2 == 1728 * Delta",
     )
 
-    def congruence(name, lhs, rhs, mod, statement):
-        identity(name, lhs.reduce_mod(mod), rhs.reduce_mod(mod), statement)
+    def forms_mod(mod):
+        return [form(tag, n, mod) for tag in ("E2", "E4", "E6", "delta")] + [
+            Series.one(n, mod)
+        ]
 
-    one = Series.one(n)
-    congruence(
+    e2m, e4m, e6m, dm, one = forms_mod(65520)
+    identity(
         "e4cube-mod-65520",
-        e4 ** 3 - delta.scale(720),
+        e4m ** 3 - dm.scale(720),
         one,
-        65520,
         "E4^3 - 720 Delta == 1 (mod 65520)",
     )
-    congruence(
-        "e2-mod-65520",
-        e2,
-        e4 * e4 * e6,
-        65520,
-        "E2 == E4^2 E6 (mod 65520)",
-    )
-    congruence(
-        "e2-mod-32", e2, e4 * e6 + delta.scale(16), 32, "E2 == E4 E6 + 16 Delta (mod 32)"
-    )
-    congruence("e4sq-mod-32", e4 * e4, one, 32, "E4^2 == 1 (mod 32)")
-    congruence(
-        "e2-mod-27", e2, e4 ** 5 + delta.scale(18), 27, "E2 == E4^5 + 18 Delta (mod 27)"
-    )
-    congruence("e6-mod-27", e6, e4 ** 6, 27, "E6 == E4^6 (mod 27)")
+    identity("e2-mod-65520", e2m, e4m * e4m * e6m, "E2 == E4^2 E6 (mod 65520)")
+    e2m, e4m, e6m, dm, one = forms_mod(32)
+    identity("e2-mod-32", e2m, e4m * e6m + dm.scale(16), "E2 == E4 E6 + 16 Delta (mod 32)")
+    identity("e4sq-mod-32", e4m * e4m, one, "E4^2 == 1 (mod 32)")
+    e2m, e4m, e6m, dm, one = forms_mod(27)
+    identity("e2-mod-27", e2m, e4m ** 5 + dm.scale(18), "E2 == E4^5 + 18 Delta (mod 27)")
+    identity("e6-mod-27", e6m, e4m ** 6, "E6 == E4^6 (mod 27)")
     return reports
 
 

@@ -50,12 +50,10 @@ def e2t(t, n, modulus=0):
     _eta_exponent(t)
     e2 = eisenstein(2, n)
     num = e2.dilate(t).scale(t) - e2
-    vals = []
-    for i in range(0, n + 1):
-        c = num.coeff(i)
+    for i, c in enumerate(num.coeffs):
         if c % (t - 1):
             raise ArithmeticError("E2 combination not divisible by %d at q^%d" % (t - 1, i))
-        vals.append(c // (t - 1))
+    vals = [c // (t - 1) for c in num.coeffs]
     out = Series(vals, 0, 0, 0, copy=False)
     return out.reduce_mod(modulus) if modulus else out
 
@@ -247,7 +245,8 @@ def s_form(t, k, n):
 
 def _legendre_twist(beta, t):
     ser = beta.series
-    vals = [legendre(1 - 24 * i, t) * ser.coeff(i) for i in range(ser.lo, ser.valid_to + 1)]
+    leg = [legendre(1 - 24 * r, t) for r in range(t)]  # (1-24i|t) has period t
+    vals = [leg[i % t] * c for i, c in enumerate(ser.coeffs, ser.lo)]
     return Series(vals, ser.lo, 23, ser.modulus, copy=False)
 
 
@@ -356,7 +355,7 @@ def _gpoly_reduction_report(name, lhs, t, kdict, modulus, n, statement):
     rhs = e2t(t, n + 6, modulus).mul(GPoly.from_dict(t, kdict).eval(g))
     return identity_report(
         name,
-        lhs.reduce_mod(modulus) if lhs.modulus == 0 else lhs,
+        lhs if lhs.modulus == modulus else lhs.reduce_mod(modulus),
         rhs,
         {"t": t, "modulus": modulus, "n": n, "statement": statement},
         hi=n,
@@ -365,13 +364,15 @@ def _gpoly_reduction_report(name, lhs, t, kdict, modulus, n, statement):
 
 def check_lemma_congruences(n=100):
     """The displayed mod 5^8 / 7^4 / 13^2 / 5^6 reductions of E4^2 E6/Delta,
-    of j, and of (E6/E4) j^a in the hauptmodul basis."""
+    of j, and of (E6/E4) j^a in the hauptmodul basis, each computed in its
+    modulus (5^6 reduced from 5^8)."""
     reports = []
-    e14 = e14_over_delta(n + 8)
+    prec = n + 8
+    e14 = {m: e14_over_delta(prec, m) for m in (5**8, 7**4, 13**2)}
     reports.append(
         _gpoly_reduction_report(
             "e46d-mod-5^8",
-            e14,
+            e14[5**8],
             5,
             {1: 1, -1: 2 * 31 * 5**5},
             5**8,
@@ -382,7 +383,7 @@ def check_lemma_congruences(n=100):
     reports.append(
         _gpoly_reduction_report(
             "e46d-mod-7^4",
-            e14,
+            e14[7**4],
             7,
             {1: 1},
             7**4,
@@ -393,7 +394,7 @@ def check_lemma_congruences(n=100):
     reports.append(
         _gpoly_reduction_report(
             "e46d-mod-13^2",
-            e14,
+            e14[13**2],
             13,
             {1: 1},
             13**2,
@@ -403,7 +404,7 @@ def check_lemma_congruences(n=100):
     )
 
     # plain-j reductions: j == G + 750 + 3^2*7*5^5/G (mod 5^8) and friends
-    j = j_series(n + 8)
+    j = {m: j_series(prec, m) for m in (5**8, 7**4, 13**2)}
     for t, mod, kdict, stmt in (
         (5, 5**8, {1: 1, 0: 750, -1: 3**2 * 7 * 5**5}, "j == G5 + 750 + 3^2*7*5^5 G5^-1 (mod 5^8)"),
         (7, 7**4, {1: 1, 0: 748}, "j == G7 + 748 (mod 7^4)"),
@@ -414,7 +415,7 @@ def check_lemma_congruences(n=100):
         reports.append(
             identity_report(
                 "j-mod-%d^%d" % (t, {5: 8, 7: 4, 13: 2}[t]),
-                j.reduce_mod(mod),
+                j[mod],
                 rhs,
                 {"t": t, "modulus": mod, "n": n, "statement": stmt},
                 hi=n,
@@ -425,7 +426,7 @@ def check_lemma_congruences(n=100):
     reports.append(
         _gpoly_reduction_report(
             "e46d-mod-5^6",
-            e14,
+            e14[5**8],
             5,
             {1: 1, -1: 2 * 5**5},
             5**6,
@@ -433,10 +434,9 @@ def check_lemma_congruences(n=100):
             "(E6/E4) j == E2,5 (G5 + 2*5^5 G5^-1) (mod 5^6)",
         )
     )
-    prec = n + 8
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    jj = j_series(prec)
+    e4 = eisenstein(4, prec, 5**6)
+    e6 = eisenstein(6, prec, 5**6)
+    jj = j[5**8].reduce_mod(5**6)
     base = e6.mul(e4.invert())
     reports.append(
         _gpoly_reduction_report(

@@ -86,10 +86,15 @@ def hecke_combo(f, params, n, lo=None):
         raise ValueError("stream %s must reach %d for the combo at n=%d" % (f.kind, need, n))
     mod = f.modulus
     e2 = ell * ell
+    # the weight of f(m), which depends on m only through (1-24m|ell), m mod ell
+    mid = [
+        chi12(ell) * (legendre(1 - 24 * r, ell) + params.shift) * params.v
+        for r in range(ell)
+    ]
     out = []
     for m in range(lo, n + 1):
         v = params.u * f.at(e2 * m - s)
-        v += chi12(ell) * (legendre(1 - 24 * m, ell) + params.shift) * params.v * f.at(m)
+        v += mid[m % ell] * f.at(m)
         if (m + s) % e2 == 0:
             v += params.w * f.at((m + s) // e2)
         out.append(v % mod if mod else v)

@@ -373,11 +373,25 @@ class Series:
             hi = min(self.valid_to, other.valid_to)
         if hi > min(self.valid_to, other.valid_to):
             raise ValidityError("comparison window exceeds validity")
-        for n in range(lo, hi + 1):
-            a, b = self.coeff(n), other.coeff(n)
-            if a != b:
-                return n, a, b
+        a, b = self._window(lo, hi), other._window(lo, hi)
+        if self.modulus:
+            idx = np.flatnonzero(a != b)
+            if len(idx) == 0:
+                return None
+            i = int(idx[0])
+            return lo + i, int(a[i]), int(b[i])
+        for n, x, y in zip(range(lo, hi + 1), a, b):
+            if x != y:
+                return n, x, y
         return None
+
+    def _window(self, lo, hi):
+        """Coefficients of indices lo..hi (hi <= valid_to), zero below self.lo."""
+        pad = max(0, min(self.lo, hi + 1) - lo)
+        seg = self.coeffs[max(0, lo - self.lo) : max(0, hi - self.lo + 1)]
+        if self.modulus:
+            return np.concatenate([np.zeros(pad, dtype=np.int64), seg])
+        return [0] * pad + seg
 
     def agrees(self, other, lo=None, hi=None):
         return self.first_difference(other, lo, hi) is None
@@ -430,35 +444,46 @@ class CoeffStream:
 
 _SCHOOLBOOK_CUTOFF = 64 * 64
 
-# From this packed size, min(len) * (bits(max|a|) + bits(max|b|)), a product
-# whose shorter operand has at least _FFT_CUTOFF terms goes multi-modular
-# (_conv_crt) instead of through _conv_kronecker.  Measured on a 2-core
-# x86-64 host with numpy 2.4, random signed operands: at 2^17 bits (256 x 256
-# terms of 256 bits) the multi-modular product takes 0.87x the Kronecker
-# time, and 0.49x for 256 x 1024 terms; at 204 800 bits (400 x 400) 0.63x;
-# at 2^16 bits it is still 1.25x for 256 x 256 terms.
-_CRT_MIN_BITS = 1 << 17
+# Largest 2-D transform, rows x columns, that _conv_bytes takes; bigger
+# products go multi-modular (_conv_crt), whose memory does not grow with the
+# coefficient size.  Measured on a 2-core x86-64 host with numpy 2.4, peak
+# RSS of the exact `series j --n 2000` and `series e14_over_delta --n 2000`
+# exports (2002 x 2002-term products): 34.9 and 34.3 MB at 2^16, 35.0 and
+# 36.3 MB at 2^17, 56.0 MB each with no cap.
+_BYTES_POINTS = 1 << 16
 
 
 def _conv_exact(a, b, n_out):
-    """Exact truncated convolution of coefficient lists."""
+    """Exact truncated convolution of coefficient lists.
+
+    Python-int operands go to np.convolve on int64 when the shorter one has
+    fewer than _FFT_CUTOFF terms and no partial sum can reach 2^63, else to
+    schoolbook when tiny, else to _conv_bytes or, past its point cap or when
+    its rounding guard trips, to the multi-modular _conv_crt.  Fractions
+    always take schoolbook.
+    """
     square = a is b
     a = a[:n_out]
     b = a if square else b[:n_out]
-    if len(a) * len(b) > _SCHOOLBOOK_CUTOFF:
-        ints_ok = all(type(c) is int for c in a) and all(type(c) is int for c in b)
-        if ints_ok:
-            max_a = max(max(a), -min(a))
-            max_b = max(max(b), -min(b))
-            if max_a == 0 or max_b == 0:
-                return [0] * n_out
-            short = min(len(a), len(b))
-            packed = short * (max_a.bit_length() + max_b.bit_length())
-            if short >= _FFT_CUTOFF and packed >= _CRT_MIN_BITS:
-                out = _conv_crt(a, b, n_out, max_a * max_b * short)
-                if out is not None:
-                    return out
-            return _conv_kronecker(a, b, n_out)
+    if all(type(c) is int for c in a) and (square or all(type(c) is int for c in b)):
+        max_a = max(max(a), -min(a))
+        max_b = max_a if square else max(max(b), -min(b))
+        if max_a == 0 or max_b == 0:
+            return [0] * n_out
+        short = min(len(a), len(b))
+        bound = max_a * max_b * short
+        if short < _FFT_CUTOFF and bound < 1 << 63:
+            va = np.array(a, dtype=np.int64)
+            out = np.convolve(va, va if square else np.array(b, dtype=np.int64))
+            out = out[:n_out].tolist()
+            out.extend([0] * (n_out - len(out)))
+            return out
+        if len(a) * len(b) > _SCHOOLBOOK_CUTOFF:
+            out = _conv_bytes(a, b, n_out, max_a, max_b)
+            if out is None:
+                out = _conv_crt(a, b, n_out, bound)
+            if out is not None:
+                return out
     return _conv_schoolbook(a, b, n_out)
 
 
@@ -477,35 +502,62 @@ def _conv_schoolbook(a, b, n_out):
     return out
 
 
-def _conv_kronecker(a, b, n_out):
-    """Single-multiplication convolution via packing into one big integer.
+def _byte_limbs(coeffs, nb):
+    """The nb-byte two's complement digits of each int, as a (len, nb) float64
+    matrix whose last column is read signed: c = sum_j limb_j 256^j."""
+    raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in coeffs)
+    limbs = np.frombuffer(raw, dtype=np.uint8).reshape(len(coeffs), nb).astype(np.float64)
+    limbs[:, -1] = np.frombuffer(raw, dtype=np.int8)[nb - 1 :: nb]
+    return limbs
 
-    Coefficients are packed as signed base-2^w digits; the product's digits
-    are recovered after adding an offset that makes every digit nonnegative,
-    which is carry-free because the digit bound is below 2^(w-1).
+
+def _conv_bytes(a, b, n_out, max_a, max_b):
+    """Exact a*b truncated to n_out (nonzero Python ints, max_a >= max|a|,
+    max_b >= max|b|) from one 2-D float64 FFT of their byte limbs.
+
+    Row i of a's limb matrix holds the la = bits(max_a)//8 + 1 bytes of a[i];
+    the 2-D linear convolution of the two matrices, at R x C =
+    _fft_size(len a + len b - 1) x _fft_size(la + lb - 1) so nothing wraps,
+    gives the product's coefficient i as sum_j X[i, j] 256^j.  Each X[i, j]
+    sums at most min(len a, len b) min(la, lb) <= (R + 1)(C + 1)/4 limb
+    products of absolute value below 2^16, so under the cap R C <=
+    _BYTES_POINTS = 2^16 every sum is below 2^31 and the float64 error (about
+    2^-53 log2(R C) ||x|| ||y||, with ||x|| ||y|| < 2^32) is far below 1/4.
+    Returns None past the cap, or, as _conv_fft's guard does, when a float
+    lies 1/4 or more from its rounding.  The base-256 carry runs in int64
+    over W = bits(max_a max_b min(len a, len b))//8 + 1 digit rows, enough
+    bytes to hold every product coefficient signed.
     """
-    max_a = max(max(a), -min(a))
-    max_b = max(max(b), -min(b))
-    if max_a == 0 or max_b == 0:
-        return [0] * n_out
-    bound = max_a * max_b * min(len(a), len(b))
-    w = bound.bit_length() + 2
-    w += (-w) % 8
-    wb = w // 8
-    va = _pack_signed(a, wb)
-    vb = _pack_signed(b, wb)
-    prod = va * vb
-    n_full = len(a) + len(b) - 1
-    half = 1 << (w - 1)
-    base = 1 << w
-    offset = ((base ** n_full - 1) // (base - 1)) * half
-    shifted = prod + offset
-    raw = shifted.to_bytes(n_full * wb + 1, "little")
-    out = []
-    take = min(n_out, n_full)
-    for i in range(take):
-        out.append(int.from_bytes(raw[i * wb : (i + 1) * wb], "little") - half)
-    out.extend([0] * (n_out - take))
+    la = max_a.bit_length() // 8 + 1
+    lb = max_b.bit_length() // 8 + 1
+    cols = la + lb - 1
+    shape = (_fft_size(len(a) + len(b) - 1), _fft_size(cols))
+    if shape[0] * shape[1] > _BYTES_POINTS:
+        return None
+    spec = np.fft.rfft2(_byte_limbs(a, la), shape)
+    if b is a:
+        spec *= spec
+    else:
+        spec *= np.fft.rfft2(_byte_limbs(b, lb), shape)
+    n = min(n_out, len(a) + len(b) - 1)
+    x = np.fft.irfft2(spec, shape)[:n, :cols]
+    del spec
+    r = np.rint(x)
+    x -= r
+    if np.abs(x, out=x).max() >= 0.25:
+        return None
+    del x
+    w = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
+    k = min(w, cols)
+    # digit rows at and above W only add multiples of 256^W: dropped
+    digits = np.zeros((w, n), dtype=np.int64)
+    digits[:k] = r[:, :k].T
+    for d in range(w - 1):
+        digits[d + 1] += digits[d] >> 8
+        digits[d] &= 255
+    raw = digits.astype(np.uint8).T.tobytes()
+    out = [int.from_bytes(raw[i * w : (i + 1) * w], "little", signed=True) for i in range(n)]
+    out.extend([0] * (n_out - n))
     return out
 
 
@@ -629,18 +681,6 @@ def _crt_lift(res, primes, m):
             for i, ti in enumerate(t)
         )
     return out
-
-
-def _pack_signed(coeffs, wb):
-    """Evaluate sum(c_i * 256^(wb*i)) exactly for signed ints c_i."""
-    pos = bytearray(len(coeffs) * wb)
-    neg = bytearray(len(coeffs) * wb)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * wb : i * wb + wb] = c.to_bytes(wb, "little")
-        elif c < 0:
-            neg[i * wb : i * wb + wb] = (-c).to_bytes(wb, "little")
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
 
 
 def _check_conv_bound(m, n):

@@ -12,3 +12,22 @@ def bank_guard():
     yield forms._bank
     forms._bank.clear()
     forms._bank.update(saved)
+
+
+@fixture
+def identity_lines(monkeypatch):
+    """Spy on a module's identity_report: spy_on(module) returns the dict,
+    filled as the test runs, of check name -> (lhs, rhs) for each line."""
+    seen = {}
+
+    def spy_on(module):
+        real = module.identity_report
+
+        def spy(check, lhs, rhs, *args, **kw):
+            seen[check] = (lhs, rhs)
+            return real(check, lhs, rhs, *args, **kw)
+
+        monkeypatch.setattr(module, "identity_report", spy)
+        return seen
+
+    return spy_on

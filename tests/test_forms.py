@@ -202,6 +202,31 @@ def test_classical_reports_all_pass():
         assert r.ok, r.summary_line()
 
 
+def test_classical_congruence_lines_are_the_exact_expressions_reduced(bank_guard,
+                                                                    identity_lines):
+    # each congruence line is computed in its modulus; reduction is a ring map,
+    # so it must equal the exact expression reduced
+    n = 60
+    seen = identity_lines(forms)
+    classical_congruence_reports(n)
+    e2, e4, e6 = (eisenstein(k, n) for k in (2, 4, 6))
+    d = delta_series(n)
+    one = Series.one(n)
+    e4cube = e4 * e4 * e4
+    exact = {
+        "e4cube-mod-65520": (65520, e4cube - d.scale(720), one),
+        "e2-mod-65520": (65520, e2, e4 * e4 * e6),
+        "e2-mod-32": (32, e2, e4 * e6 + d.scale(16)),
+        "e4sq-mod-32": (32, e4 * e4, one),
+        "e2-mod-27": (27, e2, e4cube * e4 * e4 + d.scale(18)),
+        "e6-mod-27": (27, e6, e4cube * e4cube),
+    }
+    for name, (m, lhs, rhs) in exact.items():
+        for got, want in zip(seen[name], (lhs, rhs)):
+            assert got.modulus == m, name
+            assert got.coeff_range(0, n) == [c % m for c in want.coeff_range(0, n)], name
+
+
 def test_classical_merge():
     merged = check_classical_congruences(n=60)
     assert merged.ok

@@ -5,7 +5,8 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
-from sptlab.forms import eta_pow, euler_product
+from sptlab import gamma0
+from sptlab.forms import delta_series, eisenstein, eta_pow, euler_product
 from sptlab.gamma0 import (
     GPoly,
     LEVELS,
@@ -64,6 +65,20 @@ def test_e2t_divisor_oracle(t):
     assert e.coeff(0) == 1
     for n in range(1, 31):
         assert e.coeff(n) == scale * sigma_prime_to(t, n)
+
+
+def test_e2t_rejects_a_combination_not_divisible_by_t_minus_one(monkeypatch):
+    # E2 off by one at q^3: t E2(tz) - E2(z) there is 95, not divisible by 4
+    real = gamma0.eisenstein
+
+    def bumped(weight, n, modulus=0):
+        e = real(weight, n, modulus)
+        e.coeffs[3] += 1
+        return e
+
+    monkeypatch.setattr(gamma0, "eisenstein", bumped)
+    with raises(ArithmeticError, match=r"divisible by 4 at q\^3"):
+        e2t(5, 10)
 
 
 @parametrize('t', LEVELS)
@@ -305,6 +320,33 @@ def test_lemma_congruences_all_pass():
     assert len(reports) >= 4
     for r in reports:
         assert r.ok, r.summary_line()
+
+
+def test_lemma_congruence_lines_are_the_exact_expressions_reduced(identity_lines):
+    # the left sides are computed in their modulus; reduction is a ring map,
+    # so each must equal the exact expression reduced
+    n = 20
+    seen = identity_lines(gamma0)
+    check_lemma_congruences(n)
+    prec = n + 8
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    inv_delta = delta_series(prec + 2).invert()
+    e14 = e4 * e4 * e6 * inv_delta
+    j = e4 * e4 * e4 * inv_delta
+    exact = {
+        "e46d-mod-5^8": (5**8, e14),
+        "e46d-mod-7^4": (7**4, e14),
+        "e46d-mod-13^2": (13**2, e14),
+        "j-mod-5^8": (5**8, j),
+        "j-mod-7^4": (7**4, j),
+        "j-mod-13^2": (13**2, j),
+        "e46d-mod-5^6": (5**6, e14),
+        "e46d-j2-mod-5^6": (5**6, e6 * e4.invert() * j * j),
+    }
+    for name, (m, want) in exact.items():
+        got = seen[name][0]
+        assert got.modulus == m, name
+        assert got.coeff_range(-1, n) == [c % m for c in want.coeff_range(-1, n)], name
 
 
 def test_epsilon_ladder_all_pass():

@@ -122,7 +122,7 @@ def test_spt_stream_against_tail_oracle_modular(bank_guard, modulus):
 
 def test_spt_modular_master_matches_exact(bank_guard):
     # above the FFT cutoff: the p inversion and the final product mod 360360
-    # against the exact Kronecker path
+    # against the exact product path
     exact = spt_stream(5000)
     got = spt_stream(5000, modulus=360360)
     assert [int(v) for v in got.values] == [v % 360360 for v in exact.values]

@@ -19,13 +19,14 @@ from sptlab.series import (
     sgn24,
     split_e24,
     _conv_schoolbook,
-    _conv_kronecker,
+    _conv_bytes,
     _check_conv_bound,
     _conv_crt,
     _conv_exact,
     _conv_mod,
     _crt_primes,
     _FFT_CUTOFF,
+    _BYTES_POINTS,
 )
 from sptlab.forms import euler_product
 
@@ -257,6 +258,25 @@ def test_first_difference_reporting():
         a.agrees(b, hi=10)
 
 
+@CASES
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.integers(-4, 4), st.integers(-4, 4), st.integers(-6, 8), st.integers(-6, 8),
+       st.sampled_from([0, 5]))
+def test_first_difference_matches_a_coefficient_scan(c1, c2, lo1, lo2, lo, hi, m):
+    # the whole-window compare against a per-index scan, zero below each lo
+    a, b = Series(c1, lo=lo1, modulus=m), Series(c2, lo=lo2, modulus=m)
+    if hi > min(a.valid_to, b.valid_to):
+        with raises(ValidityError):
+            a.first_difference(b, lo, hi)
+        return
+    want = next(((k, a.coeff(k), b.coeff(k)) for k in range(lo, hi + 1)
+                 if a.coeff(k) != b.coeff(k)), None)
+    got = a.first_difference(b, lo, hi)
+    assert got == want
+    assert got is None or all(type(v) is int for v in got)
+
+
 # -- randomized algebra laws --------------------------------------------------
 
 coeffs = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30)
@@ -401,20 +421,29 @@ def test_dilate_then_sift_roundtrip(c, t):
     assert s.dilate(t).sift(t).agrees(s)
 
 
+def bytes_product(a, b, n_out):
+    """_conv_bytes on its own, with the bounds the dispatcher would pass."""
+    return _conv_bytes(a, b, n_out, max(map(abs, a)), max(map(abs, b)))
+
+
 @CASES
 @given(coeffs, coeffs)
 def test_kronecker_matches_schoolbook(c1, c2):
-    # pad so the packed path is exercised alongside the reference loop
+    # Kronecker substitution by a 2-D FFT of byte limbs, alone and dispatched
     a = c1 * 5
     b = c2 * 5
     n_out = len(a) + len(b) - 1
-    assert _conv_kronecker(a, b, n_out) == _conv_schoolbook(a, b, n_out)
+    want = _conv_schoolbook(a, b, n_out)
+    if any(a) and any(b):
+        assert bytes_product(a, b, n_out) == want
+    assert _conv_exact(a, b, n_out) == want
 
 
 def test_kronecker_large_coefficients():
     a = [(-3) ** i for i in range(80)]
     b = [7 ** (i % 40) - 2 ** i for i in range(70)]
-    assert _conv_kronecker(a, b, 149) == _conv_schoolbook(a, b, 149)
+    assert bytes_product(a, b, 149) == _conv_schoolbook(a, b, 149)
+    assert _conv_exact(a, b, 149) == _conv_schoolbook(a, b, 149)
 
 
 # -- the modular product kernel -------------------------------------------------
@@ -536,29 +565,106 @@ def test_import_leaves_prime_table_unbuilt():
     assert out.strip() == "True"
 
 
+# constants that force each path of _conv_exact for a nonzero product
+PATHS = {
+    "int64": dict(_FFT_CUTOFF=10**9),
+    "schoolbook": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=10**9),
+    "bytes": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=10**9),
+    "multimodular": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=0),
+}
+
+
 @st.composite
 def exact_operands(draw):
-    bits = draw(st.sampled_from([1, 30, 31, 62, 200, 1000]))
-    coeff = st.one_of(st.just(0), st.integers(-2**bits, 2**bits))
+    path = draw(st.sampled_from(sorted(PATHS)))
+    # int64 needs max|a| max|b| short < 2^63: at most 28 bits for 40 terms
+    widths = [7, 8, 9, 15, 16, 17] + ([] if path == "int64" else [62, 63, 200, 1000])
+    bits = draw(st.sampled_from(widths))
+    # -2^bits is the one value of its width whose top byte is a bare sign
+    coeff = st.one_of(st.just(0), st.just(-2**bits), st.just(2**bits - 1),
+                      st.integers(-2**bits, 2**bits))
     a = draw(st.lists(coeff, min_size=1, max_size=40))
-    b = draw(st.lists(coeff, min_size=1, max_size=40))
+    b = a if draw(st.booleans()) else draw(st.lists(coeff, min_size=1, max_size=40))
     full = len(a) + len(b) - 1
-    n_out = draw(st.sampled_from([1, max(1, full // 2), full, full + 5]))
-    return a, b, n_out
+    n_out = draw(st.sampled_from([1, max(1, full // 2), max(1, full - 1), full, full + 5]))
+    return path, a, b, n_out
 
 
-@settings(max_examples=60, deadline=None)
-@given(exact_operands())
-def test_conv_exact_multimodular_matches_schoolbook(case):
-    # with every threshold at zero, each nonzero product takes the CRT path
-    a, b, n_out = case
-    calls = []
-    crt = series._conv_crt
-    with mock.patch.multiple(series, _SCHOOLBOOK_CUTOFF=0, _FFT_CUTOFF=1, _CRT_MIN_BITS=0,
-                             _conv_crt=lambda *args: calls.append(1) or crt(*args)):
+def conv_exact_taking(a, b, n_out, **constants):
+    """_conv_exact under patched constants, and the paths it took or that
+    declined (returned None); np.convolve is the int64 path, as no other path
+    of an exact product calls it."""
+    taken = []
+
+    def spy(name, fn):
+        def run(*args):
+            out = fn(*args)
+            taken.append(name if out is not None else name + " declined")
+            return out
+        return run
+
+    constants = {"_FFT_CUTOFF": series._FFT_CUTOFF, **constants}
+    with mock.patch.multiple(series, **constants), \
+            mock.patch.object(np, "convolve", spy("int64", np.convolve)), \
+            mock.patch.object(series, "_conv_schoolbook",
+                              spy("schoolbook", series._conv_schoolbook)), \
+            mock.patch.object(series, "_conv_bytes", spy("bytes", series._conv_bytes)), \
+            mock.patch.object(series, "_conv_crt", spy("multimodular", series._conv_crt)):
         got = _conv_exact(a, b, n_out)
+    return got, taken
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_operands())
+def test_conv_exact_dispatch_matches_schoolbook(case):
+    path, a, b, n_out = case
+    got, taken = conv_exact_taking(a, b, n_out, **PATHS[path])
     assert got == schoolbook_exact(a, b, n_out)
-    assert calls == ([1] if any(a[:n_out]) and any(b[:n_out]) else [])
+    want = ["bytes declined", path] if path == "multimodular" else [path]
+    assert taken == (want if any(a[:n_out]) and any(b[:n_out]) else [])
+
+
+@parametrize('bound, path', [(2**63 - 1, "int64"), (2**63, "schoolbook")])
+@parametrize('sign', [-1, 1])
+def test_conv_exact_int64_bound(bound, path, sign):
+    # max|a| max|b| short == bound; the default constants send 7 x 7 terms
+    # to int64 only below 2^63, and the middle coefficient reaches the bound
+    top = -(-bound // 7)
+    a = [bound - 6 * top] + [top] * 6
+    b = [sign] * 7
+    assert max(map(abs, a)) * 7 == 7 * top and sum(a) == bound
+    got, taken = conv_exact_taking(a, b, 13)
+    assert taken == [path]
+    assert got == schoolbook_exact(a, b, 13)
+    assert got[6] == sign * bound
+
+
+@parametrize('noise', [0.3, 0.7])
+def test_conv_bytes_rounding_guard(monkeypatch, noise):
+    # noise on the inverse 2-D transform must trip the guard and send the
+    # product to the multi-modular path; at 0.7 rounding alone would be wrong
+    irfft2 = np.fft.irfft2
+    monkeypatch.setattr(np.fft, "irfft2", lambda *args, **kw: irfft2(*args, **kw) + noise)
+    a = [(-7) ** i for i in range(300)]
+    b = [5 ** (i % 90) - 3 ** i for i in range(20)]
+    # 106 and 6 byte limbs, 324 x 128 points, under the cap: only the guard
+    # can decline
+    assert series._fft_size(319) * series._fft_size(106 + 6 - 1) <= _BYTES_POINTS
+    got, taken = conv_exact_taking(a, b, 319)
+    assert taken == ["bytes declined", "multimodular"]
+    assert got == schoolbook_exact(a, b, 319)
+
+
+@parametrize('lb, path', [(513, "bytes"), (514, "multimodular")])
+def test_conv_bytes_point_cap(lb, path):
+    # 255-bit coefficients are 32 byte limbs, so 63 -> 64 columns; 512 + 513
+    # terms need 1024 rows, exactly _BYTES_POINTS, and one term more 1152
+    a = [(-1) ** i * (2**255 - 1 - i) for i in range(512)]
+    b = [2**254 + 3 * i for i in range(lb)]
+    assert series._fft_size(512 + 513 - 1) * 64 == _BYTES_POINTS
+    got, taken = conv_exact_taking(a, b, 512 + lb - 1)
+    assert taken == (["bytes"] if path == "bytes" else ["bytes declined", "multimodular"])
+    assert got == schoolbook_exact(a, b, 512 + lb - 1)
 
 
 def operands_with_bound(bound, length, sign):
@@ -598,7 +704,8 @@ def test_conv_crt_declines_beyond_the_prime_table():
 
 
 def test_conv_crt_falls_back_when_the_guard_trips():
-    # a tripped rounding guard sends the exact product back to Kronecker
+    # a tripped rounding guard in every residue product sends the exact
+    # product, too large for _conv_bytes, on to schoolbook
     a = [(-7) ** i for i in range(300)]
     b = [5 ** (i % 90) - 3 ** i for i in range(400)]
     with mock.patch.object(series, "_conv_fft", lambda *args: None):
