@@ -10,6 +10,7 @@ import time
 from . import cache, partitions
 from .forms import form
 from .gamma0 import e2t, hauptmodul, phi_t
+from .series import ValidityError
 from .verifier import MASTER_MODULUS, REGISTRY, CheckOptions, run_checks
 
 _FORM_KINDS = ("euler", "E2", "E4", "E6", "delta", "j", "e14_over_delta")
@@ -114,10 +115,10 @@ def _store_to_cache(cache_dir):
         if modulus != MASTER_MODULUS or kind not in _CACHEABLE:
             continue
         existing = cache.scan(cache_dir, kind, modulus)
-        if existing and existing.nmax >= tab.hi:
+        if existing and existing.nmax >= tab.valid_to:
             continue
-        sk = cache.SeriesKind(kind, tab.hi, 0, modulus, tab.frac24)
-        cache.store(cache_dir, sk, tab.values, tab.lo)
+        sk = cache.SeriesKind(kind, tab.valid_to, 0, modulus, tab.frac24)
+        cache.store(cache_dir, sk, tab.coeffs, tab.lo)
 
 
 def _run_check(args):
@@ -152,14 +153,13 @@ def _series_values(args):
     if kind in _LEVEL_KINDS:
         if t is None:
             raise ValueError("kind %r needs --t" % kind)
-        builder = {"G": hauptmodul, "E2t": e2t, "phi": phi_t}[kind]
-        ser = builder(t, n, mod)
-        return [ser.coeff(i) for i in range(ser.lo, n + 1)], ser.lo, ser.frac24, t
-    if kind in _STREAM_KINDS:
-        tab = partitions.stream(kind, n, mod)
-        return [tab.at(i) for i in range(tab.lo, n + 1)], tab.lo, tab.frac24, 0
-    ser = form(kind, n, mod)
-    return [ser.coeff(i) for i in range(ser.lo, n + 1)], ser.lo, ser.frac24, 0
+        ser = {"G": hauptmodul, "E2t": e2t, "phi": phi_t}[kind](t, n, mod)
+    else:
+        t = 0
+        ser = partitions.stream(kind, n, mod) if kind in _STREAM_KINDS else form(kind, n, mod)
+    if ser.valid_to < n:
+        raise ValidityError("%s valid to q^%d, short of --n %d" % (kind, ser.valid_to, n))
+    return ser.coeffs[: n - ser.lo + 1], ser.lo, ser.frac24, t
 
 
 def _run_series(args):

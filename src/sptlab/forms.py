@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .reports import CongruenceReport, identity_report
-from .series import CoeffStream, Series, sgn24
+from .series import Series, sgn24
 
 
 def euler_product(n, modulus=0):
@@ -140,8 +140,8 @@ def e14_over_delta(n, modulus=0):
 
 # -- the memo bank -----------------------------------------------------------
 
-# (tag, modulus) -> the longest table built so far: a Series for the forms
-# below, a CoeffStream for p/spt/d/a (partitions.stream)
+# (tag, modulus) -> the longest Series built so far, for the forms below and
+# the p/spt/d/a tables (partitions.stream)
 _bank: dict = {}
 
 
@@ -167,15 +167,14 @@ def memo(tag, n, modulus, build):
 def _build_p(n, modulus):
     """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one."""
     got = _bank.get(("p", modulus))
-    inv = euler_product(n, modulus).invert(got.values if got is not None else None)
-    return CoeffStream(inv.coeffs, "p", 0, modulus)
+    return euler_product(n, modulus).invert(got.coeffs if got is not None else None)
 
 
 def inverse_euler(n, modulus=0):
     """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table; every
     Euler-product inverse reads it, so each p(k) is computed once per modulus."""
     tab = memo("p", n, modulus, _build_p)
-    return Series._wrap(tab.values[: n + 1], 0, 0, modulus)
+    return Series._wrap(tab.coeffs[: n + 1], 0, 0, modulus)
 
 
 _BUILDERS = {

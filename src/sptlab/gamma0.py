@@ -1,5 +1,5 @@
 """Level-t machinery for t in {5, 7, 13}: the eta-quotient hauptmodul, the
-weight-2 Eisenstein series, beta coefficient streams with their vanishing
+weight-2 Eisenstein series, beta series with their vanishing
 patterns, Fricke-involution bookkeeping on hauptmodul polynomials, and
 basis decompositions of weight-2 objects over Gamma0(t)."""
 
@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .forms import (
     e14_over_delta,
@@ -16,8 +18,8 @@ from .forms import (
     inverse_euler,
     j_series,
 )
-from .hecke import chi12, legendre
-from .reports import CongruenceReport, identity_report, timed_report
+from .hecke import chi12, legendre, legendre_class
+from .reports import CongruenceReport, identity_report, sweep, timed_report
 from .series import Series
 
 LEVELS = (5, 7, 13)
@@ -140,31 +142,11 @@ def _norm_coeff(c):
     return c
 
 
-# -- beta streams ---------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class BetaStream:
-    """Coefficients beta(n) of E2t(z) K(G_t(z)) / eta(z) on the q^(n-1/24) grid."""
-
-    t: int
-    source: GPoly
-    series: Series
-
-    @property
-    def lo(self):
-        return self.series.lo
-
-    @property
-    def hi(self):
-        return self.series.valid_to
-
-    def at(self, n):
-        return self.series.coeff(n)
+# -- beta series ----------------------------------------------------------------
 
 
 def beta_stream(t, k, n, modulus=0):
-    """Expand E2t * K(G_t) / eta through q^(n - 1/24)."""
+    """E2t * K(G_t) / eta through q^(n - 1/24): the Series of the beta(n)."""
     if not k.is_integral() and modulus:
         raise ValueError("modular beta stream needs an integral K")
     prec = n + max(0, max((j for j, _ in k.coeffs), default=0)) + 2
@@ -173,8 +155,7 @@ def beta_stream(t, k, n, modulus=0):
         body = body.mul(k.eval(hauptmodul(t, prec, modulus)))
     else:
         body = body.scale(k.coeff(0))
-    ser = body.mul(eta_pow(-1, prec, modulus)).truncate(n)
-    return BetaStream(t, k, ser)
+    return body.mul(eta_pow(-1, prec, modulus)).truncate(n)
 
 
 def atkin_solve_k(t, m):
@@ -188,7 +169,7 @@ def atkin_solve_k(t, m):
     prec = -m + 4
     for j in range(-m - 1, 0, -1):
         beta = beta_stream(t, GPoly.from_dict(t, k), prec)
-        bad = beta.at(-j)
+        bad = beta.coeff(-j)
         if bad:
             k[j] = -bad
     return GPoly.from_dict(t, k)
@@ -199,6 +180,8 @@ def verify_beta_vanish(t, m, n):
     k = atkin_solve_k(t, m)
     beta = beta_stream(t, k, n)
     target = -legendre(1 - 24 * m, t)
+    idx = np.arange(m, n + 1)
+    idx = idx[legendre_class(idx, t) == target]
     with timed_report(
         "beta-vanish",
         {
@@ -208,16 +191,7 @@ def verify_beta_vanish(t, m, n):
             "statement": "beta_t(n) == 0 when legendre(1-24n|t) == -legendre(1-24m|t)",
         },
     ) as rec:
-        count = 0
-        for i in range(m, n + 1):
-            if legendre(1 - 24 * i, t) != target:
-                continue
-            count += 1
-            if beta.at(i) != 0:
-                rec.fail(i, beta.at(i), 0, n_verified=count - 1)
-                break
-        else:
-            rec.ok(count)
+        sweep(rec, idx, beta.gather(idx))
     return rec.report
 
 
@@ -244,10 +218,8 @@ def s_form(t, k, n):
 
 
 def _legendre_twist(beta, t):
-    ser = beta.series
-    leg = [legendre(1 - 24 * r, t) for r in range(t)]  # (1-24i|t) has period t
-    vals = [leg[i % t] * c for i, c in enumerate(ser.coeffs, ser.lo)]
-    return Series(vals, ser.lo, 23, ser.modulus, copy=False)
+    leg = legendre_class(np.arange(beta.lo, beta.valid_to + 1), t).tolist()
+    return Series([e * c for e, c in zip(leg, beta.coeffs)], beta.lo, 23, beta.modulus)
 
 
 def psi_form(t, k, n):
@@ -269,7 +241,7 @@ def psi_form(t, k, n):
     term1 = inner.dilate(t).mul(inv_eta_t2).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))
-    term3 = beta.series.sift(t * t, -s)
+    term3 = beta.sift(t * t, -s)
     return (term1 - term2 - term3).truncate(n)
 
 
@@ -507,7 +479,7 @@ def epsilon_ladder_reports(a_min=3, a_max=8, modulus=5**6):
 TC = {5: 6, 7: 4, 13: 2}
 
 
-def atkin_gamma_constant(t, ell, n, p_stream=None):
+def atkin_gamma_constant(t, ell, n):
     """Scan the weight-neg-half combo of p(n) over n with legendre(1-24n|t) = -1:
     it should equal a single constant gamma times p(n) mod t^c.
 
@@ -519,7 +491,7 @@ def atkin_gamma_constant(t, ell, n, p_stream=None):
         raise ValueError("need a prime ell >= 5 different from t")
     mod = t ** TC[t]
     s = s_ell(ell)
-    f = p_stream if p_stream is not None else stream("p", ell * ell * n - s + 1, mod)
+    f = stream("p", ell * ell * n - s + 1, mod)
     combo = hecke_combo(f, HeckeParams.weight_neg_half(ell), n)
     gamma = None
     with timed_report(
@@ -532,25 +504,17 @@ def atkin_gamma_constant(t, ell, n, p_stream=None):
             "statement": "l^3 p(l^2 n - s) + l chi12(l) (1-24n|l) p(n) + p((n+s)/l^2) == gamma_t p(n) (mod t^c) on (1-24n|t) = -1",
         },
     ) as rec:
-        admissible = [
-            (m, f.at(m) % mod, combo.at(m) % mod)
-            for m in range(1, n + 1)
-            if legendre(1 - 24 * m, t) == -1
-        ]
-        for m, pm, lhs in admissible:
-            if pm % t:
-                gamma = (lhs * pow(pm, -1, mod)) % mod
-                break
-        if gamma is None:
+        idx = np.arange(1, n + 1)
+        idx = idx[legendre_class(idx, t) == -1]
+        pm, lhs = f.gather(idx), combo.gather(idx)
+        units = np.flatnonzero(pm % t)
+        if len(units) == 0:
             rec.skip("no admissible n with p(n) invertible mod %d" % t)
         else:
-            for i, (m, pm, lhs) in enumerate(admissible):
-                if (gamma * pm - lhs) % mod:
-                    rec.fail(m, lhs, (gamma * pm) % mod, n_verified=i)
-                    gamma = None
-                    break
+            i = units[0]
+            gamma = int(lhs[i]) * pow(int(pm[i]), -1, mod) % mod
+            if sweep(rec, idx, lhs, gamma * pm, mod):
+                rec.report.params["gamma"] = gamma
             else:
-                rec.ok(len(admissible))
-        if gamma is not None:
-            rec.report.params["gamma"] = gamma
+                gamma = None
     return gamma, rec.report

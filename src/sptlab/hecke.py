@@ -6,10 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .forms import delta_series, eisenstein, eta_pow, euler_product, e14_over_delta, j_series
 from .partitions import stream
-from .reports import CongruenceReport, identity_report, timed_report
-from .series import CoeffStream, Series
+from .reports import CongruenceReport, identity_report, sweep, timed_report
+from .series import Series
 
 _CHI12 = {1: 1, 11: 1, 5: -1, 7: -1}
 
@@ -36,6 +38,13 @@ def legendre(a, p):
         raise ValueError("legendre symbol needs an odd prime, got %d" % p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+def legendre_class(m, p):
+    """(1-24m|p) for each entry of an integer array m, as an int64 array: the
+    symbol has period p in m, so one table of p values serves every m."""
+    period = np.array([legendre(1 - 24 * r, p) for r in range(p)], dtype=np.int64)
+    return period[np.asarray(m) % p]
 
 
 def s_ell(ell):
@@ -77,28 +86,24 @@ class HeckeParams:
 
 
 def hecke_combo(f, params, n, lo=None):
-    """Apply a Hecke-type combination to a stream, for lo <= m <= n."""
+    """Apply a Hecke-type combination to a table f, for lo <= m <= n, as a
+    Series on the q^(m - 1/24) grid."""
     ell, s = params.ell, params.s
     if lo is None:
         lo = -s
-    need = ell * ell * n - s
-    if f.hi < need:
-        raise ValueError("stream %s must reach %d for the combo at n=%d" % (f.kind, need, n))
-    mod = f.modulus
     e2 = ell * ell
-    # the weight of f(m), which depends on m only through (1-24m|ell), m mod ell
-    mid = [
-        chi12(ell) * (legendre(1 - 24 * r, ell) + params.shift) * params.v
-        for r in range(ell)
-    ]
-    out = []
-    for m in range(lo, n + 1):
-        v = params.u * f.at(e2 * m - s)
-        v += mid[m % ell] * f.at(m)
-        if (m + s) % e2 == 0:
-            v += params.w * f.at((m + s) // e2)
-        out.append(v % mod if mod else v)
-    return CoeffStream(out, "hecke[%s,l=%d]" % (f.kind, ell), 23, mod, lo)
+    if f.valid_to < e2 * n - s:
+        raise ValueError("table must reach %d for the combo at n=%d" % (e2 * n - s, n))
+    m = np.arange(lo, n + 1, dtype=np.int64)
+    mid = chi12(ell) * (legendre_class(m, ell) + params.shift) * params.v
+    # the last term reads index f.lo - 1, a zero, unless ell^2 divides m + s
+    back = np.where((m + s) % e2 == 0, (m + s) // e2, f.lo - 1)
+    if not f.modulus:
+        mid = mid.astype(object)
+    out = params.u * f.gather(e2 * m - s) + mid * f.gather(m) + params.w * f.gather(back)
+    if f.modulus:
+        return Series._wrap(out % f.modulus, lo, 23, f.modulus)
+    return Series._wrap(out.tolist(), lo, 23, 0)
 
 
 # -- the polynomial family A_m(x) ---------------------------------------------
@@ -197,7 +202,7 @@ def verify_zell(ell, n):
     s = s_ell(ell)
     p = stream("p", ell * ell * n - s + 1)
     combo = hecke_combo(p, HeckeParams.weight_neg_half(ell), n)
-    lhs = combo.to_series() * eta_pow(1, n + s + 2)
+    lhs = combo * eta_pow(1, n + s + 2)
     rhs = poly_at_series(c_ell(ell), j_series(n + s + 2))
     return identity_report(
         "zell",
@@ -221,7 +226,7 @@ def verify_xi(ell, n):
     d = stream("d", ell * ell * n - s + 1)
     combo = hecke_combo(d, HeckeParams.weight_three_half(ell), n)
     delta = delta_series(prec)
-    lhs = (combo.to_series() * eta_pow(1, prec) * delta**s).scale(ell)
+    lhs = (combo * eta_pow(1, prec) * delta**s).scale(ell)
     e2 = eisenstein(2, prec)
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
@@ -308,10 +313,5 @@ def verify_mell_cong(ell, n):
             "statement": "three-halves combo of a(n)=12spt(n)+(24n-1)p(n) == 0 (mod l)",
         },
     ) as rec:
-        for m in range(-s, n + 1):
-            if combo.at(m) % ell:
-                rec.fail(m, combo.at(m) % ell, 0, n_verified=m + s)
-                break
-        else:
-            rec.ok(n + s + 1)
+        sweep(rec, range(-s, n + 1), combo.coeffs, modulus=ell)
     return rec.report

@@ -26,7 +26,7 @@ from .forms import (
     inverse_euler,
     memo,
 )
-from .series import CoeffStream, Series
+from .series import Series
 
 EXACT_CAP = 5000
 MODULAR_CAP = 200000
@@ -45,7 +45,7 @@ def _check_cap(n, modulus, cap):
 def partition_stream(n, modulus=0, cap=None):
     """p(0..n), read from the bank's p table (forms.inverse_euler)."""
     _check_cap(n, modulus, cap)
-    return CoeffStream(inverse_euler(n, modulus).coeffs, "p", 0, modulus)
+    return inverse_euler(n, modulus)
 
 
 def _andrews_rhs(n, modulus=0):
@@ -69,7 +69,7 @@ def spt_stream(n, modulus=0, cap=None):
     the bank's p table divides by the Euler product."""
     _check_cap(n, modulus, cap)
     p = inverse_euler(n, modulus)
-    return CoeffStream(_andrews_rhs(n, modulus).mul(p).coeffs, "spt", 0, modulus)
+    return _andrews_rhs(n, modulus).mul(p)
 
 
 def spt_bruteforce(n):
@@ -116,11 +116,11 @@ def _build(kind, n, modulus):
     elif kind == "a":
         # a(n) = 12 spt(n) + d(n), i.e. A = 12 SPT + D
         d = stream("d", n, modulus)
-        spt = stream("spt", n, modulus).to_series().truncate(n)
-        out = spt.lincomb(Series(d.values, 0, 0, modulus), 12, 1)
+        spt = stream("spt", n, modulus).truncate(n)
+        out = spt.lincomb(Series._wrap(d.coeffs, 0, 0, modulus), 12, 1)
     else:
         raise KeyError(kind)
-    return CoeffStream(out.coeffs, kind, 23, modulus)
+    return Series._wrap(out.coeffs, 0, 23, modulus)
 
 
 def stream(kind, n, modulus=0):
@@ -144,13 +144,9 @@ def seed(kind, values, modulus=0):
     e.g. from an on-disk cache.
 
     Kept only if it extends further than what is already stored."""
-    if modulus:
-        vals = np.asarray(values, dtype=np.int64) % modulus
-    else:
-        vals = [int(v) for v in values]
-    tab = CoeffStream(vals, kind, _STREAM_FRAC[kind], modulus)
+    tab = Series(values, 0, _STREAM_FRAC[kind], modulus)
     got = _bank.get((kind, modulus))
-    if got is None or got.hi < tab.hi:
+    if got is None or got.valid_to < tab.valid_to:
         _bank[(kind, modulus)] = tab
     return _bank[(kind, modulus)]
 
@@ -170,7 +166,7 @@ def first_violation(kind, values, modulus=0):
     elif kind == "spt":
         lhs, rhs = got.mul(euler_product(n, modulus)), _andrews_rhs(n, modulus)
     else:
-        lhs, rhs = got, _build(kind, n, modulus).to_series()
+        lhs, rhs = got, _build(kind, n, modulus)
     bad = np.flatnonzero(np.asarray(lhs.coeffs) != np.asarray(rhs.coeffs))
     return int(bad[0]) if len(bad) else None
 

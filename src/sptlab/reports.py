@@ -6,6 +6,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CongruenceReport:
@@ -94,6 +96,24 @@ def timed_report(check, params):
         yield rec
     finally:
         rec.report.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+
+
+def sweep(rec, idx, lhs, rhs=0, modulus=0, n_verified=None):
+    """Record whether lhs[i] == rhs[i], modulo modulus when it is nonzero, for
+    every i.  The first i that differs fails at n = idx[i] with both sides
+    (reduced) and n_verified = i, or the count given; else len(idx) pass.
+    A list is read exactly, as an object array.  Returns whether all pass."""
+    lhs, rhs = (np.array(v, dtype=object) if isinstance(v, list) else v for v in (lhs, rhs))
+    rhs = np.broadcast_to(rhs, np.shape(lhs))
+    diff = lhs - rhs
+    bad = np.flatnonzero(diff % modulus if modulus else diff)
+    if len(bad) == 0:
+        rec.ok(len(idx))
+        return True
+    i = int(bad[0])
+    left, right = (lhs[i] % modulus, rhs[i] % modulus) if modulus else (lhs[i], rhs[i])
+    rec.fail(int(idx[i]), left, right, i if n_verified is None else n_verified, modulus)
+    return False
 
 
 def identity_report(check, lhs, rhs, params=None, lo=None, hi=None):

@@ -8,14 +8,13 @@ above valid_to are unknown and reading them is a hard error.
 
 Two coefficient domains are supported: exact (python ints, with Fractions
 tolerated where linear algebra produces them) and residues modulo M >= 2
-stored in numpy int64 arrays.  A CoeffStream is the same window read as a
-table of arithmetic-function values f(lo..hi), such as p(n) or spt(n).
+stored in numpy int64 arrays.  A table of arithmetic-function values
+f(0..N), such as p(n) or spt(n), is a Series too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -115,9 +114,34 @@ class Series:
         c = self.coeffs[n - self.lo]
         return int(c) if isinstance(c, np.integer) else c
 
+    def gather(self, idx):
+        """The coefficients at an array of indices, read as coeff reads them:
+        0 below lo, ValidityError past valid_to.  An int64 array of residues,
+        or an object array of the exact values."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and idx.max() > self.valid_to:
+            raise ValidityError(
+                "coefficient q^[%d] beyond validity (valid_to=%d)" % (idx.max(), self.valid_to)
+            )
+        pos = idx - self.lo
+        keep = pos >= 0
+        if self.modulus:
+            out = np.zeros(idx.shape, dtype=np.int64)
+            out[keep] = self.coeffs[pos[keep]]
+        else:
+            out = np.zeros(idx.shape, dtype=object)
+            out[keep] = [self.coeffs[i] for i in pos[keep].tolist()]
+        return out
+
     def coeff_range(self, lo, hi):
         """Coefficients for indices lo..hi inclusive as a plain list."""
-        return [self.coeff(n) for n in range(lo, hi + 1)]
+        return self.gather(range(lo, hi + 1)).tolist()
+
+    @property
+    def values(self):
+        # read as out.values by perfbench/tracer.py; goes with the perfbench
+        # update of ROADMAP item 2
+        return self.coeffs
 
     def is_zero(self):
         if self.modulus:
@@ -348,16 +372,20 @@ class Series:
         """Map into the mod-m domain; exact input, or a modulus m divides."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
+        if self.modulus == m:
+            return self
         if self.modulus:
             if self.modulus % m:
                 raise GridError(
                     "cannot reduce mod %d from mod %d" % (m, self.modulus)
                 )
             return Series._wrap(self.coeffs % m, self.lo, self.frac24, m)
-        if any(isinstance(c, Fraction) for c in self.coeffs):
+        # one pass: a Fraction leaves numpy an object array, where asking for
+        # int64 would silently truncate it
+        arr = np.array([c % m for c in self.coeffs])
+        if arr.dtype == object:
             raise ValueError("cannot reduce a series with Fraction coefficients")
-        arr = np.array([c % m for c in self.coeffs], dtype=np.int64)
-        return Series._wrap(arr, self.lo, self.frac24, m)
+        return Series._wrap(arr.astype(np.int64, copy=False), self.lo, self.frac24, m)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -395,49 +423,6 @@ class Series:
 
     def agrees(self, other, lo=None, hi=None):
         return self.first_difference(other, lo, hi) is None
-
-
-@dataclass(eq=False)
-class CoeffStream:
-    """Arithmetic-function values f(lo), ..., f(hi) with a fractional tag.
-
-    Reads below lo return 0 (the function vanishes there); reads above hi
-    raise, so truncation errors can never masquerade as zeros.
-    """
-
-    values: object
-    kind: str
-    frac24: int = 0
-    modulus: int = 0
-    lo: int = 0
-
-    @property
-    def hi(self):
-        return self.lo + len(self.values) - 1
-
-    def at(self, n):
-        if n > self.hi:
-            raise ValidityError("%s(%d) beyond computed range %d" % (self.kind, n, self.hi))
-        if n < self.lo:
-            return 0
-        return int(self.values[n - self.lo])
-
-    def to_series(self):
-        return Series(self.values, self.lo, self.frac24, self.modulus)
-
-    def reduce_to(self, m):
-        """View this stream modulo m (m must divide the stored modulus)."""
-        if self.modulus == m:
-            return self
-        if self.modulus % m:
-            raise ValueError("cannot reduce mod %d from mod %d" % (m, self.modulus))
-        vals = self.values if self.modulus else [int(v) % m for v in self.values]
-        vals = np.asarray(vals, dtype=np.int64) % m
-        return CoeffStream(vals, self.kind, self.frac24, m, self.lo)
-
-    # the names Series uses, so one memo bank serves both types
-    valid_to = hi
-    reduce_mod = reduce_to
 
 
 # -- low-level coefficient kernels -------------------------------------------

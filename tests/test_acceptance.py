@@ -249,7 +249,7 @@ def test_criterion_13_property_suites(capsys):
         ok = ok and a.mul(b).reduce_mod(m).agrees(a.reduce_mod(m).mul(b.reduce_mod(m)))
 
     spt = spt_stream(35)
-    ok = ok and all(spt.at(n) == spt_bruteforce(n) for n in range(36))
+    ok = ok and all(spt.coeff(n) == spt_bruteforce(n) for n in range(36))
 
     for _ in range(12):  # decomposition round-trips, level one
         s = rng.randint(1, 5)

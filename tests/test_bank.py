@@ -5,21 +5,22 @@ from collections import Counter
 # third party
 import numpy as np
 # test framework
-from pytest import MonkeyPatch, fixture
+from pytest import MonkeyPatch, fixture, mark
 # local package
 from sptlab import forms, series
 from sptlab.forms import euler_product
-from sptlab.partitions import prewarm, stream
-from sptlab.series import CoeffStream
-from sptlab.verifier import MASTER_MODULUS, REGISTRY, CheckOptions, run_checks
+from sptlab.hecke import legendre
+from sptlab.partitions import prewarm, seed, stream
+from sptlab.series import Series
+from sptlab.verifier import MASTER_MODULUS, REGISTRY, CheckOptions, inv24, run_checks
 
 STREAM_KEYS = [(kind, m) for kind in ("p", "spt", "d", "a") for m in (0, MASTER_MODULUS)]
 
 
 def _digest(tab):
-    if isinstance(tab.values, np.ndarray):
-        return hashlib.sha256(tab.values.tobytes()).hexdigest()
-    return hashlib.sha256(repr(tab.values).encode()).hexdigest()
+    if isinstance(tab.coeffs, np.ndarray):
+        return hashlib.sha256(tab.coeffs.tobytes()).hexdigest()
+    return hashlib.sha256(repr(tab.coeffs).encode()).hexdigest()
 
 
 @fixture(scope="module")
@@ -75,8 +76,8 @@ def test_check_all_does_not_mutate_shared_tables(cold_run):
     bank.clear()
     try:
         for (kind, m), tab in tables.items():
-            fresh = stream(kind, tab.hi, m).values[: len(tab.values)]
-            assert list(map(int, fresh)) == list(map(int, tab.values)), (kind, m)
+            fresh = stream(kind, tab.valid_to, m).coeffs[: len(tab.coeffs)]
+            assert list(map(int, fresh)) == list(map(int, tab.coeffs)), (kind, m)
     finally:
         bank.clear()
         bank.update(saved)
@@ -89,17 +90,104 @@ def test_one_wrong_master_spt_fails_exactly_its_readers(bank_guard):
     bank_guard.clear()
     prewarm(40000, MASTER_MODULUS)
     key = ("spt", MASTER_MODULUS)
-    values = bank_guard[key].values.copy()
+    values = bank_guard[key].coeffs.copy()
     values[11 * 11 * 17 - 5] = (values[11 * 11 * 17 - 5] + 1) % MASTER_MODULUS
-    bank_guard[key] = CoeffStream(values, "spt", 0, MASTER_MODULUS)
+    bank_guard[key] = Series(values, 0, 0, MASTER_MODULUS)
     reports = run_checks(["spt-hecke", "mell", "a-atkin"], CheckOptions(ells=(11,)))
     hecke = [r for r in reports if r.check == "spt-hecke"]
     assert sorted(r.params["modulus"] for r in hecke) == [5, 7, 13, 72, 32760]
     for r in hecke:
         assert r.status == "fail" and r.first_failure["n"] == 17, r.summary_line()
+        assert r.first_failure["lhs"] == 1 and r.n_verified == 16, r.summary_line()
     mell = [r for r in reports if r.check == "mell-cong"]
     atkin = [r for r in reports if r.check == "a-atkin"]
     assert [r.params["ell"] for r in mell] == [11]
     assert sorted(r.params["t"] for r in atkin) == [5, 7, 13]
     assert all(r.params["ell"] == 11 for r in atkin)
     assert all(r.ok for r in mell + atkin)
+
+
+# -- one fault per bank table, each caught by exactly its reader ---------------
+
+# the checks that sweep a p/spt/a table, at l = 11 and t = 5: spt-hecke
+# (72, 5, 32760), spt-ell-square, spt-prime-powers, a-atkin (and its exact
+# worked instance), mell-cong and atkin-gamma
+TABLE_SWEEPS = ["spt-hecke", "spt-ell-square", "spt-prime-powers", "a-atkin", "mell", "atkin-gamma"]
+
+
+def _partitions_upto(n):
+    ways = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(k, n + 1):
+            ways[i] += ways[i - k]
+    return ways
+
+
+def _admissible(t, eps, lo, hi):
+    """m in lo..valid_to with (1-24m|t) = eps, in order."""
+    return [m for m in range(lo, hi + 1) if legendre(1 - 24 * m, t) == eps]
+
+
+def _fault_cases():
+    """(table key, index, check, params it is picked out by, first_failure,
+    n_verified): the index is where the check reads the table for its m."""
+    cases = []
+    # spt(121 m - 5) enters the three-halves combo at m with weight 1
+    cases.append((("spt", 72), 121 * 17 - 5, "spt-hecke", {"modulus": 72},
+                  dict(n=17, lhs=1, rhs=0, modulus=72), 16))
+    m = _admissible(11, 1, 1, 300)[6]
+    cases.append((("spt", 11), 121 * m - 5, "spt-ell-square", {},
+                  dict(n=m, lhs=1, rhs=0, modulus=11), 6))
+    cases.append((("spt", 125), 125 * 4 + inv24(125), "spt-prime-powers", {},
+                  dict(n=4, lhs=1, rhs=0, modulus=125), 4))
+    m = _admissible(5, -1, 1, 50)[3]
+    cases.append((("a", 5**6), 121 * m - 5, "a-atkin", {},
+                  dict(n=m, lhs=1, rhs=0, modulus=5**6), 3))
+    cases.append((("a", 11), 121 * 30 - 5, "mell-cong", {},
+                  dict(n=30, lhs=1, rhs=0, modulus=11), 35))
+    # weight l^3 = 1331 on p(121 m - 5); rhs is gamma p(m), filled in below
+    m = _admissible(5, -1, 1, 60)[2]
+    cases.append((("p", 5**6), 121 * m - 5, "atkin-gamma", {},
+                  dict(n=m, lhs=1331, rhs=0, modulus=5**6), 2))
+    return cases
+
+
+@fixture(scope="module")
+def master_bank():
+    """The bank holding just the master p/spt/d/a mod MASTER_MODULUS."""
+    saved = dict(forms._bank)
+    forms._bank.clear()
+    prewarm(40000, MASTER_MODULUS)
+    snap = dict(forms._bank)
+    forms._bank.clear()
+    forms._bank.update(saved)
+    return snap
+
+
+@mark.parametrize("key,index,check,pick,failure,n_verified", _fault_cases(),
+                  ids=[c[2] for c in _fault_cases()])
+def test_one_fault_fails_its_reader_at_the_predicted_index(
+        bank_guard, master_bank, key, index, check, pick, failure, n_verified):
+    opts = CheckOptions(ells=(11,), t=5)
+    bank_guard.clear()
+    bank_guard.update(master_bank)
+    clean = run_checks(TABLE_SWEEPS, opts)
+    assert len(clean) == 9 and all(r.ok for r in clean)
+    # the clean run stored the table the check reads, at its full length
+    kind, modulus = key
+    values = [int(v) for v in bank_guard[key].coeffs]
+    values[index] = (values[index] + 1) % modulus
+    del bank_guard[key]
+    seed(kind, values, modulus)
+    failure = dict(failure)
+    if check == "atkin-gamma":
+        gamma = next(r for r in clean if r.check == check).params["gamma"]
+        failure["rhs"] = gamma * _partitions_upto(failure["n"])[failure["n"]] % modulus
+        failure["lhs"] = (failure["rhs"] + failure["lhs"]) % modulus
+    reports = run_checks(TABLE_SWEEPS, opts)
+    assert [r.check for r in reports] == [r.check for r in clean]
+    failing = [r for r in reports if not r.ok]
+    assert [r.check for r in failing] == [check], [r.summary_line() for r in failing]
+    (bad,) = failing
+    assert all(bad.params[k] == v for k, v in pick.items())
+    assert bad.first_failure == failure and bad.n_verified == n_verified, bad.summary_line()

@@ -1,6 +1,9 @@
 # standard library
 import json
 import logging
+import os
+import subprocess
+import sys
 # third party
 import numpy as np
 # test framework
@@ -231,9 +234,9 @@ def test_check_cache_dir_roundtrip(tmp_path, capsys, bank_guard):
     assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     seeded = partitions.bank_tables()[("spt", MASTER)]
-    assert seeded.hi == spt.hi
+    assert seeded.valid_to == spt.valid_to
     assert seeded.frac24 == 0
-    assert [seeded.at(i) for i in range(10)] == [spt.at(i) for i in range(10)]
+    assert [seeded.coeff(i) for i in range(10)] == [spt.coeff(i) for i in range(10)]
 
 
 def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
@@ -243,14 +246,14 @@ def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
         _seed_from_cache(tmp_path)
     assert "rows start at 1" in caplog.text
     assert ("p", MASTER) not in partitions.bank_tables()
-    assert partitions.stream("p", 10, MASTER).at(0) == 1
+    assert partitions.stream("p", 10, MASTER).coeff(0) == 1
 
 
 def test_seeded_d_and_a_keep_their_grid(tmp_path, bank_guard):
     bank_guard.clear()
     for kind in ("d", "a"):
         tab = partitions.stream(kind, 20, MASTER)
-        store(tmp_path, SeriesKind(kind, 20, modulus=MASTER), list(tab.values))
+        store(tmp_path, SeriesKind(kind, 20, modulus=MASTER), list(tab.coeffs))
     bank_guard.clear()
     _seed_from_cache(tmp_path)
     tabs = partitions.bank_tables()
@@ -271,12 +274,12 @@ def test_cached_zero_tables_are_misses(tmp_path, caplog, bank_guard):
     exact = {kind: partitions.stream(kind, 30) for kind in ("p", "spt", "d", "a")}
     for kind, tab in exact.items():
         got = partitions.stream(kind, 30, MASTER)
-        assert [got.at(n) for n in range(31)] == [tab.at(n) % MASTER for n in range(31)]
-        assert any(got.at(n) for n in range(31))
+        assert [got.coeff(n) for n in range(31)] == [tab.coeff(n) % MASTER for n in range(31)]
+        assert any(got.coeff(n) for n in range(31))
 
 
 def test_cached_p_with_one_wrong_coefficient_is_rejected(tmp_path, caplog, bank_guard):
-    good = [v % MASTER for v in partitions.partition_stream(50).values]
+    good = [v % MASTER for v in partitions.partition_stream(50).coeffs]
     bad = list(good)
     bad[17] = (bad[17] + 1) % MASTER
     store(tmp_path, SeriesKind("p", 50, modulus=MASTER), bad)
@@ -285,7 +288,7 @@ def test_cached_p_with_one_wrong_coefficient_is_rejected(tmp_path, caplog, bank_
         _seed_from_cache(tmp_path)
     assert "p table breaks its defining identity at n = 17" in caplog.text
     assert ("p", MASTER) not in partitions.bank_tables()
-    assert list(partitions.stream("p", 50, MASTER).values) == good
+    assert list(partitions.stream("p", 50, MASTER).coeffs) == good
 
 
 @parametrize('value', [10**30, -(MASTER - 3)])
@@ -304,4 +307,21 @@ def test_cached_values_outside_the_residues_are_misses(tmp_path, capsys, caplog,
     capsys.readouterr()
     assert "not a residue mod 360360" in caplog.text
     assert ("p", MASTER) not in partitions.bank_tables()
-    assert [partitions.stream("p", 3, MASTER).at(n) for n in range(4)] == [1, 1, 2, 3]
+    assert [partitions.stream("p", 3, MASTER).coeff(n) for n in range(4)] == [1, 1, 2, 3]
+
+
+def test_traced_check_reads_values_of_the_traced_results(tmp_path):
+    # the traced benchmark mode reads out.values off partition_stream,
+    # spt_stream and hecke_combo results
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"), str(spans),
+         "check", "a-atkin", "--t", "5", "--ell", "7", "--nmax", "10"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(spans.read_text())["counts"]
+    assert counts["hecke.hecke_combo.terms"] == 11
+    assert counts["partitions.spt_stream_mod.coeffs"] == 489

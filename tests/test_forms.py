@@ -119,7 +119,7 @@ def test_eta_pow_grid_and_partitions():
     p = partition_stream(30)
     inv = eta_pow(-1, 30)
     assert inv.frac24 == 23
-    assert all(inv.coeff(n) == p.at(n) for n in range(31))
+    assert all(inv.coeff(n) == p.coeff(n) for n in range(31))
     assert eta_pow(24, 20).agrees(delta_series(20))
     e = eta_pow(1, 20)
     assert e.frac24 == 1
@@ -178,10 +178,10 @@ def test_eta_pow_minus_one_is_the_banks_p(bank_guard, monkeypatch, modulus):
     monkeypatch.setattr(forms, "_euler_power", recompute)
     got = eta_pow(-1, 250, modulus)
     assert (got.lo, got.valid_to, got.frac24) == (0, 250, 23)
-    assert list(map(int, got.coeffs)) == list(map(int, p.values[:251]))
+    assert list(map(int, got.coeffs)) == list(map(int, p.coeffs[:251]))
     if not modulus:
         # the bank's own int objects, not a recomputation of equal values
-        assert all(x is y for x, y in zip(got.coeffs, p.values))
+        assert all(x is y for x, y in zip(got.coeffs, p.coeffs))
 
 
 def test_form_bank_grows_and_truncates():

@@ -120,7 +120,7 @@ def psi_dilated_first(t, k, n):
     term1 = inner.dilate(t).mul(eta_t2.invert()).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))
-    term3 = beta.series.sift(t * t, -s)
+    term3 = beta.sift(t * t, -s)
     return (term1 - term2 - term3).truncate(n)
 
 
@@ -189,24 +189,24 @@ def test_atkin_solve_guards():
 def test_beta_values_match_tables():
     b5 = beta_stream(5, atkin_solve_k(5, -2), 14)
     for n, v in BETA5.items():
-        assert b5.at(n) == v, (n, b5.at(n), v)
+        assert b5.coeff(n) == v, (n, b5.coeff(n), v)
     b7 = beta_stream(7, atkin_solve_k(7, -1), 17)
     for n, v in BETA7.items():
-        assert b7.at(n) == v, (n, b7.at(n), v)
+        assert b7.coeff(n) == v, (n, b7.coeff(n), v)
 
 
 def test_beta_stream_window_and_grid():
     b = beta_stream(5, GPoly.from_dict(5, {2: 1, 1: 5}), 10)
-    assert b.lo == -2 and b.hi == 10
-    assert b.series.frac24 == 23
-    assert b.series.exponent(1) == Fraction(23, 24)
+    assert b.lo == -2 and b.valid_to == 10
+    assert b.frac24 == 23
+    assert b.exponent(1) == Fraction(23, 24)
 
 
 def test_beta_stream_modular():
     k = atkin_solve_k(5, -2)
     exact = beta_stream(5, k, 30)
     modular = beta_stream(5, k, 30, modulus=5**6)
-    assert exact.series.reduce_mod(5**6).agrees(modular.series)
+    assert exact.reduce_mod(5**6).agrees(modular)
     with raises(ValueError):
         beta_stream(5, GPoly.from_dict(5, {1: Fraction(1, 5)}), 5, modulus=25)
 

@@ -19,7 +19,7 @@ from sptlab.hecke import (
     verify_xi,
     verify_zell,
 )
-from sptlab.partitions import CoeffStream, stream
+from sptlab.partitions import stream
 from sptlab.series import Series
 
 parametrize = mark.parametrize
@@ -101,16 +101,16 @@ def combo_oracle(values, params, m):
 def test_hecke_combo_matches_formula(values, ell, three_half):
     params = (HeckeParams.weight_three_half(ell) if three_half
               else HeckeParams.weight_neg_half(ell))
-    f = CoeffStream(values, "f")
+    f = Series(values)
     n = (len(values) - 1 + params.s) // (ell * ell)
     combo = hecke_combo(f, params, n)
     assert combo.lo == -params.s
     for m in range(-params.s, n + 1):
-        assert combo.at(m) == combo_oracle(values, params, m)
+        assert combo.coeff(m) == combo_oracle(values, params, m)
 
 
 def test_hecke_combo_needs_long_stream():
-    f = CoeffStream(list(range(10)), "f")
+    f = Series(list(range(10)))
     with raises(ValueError):
         hecke_combo(f, HeckeParams.weight_neg_half(5), 10)
 
@@ -119,15 +119,58 @@ def test_hecke_combo_third_term_sites():
     # for ell=5, s=1 the backward term fires exactly when 25 | m+1
     values = [0] * 700
     values[3] = 1  # f supported at a single point
-    f = CoeffStream(values, "f")
+    f = Series(values)
     combo = hecke_combo(f, HeckeParams.weight_neg_half(5), 27)
-    hits = [m for m in range(-1, 28) if combo.at(m)]
+    hits = [m for m in range(-1, 28) if combo.coeff(m)]
     # m=74 would hit the forward term; only m=3 (direct) and m=74? no:
     # 25m-1=3 has no integer solution, so the direct site m=3 and the
     # backward site m = 25*3 - 1 = 74 > 27 leave just the character term
     assert hits == [3]
     combo_wide = hecke_combo(f, HeckeParams.weight_neg_half(5), 27, lo=-1)
-    assert combo_wide.at(3) == combo.at(3)
+    assert combo_wide.coeff(3) == combo.coeff(3)
+
+
+
+# -- hecke_combo against its per-m definition on the bank's tables --------------
+
+def _chi12_oracle(k):
+    return {1: 1, 11: 1, 5: -1, 7: -1}.get(k % 12, 0)
+
+
+def _symbol_oracle(a, p):
+    """(a|p) by counting square roots: no Euler criterion, no shared code."""
+    a %= p
+    return 0 if a == 0 else (1 if any(x * x % p == a for x in range(1, p)) else -1)
+
+
+def _combo_by_definition(values, ell, u, v, w, shift, m, modulus):
+    s = (ell * ell - 1) // 24
+
+    def f(k):
+        return values[k] if k >= 0 else 0
+
+    g = u * f(ell * ell * m - s)
+    g += _chi12_oracle(ell) * (_symbol_oracle(1 - 24 * m, ell) + shift) * v * f(m)
+    if (m + s) % (ell * ell) == 0:
+        g += w * f((m + s) // (ell * ell))
+    return g % modulus if modulus else g
+
+
+@parametrize('kind', ['p', 'spt', 'a'])
+@parametrize('modulus', [0, 5**6])
+def test_hecke_combo_matches_its_definition_on_bank_tables(bank_guard, kind, modulus):
+    n = 12
+    table = stream(kind, 13 * 13 * n, modulus)
+    values = [int(x) for x in table.coeffs]
+    for ell in (5, 7, 11, 13):
+        s = (ell * ell - 1) // 24
+        for params in (HeckeParams.weight_neg_half(ell), HeckeParams.weight_three_half(ell)):
+            for lo in (-s, 1):
+                combo = hecke_combo(table, params, n, lo=lo)
+                assert (combo.lo, combo.valid_to, combo.modulus) == (lo, n, modulus)
+                want = [_combo_by_definition(values, ell, params.u, params.v, params.w,
+                                             params.shift, m, modulus) for m in range(lo, n + 1)]
+                assert [int(x) for x in combo.coeffs] == want, (ell, params, lo)
 
 
 # -- the polynomial family -------------------------------------------------------

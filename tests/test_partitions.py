@@ -4,8 +4,8 @@ from functools import lru_cache
 from pytest import raises, mark
 # local package
 from sptlab import ValidityError, series
+from sptlab.series import Series
 from sptlab.partitions import (
-    CoeffStream,
     EXACT_CAP,
     MODULAR_CAP,
     bank_tables,
@@ -81,19 +81,19 @@ def spt_tail_oracle(n):
 
 def test_partition_values():
     p = partition_stream(100)
-    assert [p.at(i) for i in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-    assert p.at(100) == 190569292
+    assert [p.coeff(i) for i in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert p.coeff(100) == 190569292
 
 
 def test_partition_against_oracle():
     p = partition_stream(200)
-    assert list(p.values) == partition_oracle(200)
+    assert list(p.coeffs) == partition_oracle(200)
 
 
 def test_partition_modular_matches_exact():
     pm = partition_stream(300, modulus=360360)
     pe = partition_oracle(300)
-    assert all(int(pm.at(i)) == pe[i] % 360360 for i in range(301))
+    assert all(int(pm.coeff(i)) == pe[i] % 360360 for i in range(301))
 
 
 @parametrize('n', range(0, 19))
@@ -103,7 +103,7 @@ def test_spt_bruteforce_against_enumeration(n):
 
 def test_spt_stream_against_bruteforce():
     s = spt_stream(35)
-    assert [s.at(n) for n in range(36)] == [spt_bruteforce(n) for n in range(36)]
+    assert [s.coeff(n) for n in range(36)] == [spt_bruteforce(n) for n in range(36)]
 
 
 def test_spt_tail_oracle_against_bruteforce():
@@ -111,13 +111,13 @@ def test_spt_tail_oracle_against_bruteforce():
 
 
 def test_spt_stream_against_tail_oracle_exact(bank_guard):
-    assert spt_stream(600).values == list(spt_tail_oracle(600))
+    assert spt_stream(600).coeffs == list(spt_tail_oracle(600))
 
 
 @parametrize('modulus', [360360, 343, 169])
 def test_spt_stream_against_tail_oracle_modular(bank_guard, modulus):
     got = spt_stream(2000, modulus=modulus)
-    assert [int(v) for v in got.values] == [v % modulus for v in spt_tail_oracle(2000)]
+    assert [int(v) for v in got.coeffs] == [v % modulus for v in spt_tail_oracle(2000)]
 
 
 def test_spt_modular_master_matches_exact(bank_guard):
@@ -125,7 +125,7 @@ def test_spt_modular_master_matches_exact(bank_guard):
     # against the exact product path
     exact = spt_stream(5000)
     got = spt_stream(5000, modulus=360360)
-    assert [int(v) for v in got.values] == [v % 360360 for v in exact.values]
+    assert [int(v) for v in got.coeffs] == [v % 360360 for v in exact.coeffs]
 
 
 def test_spt_bruteforce_guard():
@@ -138,14 +138,14 @@ def test_spt_bruteforce_guard():
 def test_spt_modular_matches_exact():
     se = spt_stream(150)
     sm = spt_stream(150, modulus=5 * 7 * 13)
-    assert all(sm.at(n) == se.at(n) % (5 * 7 * 13) for n in range(151))
+    assert all(sm.coeff(n) == se.coeff(n) % (5 * 7 * 13) for n in range(151))
 
 
 @parametrize('t,r', [(5, 4), (7, 5), (13, 6)])
 def test_spt_linear_congruences(t, r):
     # spt(t n + r) == 0 mod t for the three linear progressions
     s = spt_stream(13 * 12 + 6)
-    assert all(s.at(t * k + r) % t == 0 for k in range(12))
+    assert all(s.coeff(t * k + r) % t == 0 for k in range(12))
 
 
 def test_weighted_streams(bank_guard):
@@ -155,31 +155,31 @@ def test_weighted_streams(bank_guard):
     s = spt_stream(n)
     assert d.frac24 == 23 and a.frac24 == 23
     for m in range(n + 1):
-        assert d.at(m) == (24 * m - 1) * p.at(m)
-        assert a.at(m) == 12 * s.at(m) + d.at(m)
-    assert a.at(0) == -1
-    assert a.at(1) == 12 + 23 * 1
+        assert d.coeff(m) == (24 * m - 1) * p.coeff(m)
+        assert a.coeff(m) == 12 * s.coeff(m) + d.coeff(m)
+    assert a.coeff(0) == -1
+    assert a.coeff(1) == 12 + 23 * 1
 
 
 # -- stream windows and caps -----------------------------------------------------
 
 def test_stream_read_window():
-    st = CoeffStream([4, 5, 6], "x", lo=2)
-    assert st.at(1) == 0
-    assert st.at(4) == 6
-    assert st.hi == 4
+    st = Series([4, 5, 6], lo=2)
+    assert st.coeff(1) == 0
+    assert st.coeff(4) == 6
+    assert st.valid_to == 4
     with raises(ValidityError):
-        st.at(5)
+        st.coeff(5)
 
 
 def test_reduce_to_needs_divisor():
-    st = CoeffStream([10, 11], "x", modulus=10)
-    assert st.reduce_to(5).at(1) == 1
-    assert st.reduce_to(10) is st
+    st = Series([10, 11], modulus=10)
+    assert st.reduce_mod(5).coeff(1) == 1
+    assert st.reduce_mod(10) is st
     with raises(ValueError):
-        st.reduce_to(3)
-    exact = CoeffStream([10, 11], "x")
-    assert exact.reduce_to(7).at(0) == 3
+        st.reduce_mod(3)
+    exact = Series([10, 11])
+    assert exact.reduce_mod(7).coeff(0) == 3
 
 
 def test_caps_guard_and_override():
@@ -187,7 +187,7 @@ def test_caps_guard_and_override():
         partition_stream(EXACT_CAP + 1)
     with raises(ValueError):
         spt_stream(MODULAR_CAP + 1, modulus=5)
-    assert partition_stream(EXACT_CAP + 1, cap=EXACT_CAP + 1).at(EXACT_CAP) > 0
+    assert partition_stream(EXACT_CAP + 1, cap=EXACT_CAP + 1).coeff(EXACT_CAP) > 0
 
 
 # -- the shared bank --------------------------------------------------------------
@@ -197,8 +197,8 @@ def test_bank_reuses_and_reduces(bank_guard):
     again = stream("p", 50)
     assert again is exact
     reduced = stream("p", 50, modulus=11)
-    assert reduced.hi == exact.hi  # derived from the exact table, not rebuilt
-    assert all(reduced.at(n) == exact.at(n) % 11 for n in range(51))
+    assert reduced.valid_to == exact.valid_to  # derived from the exact table, not rebuilt
+    assert all(reduced.coeff(n) == exact.coeff(n) % 11 for n in range(51))
     sub = stream("p", 50, modulus=11)
     assert sub is reduced
 
@@ -206,8 +206,8 @@ def test_bank_reuses_and_reduces(bank_guard):
 def test_bank_divisor_modulus_reuse(bank_guard):
     master = stream("spt", 60, modulus=360360)
     small = stream("spt", 40, modulus=72)
-    assert small.hi == master.hi
-    assert all(small.at(n) == master.at(n) % 72 for n in range(41))
+    assert small.valid_to == master.valid_to
+    assert all(small.coeff(n) == master.coeff(n) % 72 for n in range(41))
 
 
 def test_bank_builds_d_and_a_together(bank_guard):
@@ -217,13 +217,13 @@ def test_bank_builds_d_and_a_together(bank_guard):
     assert ("d", 97) in tabs
     assert ("a", 97) in tabs
     prewarm(25, 97)  # already warm; must not shrink anything
-    assert bank_tables()[("a", 97)].hi >= 30
+    assert bank_tables()[("a", 97)].valid_to >= 30
 
 
 def test_d_build_reads_only_p(bank_guard):
     bank_guard.clear()
     d = stream("d", 30, modulus=97)
-    assert d.hi == 30 and d.frac24 == 23
+    assert d.valid_to == 30 and d.frac24 == 23
     tabs = bank_tables()
     assert ("p", 97) in tabs
     assert ("spt", 97) not in tabs
@@ -264,11 +264,11 @@ def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
             assert min(newton_lengths) == 202
         else:
             # the same int objects: indices 0..100 were copied, not recomputed
-            assert all(x is y for x, y in zip(grown.values, small.values))
+            assert all(x is y for x, y in zip(grown.coeffs, small.coeffs))
         bank_guard.clear()
         fresh = stream("p", 3000, modulus)
-        assert list(map(int, grown.values)) == list(map(int, fresh.values))
-        assert [grown.at(k) for k in range(3001)] == [
+        assert list(map(int, grown.coeffs)) == list(map(int, fresh.coeffs))
+        assert [grown.coeff(k) for k in range(3001)] == [
             v % modulus if modulus else v for v in want
         ]
 
@@ -289,16 +289,16 @@ def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
     bank_guard.clear()
     got = stream("p", 200, modulus)
     assert len(made) == 1
-    assert bank_guard[("p", modulus)] is got and got.values is made[0]
+    assert bank_guard[("p", modulus)] is got and got.coeffs is made[0]
 
 
 def test_seed_keeps_longest(bank_guard):
     seeded = seed("spt", list(range(50)), modulus=999983)
-    assert seeded.hi == 49
+    assert seeded.valid_to == 49
     shorter = seed("spt", list(range(10)), modulus=999983)
-    assert shorter.hi == 49  # the longer table stays
+    assert shorter.valid_to == 49  # the longer table stays
     got = stream("spt", 30, modulus=999983)
-    assert got.at(30) == 30
+    assert got.coeff(30) == 30
     assert got.frac24 == 0
 
 

@@ -148,6 +148,37 @@ def test_scale_fraction_exact_only():
         s.reduce_mod(7).scale(Fraction(1, 2))
 
 
+
+@parametrize('modulus', [0, 97])
+def test_gather_reads_as_coeff_does(modulus):
+    s = Series([3, -1, 4, 1, -5, 9], lo=-2, modulus=modulus)
+    assert s.gather([]).tolist() == []
+    idx = [3, -7, -3, -2, 0, 3, 1]
+    assert s.gather(idx).tolist() == [s.coeff(i) for i in idx]
+    assert s.gather([-100, -3]).tolist() == [0, 0]
+    assert s.gather([s.valid_to]).tolist() == [s.coeff(s.valid_to)]
+    with raises(ValidityError):
+        s.gather([0, s.valid_to + 1])
+    with raises(ValidityError):
+        s.coeff(s.valid_to + 1)
+
+
+def test_gather_keeps_exact_values():
+    big = 3**90
+    got = Series([big, -big, Fraction(1, 3)], lo=1).gather([3, 2, 1, 0])
+    assert got.dtype == object and got.tolist() == [Fraction(1, 3), -big, big, 0]
+
+
+def test_reduce_mod_of_a_long_exact_table_matches_python():
+    p = euler_product(3000).invert()
+    got = p.reduce_mod(360360)
+    assert got.coeffs.dtype == np.int64
+    assert got.coeffs.tolist() == [c % 360360 for c in p.coeffs]
+    assert got.reduce_mod(360360) is got
+    with raises(ValueError):
+        Series(p.coeffs[:5] + [Fraction(7, 2)]).reduce_mod(5)
+
+
 def test_reduce_mod_guards():
     s = Series([3, 4], lo=0)
     with raises(ValueError):

@@ -1,6 +1,11 @@
+# third party
+import numpy as np
 # test framework
 from pytest import raises, mark
+from hypothesis import given, settings
+import hypothesis.strategies as st
 # local package
+from sptlab.reports import sweep, timed_report
 from sptlab.verifier import (
     ATKIN_PAIRS,
     CheckOptions,
@@ -200,3 +205,54 @@ def test_options_defaults():
     assert opts.modulus is None and opts.exact is False and opts.cache_dir is None
     with raises(ValueError):
         CheckOptions(nmax=0)
+
+
+# -- the sweep primitive against a hand-written loop -------------------------------
+
+def _hand_sweep(rec, idx, lhs, rhs, modulus, n_verified):
+    for i, (n, x, y) in enumerate(zip(idx, lhs, rhs)):
+        if (x - y) % modulus if modulus else x != y:
+            rec.fail(n, x % modulus if modulus else x, y % modulus if modulus else y,
+                     n_verified=i if n_verified is None else n_verified, modulus=modulus)
+            return False
+    rec.ok(len(idx))
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sweep_reports_as_a_hand_loop(data):
+    size = data.draw(st.integers(0, 12))
+    modulus = data.draw(st.sampled_from([0, 2, 3, 72, 5**6]))
+    big = data.draw(st.booleans())
+    bound = 2**80 if big else 2**40
+    # past int64, and just past it, where np.asarray would read floats
+    edge = st.sampled_from([2**63, 2**63 + 1, 2**64 - 1, -2**63 - 1])
+    value = st.one_of(st.integers(-bound, bound), edge) if big else st.integers(-bound, bound)
+    ints = st.lists(value, min_size=size, max_size=size)
+    lhs, rhs = data.draw(ints), data.draw(ints)
+    # mostly-equal sides, so first failures land anywhere in the window
+    rhs = [x if data.draw(st.integers(0, 3)) else y for x, y in zip(lhs, rhs)]
+    idx = sorted(data.draw(st.sets(st.integers(-50, 500), min_size=size, max_size=size)))
+    as_array = data.draw(st.booleans()) and not big
+    n_verified = data.draw(st.sampled_from([None, 7]))
+    reports = []
+    for run, args in ((sweep, (np.array(lhs), np.array(rhs)) if as_array else (lhs, rhs)),
+                      (_hand_sweep, (lhs, rhs))):
+        with timed_report("x", {"modulus": modulus}) as rec:
+            passed = run(rec, np.array(idx) if as_array else idx, *args,
+                         modulus=modulus, n_verified=n_verified)
+        got = rec.report.to_dict()
+        got.pop("elapsed_ms")
+        reports.append((passed, got))
+    assert reports[0] == reports[1]
+
+
+def test_sweep_scalar_rhs_and_empty_window():
+    with timed_report("x", {}) as rec:
+        assert sweep(rec, [4, 9, 16], np.array([72, 144, 5], dtype=np.int64), modulus=72) is False
+    assert rec.report.first_failure == {"n": 16, "lhs": 5, "rhs": 0, "modulus": 72}
+    assert rec.report.n_verified == 2
+    with timed_report("x", {}) as rec:
+        assert sweep(rec, [], []) is True
+    assert rec.report.ok and rec.report.n_verified == 0
