@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .reports import CongruenceReport, identity_report
+from .reports import identity_report
 from .series import Series, sgn24
 
 
@@ -259,8 +259,3 @@ def classical_congruence_reports(n=500):
     identity("e6-mod-27", e6m, e4m ** 6, "E6 == E4^6 (mod 27)")
     return reports
 
-
-def check_classical_congruences(n=500):
-    """Aggregate report over classical_congruence_reports."""
-    subs = classical_congruence_reports(n)
-    return CongruenceReport.merge("classical", {"n": n}, subs)

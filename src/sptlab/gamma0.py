@@ -19,7 +19,7 @@ from .forms import (
     j_series,
 )
 from .hecke import chi12, legendre, legendre_class
-from .reports import CongruenceReport, identity_report, sweep, timed_report
+from .reports import identity_report, sweep, timed_report
 from .series import Series
 
 LEVELS = (5, 7, 13)

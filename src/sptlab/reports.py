@@ -48,20 +48,6 @@ class CongruenceReport:
             line += "  first_failure=%r" % (self.first_failure,)
         return line
 
-    @classmethod
-    def merge(cls, check, params, subs):
-        """Combine sub-reports; fails iff any sub-report fails."""
-        failing = [s for s in subs if s.status == "fail"]
-        rep = cls(
-            check=check,
-            params=dict(params, subchecks=[s.check for s in subs]),
-            n_verified=sum(s.n_verified for s in subs),
-            status="fail" if failing else "pass",
-            first_failure=failing[0].first_failure if failing else None,
-            elapsed_ms=sum(s.elapsed_ms for s in subs),
-        )
-        return rep
-
 
 class _Recorder:
     def __init__(self, check, params):

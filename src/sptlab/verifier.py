@@ -31,6 +31,7 @@ from .gamma0 import (
 )
 from .hecke import (
     HeckeParams,
+    SweepFamily,
     decompose_level1,
     hecke_combo,
     is_odd_prime,
@@ -57,135 +58,88 @@ def inv24(m):
     return pow(24, -1, m)
 
 
-def _require_ell(ell, t=None):
+def _require_ell(ell, t=None, **_):
     if not is_odd_prime(ell) or ell < 5:
         raise ValueError("ell must be a prime >= 5, got %r" % (ell,))
     if t is not None and ell == t:
         raise ValueError("ell = t = %d is excluded" % t)
 
 
-def check_spt_hecke(ell, modulus, n=200, exact=False):
-    """Sweep spt(l^2 m - s) + chi12(l)((1-24m|l) - 1 - l) spt(m) + l spt((m+s)/l^2)
-    over 1 <= m <= n; it must vanish mod the requested modulus.
+def _require_level(t, **_):
+    if t not in LEVELS:
+        raise ValueError("t must be one of %s" % (LEVELS,))
 
-    Valid moduli: 72 and 3 for any prime l >= 5; t in {5, 7, 13} when l != t;
-    their product 32760 when l is coprime to it.  When 3 divides the modulus
-    the same sweep is repeated mod 3 on an independently reduced table, which
-    can only fail on an arithmetic bug."""
-    _require_ell(ell)
+
+def _require_hecke_modulus(ell, modulus, **_):
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if modulus == 32760 and ell in (5, 7, 13):
         raise ValueError("modulus 32760 needs ell coprime to it, got %d" % ell)
     if modulus in LEVELS and ell == modulus:
         raise ValueError("modulus t = %d needs ell != t" % modulus)
-    s = s_ell(ell)
-    params = HeckeParams.weight_three_half(ell)
-    f = stream("spt", ell * ell * n - s, 0 if exact else modulus)
-    combo = hecke_combo(f, params, n, lo=1)
-    with timed_report(
-        "spt-hecke",
-        {
-            "ell": ell,
-            "modulus": modulus,
-            "n": n,
-            "statement": "spt(l^2 n - s) + chi12(l)((1-24n|l)-1-l) spt(n)"
-            " + l spt((n+s)/l^2) == 0 (mod %d)" % modulus,
-        },
-    ) as rec:
-        if sweep(rec, range(1, n + 1), combo.coeffs, modulus=modulus) and modulus % 3 == 0:
-            combo3 = hecke_combo(f.reduce_mod(3), params, n, lo=1)
-            sweep(rec, range(1, n + 1), combo3.coeffs, modulus=3, n_verified=n)
-    return rec.report
 
 
-def check_spt_ell_square(ell, n=300, exact=False):
-    """spt(l^2 m - s_l) == 0 (mod l) whenever legendre(1-24m|l) = 1."""
-    _require_ell(ell)
-    s = s_ell(ell)
-    f = stream("spt", ell * ell * n - s, 0 if exact else ell)
-    m = np.arange(1, n + 1)
-    m = m[legendre_class(m, ell) == 1]
-    with timed_report(
-        "spt-ell-square",
-        {
-            "ell": ell,
-            "modulus": ell,
-            "n": n,
-            "statement": "spt(l^2 n - s_l) == 0 (mod l) on (1-24n|l) = 1",
-        },
-    ) as rec:
-        sweep(rec, m, f.gather(ell * ell * m - s), modulus=ell)
-    return rec.report
-
-
-_PP_DEFAULT_N = {5: 30, 7: 20, 13: 8}
-
-
-def _pp_modulus_exp(t, a):
-    if t == 5:
-        return 2 * a - 3
-    if t == 7:
-        return (3 * a - 2) // 2
-    return a - 1
-
-
-def check_spt_prime_powers(t, a, n=None, exact=False):
-    """spt(t^a n + r_a) +/- t spt(t^(a-2) n + r_(a-2)) == 0 at the prime-power
-    modulus 5^(2a-3) / 7^((3a-2)//2) / 13^(a-1), where r_k = inv24(t^k).
-    The 13 family carries a minus sign; a must be at least 3."""
-    if t not in LEVELS:
-        raise ValueError("t must be one of %s" % (LEVELS,))
+def _require_power(a, **_):
     if a < 3:
         raise ValueError("power must be at least 3, got %d" % a)
-    if n is None:
-        n = _PP_DEFAULT_N[t]
-    mod = t ** _pp_modulus_exp(t, a)
-    sign = -1 if t == 13 else 1
-    r_hi, r_lo = inv24(t**a), inv24(t ** (a - 2))
-    f = stream("spt", t**a * n + r_hi, 0 if exact else mod)
-    with timed_report(
-        "spt-prime-powers",
-        {
-            "t": t,
-            "a": a,
-            "modulus": mod,
-            "n": n,
-            "statement": "spt(%d^%d n + %d) %s %d spt(%d^%d n + %d) == 0 (mod %d)"
-            % (t, a, r_hi, "-" if sign < 0 else "+", t, t, a - 2, r_lo, mod),
-        },
-    ) as rec:
-        m = np.arange(n + 1)
-        lhs = f.gather(t**a * m + r_hi) + sign * t * f.gather(t ** (a - 2) * m + r_lo)
-        sweep(rec, m, lhs, modulus=mod)
-    return rec.report
 
 
-def check_a_atkin(t, ell, n=50, exact=False):
-    """On the class legendre(1-24m|t) = -1 the three-halves combination of
-    a(n) = 12 spt(n) + (24n-1) p(n) vanishes mod t^c, c = 6/4/2 for t = 5/7/13."""
-    if t not in LEVELS:
-        raise ValueError("t must be one of %s" % (LEVELS,))
-    _require_ell(ell, t)
-    mod = t ** TC[t]
-    s = s_ell(ell)
-    f = stream("a", ell * ell * n - s, 0 if exact else mod)
-    combo = hecke_combo(f, HeckeParams.weight_three_half(ell), n, lo=1)
-    m = np.arange(1, n + 1)
-    m = m[legendre_class(m, t) == -1]
-    with timed_report(
-        "a-atkin",
-        {
-            "t": t,
-            "ell": ell,
-            "modulus": mod,
-            "n": n,
-            "statement": "a(l^2 n - s) + chi12(l)((1-24n|l)-1-l) a(n)"
-            " + l a((n+s)/l^2) == 0 (mod %d) on (1-24n|%d) = -1" % (mod, t),
-        },
-    ) as rec:
-        sweep(rec, m, combo.gather(m), modulus=mod)
-    return rec.report
+# -- the theorem families, one row each (hecke.SweepFamily) --------------------
+
+# spt(l^2 m - s) + chi12(l)((1-24m|l) - 1 - l) spt(m) + l spt((m+s)/l^2) over
+# 1 <= m <= n vanishes mod the requested modulus.  Valid moduli: 72 and 3 for
+# any prime l >= 5; t in {5, 7, 13} when l != t; their product 32760 when l is
+# coprime to it.  When 3 divides the modulus the runner adds its mod-3
+# companion sweep.
+check_spt_hecke = SweepFamily(
+    "spt-hecke", "spt", ("ell", "modulus"), ("ell", "modulus", "n"), n=200,
+    modulus=lambda modulus, **_: modulus,
+    statement=lambda modulus, **_: "spt(l^2 n - s) + chi12(l)((1-24n|l)-1-l) spt(n)"
+    " + l spt((n+s)/l^2) == 0 (mod %d)" % modulus,
+    guards=(_require_ell, _require_hecke_modulus),
+)
+
+# spt(l^2 m - s_l) == 0 (mod l) whenever legendre(1-24m|l) = 1.
+check_spt_ell_square = SweepFamily(
+    "spt-ell-square", "spt", ("ell",), ("ell", "modulus", "n"), n=300,
+    modulus=lambda ell, **_: ell,
+    terms=lambda ell, s, **_: ((1, ell * ell, -s),),
+    statement=lambda **_: "spt(l^2 n - s_l) == 0 (mod l) on (1-24n|l) = 1",
+    class_filter=("ell", 1),
+    guards=(_require_ell,),
+)
+
+
+def _prime_power_terms(t, a, **_):
+    # the 13 family carries a minus sign
+    return ((1, t**a, inv24(t**a)), (-t if t == 13 else t, t ** (a - 2), inv24(t ** (a - 2))))
+
+
+# spt(t^a m + r_a) +/- t spt(t^(a-2) m + r_(a-2)) == 0 over 0 <= m <= n at the
+# prime-power modulus 5^(2a-3) / 7^((3a-2)//2) / 13^(a-1), where r_k =
+# inv24(t^k); a must be at least 3.
+check_spt_prime_powers = SweepFamily(
+    "spt-prime-powers", "spt", ("t", "a"), ("t", "a", "modulus", "n"),
+    n=lambda t, **_: {5: 30, 7: 20, 13: 8}[t],
+    modulus=lambda t, a, **_: t ** {5: 2 * a - 3, 7: (3 * a - 2) // 2, 13: a - 1}[t],
+    terms=_prime_power_terms,
+    statement=lambda t, a, modulus, terms, **_: "spt(%d^%d n + %d) %s %d spt(%d^%d n + %d)"
+    " == 0 (mod %d)" % (t, a, terms[0][2], "-" if terms[1][0] < 0 else "+", t, t, a - 2,
+                        terms[1][2], modulus),
+    lo=0,
+    guards=(_require_level, _require_power),
+)
+
+# On the class legendre(1-24m|t) = -1 the three-halves combination of
+# a(n) = 12 spt(n) + (24n-1) p(n) vanishes mod t^c, c = 6/4/2 for t = 5/7/13.
+check_a_atkin = SweepFamily(
+    "a-atkin", "a", ("t", "ell"), ("t", "ell", "modulus", "n"), n=50,
+    modulus=lambda t, **_: t ** TC[t],
+    statement=lambda t, modulus, **_: "a(l^2 n - s) + chi12(l)((1-24n|l)-1-l) a(n)"
+    " + l a((n+s)/l^2) == 0 (mod %d) on (1-24n|%d) = -1" % (modulus, t),
+    class_filter=("t", -1),
+    guards=(_require_level, _require_ell),
+)
 
 
 def a_atkin_worked_instance():
@@ -221,8 +175,7 @@ def a_atkin_beta_crosscheck(t, ell, n=None):
     d_a == 0 (mod t^c) for a <= 0; with K = the positive part, beta = E2t K(G)/eta
     matches F exactly on -s..-1 (value -l at -s), matches F mod t^c everywhere,
     and vanishes exactly on the class legendre(1-24n|t) = -1."""
-    if t not in LEVELS:
-        raise ValueError("t must be one of %s" % (LEVELS,))
+    _require_level(t)
     _require_ell(ell, t)
     s = s_ell(ell)
     if n is None:
@@ -485,12 +438,6 @@ def e46d_reports():
     return reps
 
 
-def gamma_constant_reports(pairs=ATKIN_PAIRS, n=60):
-    """A single residue gamma fits every admissible instance of the
-    weight-negative-half combination of p(n) mod t^c."""
-    return [atkin_gamma_constant(t, ell, n)[1] for t, ell in pairs]
-
-
 # -- the registry --------------------------------------------------------------
 
 
@@ -543,54 +490,45 @@ def _tasks_xi(opts):
     return [lambda ell=ell: [verify_xi(ell, n)] for ell in _ells(opts, (5, 7, 11))]
 
 
+def _family_tasks(family, grid, exact=False):
+    """One task per argument tuple of a theorem family; each tuple ends in
+    n, and None takes the row's default."""
+    return [lambda args=args: [family(*args, exact=exact)] for args in grid]
+
+
 def _tasks_mell(opts):
-    n = opts.nmax or 200
+    n = opts.nmax or verify_mell_cong.n
     ells = _ells(opts, DESK_ELLS)
     _prewarm(max(ell * ell * n for ell in ells), opts)
-    return [lambda ell=ell: [verify_mell_cong(ell, n)] for ell in ells]
+    # the sweep is mod l, so its table is mod l under --mod exact too
+    return _family_tasks(verify_mell_cong, [(ell, n) for ell in ells])
 
 
 def _tasks_spt_hecke(opts):
     ells = _ells(opts, DESK_ELLS)
-    tasks = []
+    n = opts.nmax or check_spt_hecke.n
     if opts.modulus:
-        n = opts.nmax or 200
-        for ell in ells:
-            tasks.append(
-                lambda ell=ell: [check_spt_hecke(ell, opts.modulus, n, opts.exact)]
-            )
-        return tasks
-    n = opts.nmax or 200
-    n_full = opts.nmax or 100
-    _prewarm(max(ell * ell * n for ell in ells), opts)
-    for ell in ells:
-        tasks.append(lambda ell=ell: [check_spt_hecke(ell, 72, n, opts.exact)])
-    for t in _levels(opts):
-        for ell in ells:
-            if ell != t:
-                tasks.append(
-                    lambda ell=ell, t=t: [check_spt_hecke(ell, t, n, opts.exact)]
-                )
-    for ell in ells:
-        if ell not in (5, 7, 13):
-            tasks.append(
-                lambda ell=ell: [check_spt_hecke(ell, 32760, n_full, opts.exact)]
-            )
-    return tasks
+        grid = [(ell, opts.modulus, n) for ell in ells]
+    else:
+        _prewarm(max(ell * ell * n for ell in ells), opts)
+        grid = (
+            [(ell, 72, n) for ell in ells]
+            + [(ell, t, n) for t in _levels(opts) for ell in ells if ell != t]
+            + [(ell, 32760, opts.nmax or 100) for ell in ells if ell not in (5, 7, 13)]
+        )
+    return _family_tasks(check_spt_hecke, grid, opts.exact)
 
 
 def _tasks_spt_ell_square(opts):
-    n = opts.nmax or 300
+    n = opts.nmax or check_spt_ell_square.n
     ells = _ells(opts, (5, 7, 11))
     _prewarm(max(ell * ell * n for ell in ells), opts)
-    return [lambda ell=ell: [check_spt_ell_square(ell, n, opts.exact)] for ell in ells]
+    return _family_tasks(check_spt_ell_square, [(ell, n) for ell in ells], opts.exact)
 
 
 def _tasks_spt_prime_powers(opts):
-    return [
-        lambda t=t: [check_spt_prime_powers(t, 3, opts.nmax, opts.exact)]
-        for t in _levels(opts)
-    ]
+    grid = [(t, 3, opts.nmax) for t in _levels(opts)]
+    return _family_tasks(check_spt_prime_powers, grid, opts.exact)
 
 
 def _atkin_pairs(opts):
@@ -609,13 +547,8 @@ def _atkin_pairs(opts):
 
 
 def _tasks_a_atkin(opts):
-    n = opts.nmax or 50
-    tasks = [
-        lambda t=t, ell=ell: [check_a_atkin(t, ell, n, opts.exact)]
-        for t, ell in _atkin_pairs(opts)
-    ]
-    tasks.append(lambda: [a_atkin_worked_instance()])
-    return tasks
+    grid = [(t, ell, opts.nmax) for t, ell in _atkin_pairs(opts)]
+    return _family_tasks(check_a_atkin, grid, opts.exact) + [lambda: [a_atkin_worked_instance()]]
 
 
 def _tasks_a_atkin_beta(opts):

@@ -191,3 +191,62 @@ def test_one_fault_fails_its_reader_at_the_predicted_index(
     (bad,) = failing
     assert all(bad.params[k] == v for k, v in pick.items())
     assert bad.first_failure == failure and bad.n_verified == n_verified, bad.summary_line()
+
+
+# -- faults in tables that no sweep reads --------------------------------------
+
+# (bank key, exponent q^k faulted, the lines that must fail as (check, ell
+# or None, first_failure, n_verified)); the exact d feeds only xi, and the
+# bank's exact E4, Delta, j and E2 mod 65520 only the classical lines
+OUTSIDE_CASES = [
+    (("d", 0), 99, [
+        ("xi", 5, dict(n=5, lhs=709274970005, rhs=709274970000, modulus=0), 5),
+    ]),
+    (("E4", 0), 7, [
+        ("j-times-delta", None, dict(n=7, lhs=187477879680, rhs=187477879683, modulus=0), 7),
+        ("qderiv-j", None, dict(n=7, lhs=2325336249792, rhs=2325336249790, modulus=0), 7),
+        ("e4cube-e6square", None, dict(n=7, lhs=-28933629, rhs=-28933632, modulus=0), 6),
+    ]),
+    (("delta", 0), 7, [
+        ("j-times-delta", None, dict(n=6, lhs=34413301441, rhs=34413301440, modulus=0), 6),
+        ("qderiv-delta", None, dict(n=7, lhs=-117201, rhs=-117207, modulus=0), 6),
+        ("qderiv-j", None, dict(n=6, lhs=313495116767, rhs=313495116768, modulus=0), 6),
+        ("e4cube-e6square", None, dict(n=7, lhs=-28933632, rhs=-28931904, modulus=0), 6),
+    ]),
+    (("j", 0), 7, [
+        ("j-times-delta", None, dict(n=8, lhs=814940600401, rhs=814940600400, modulus=0), 8),
+        ("qderiv-j", None, dict(n=8, lhs=13195750342687, rhs=13195750342680, modulus=0), 8),
+    ]),
+    (("E2", 65520), 7, [
+        ("e2-mod-65520", None, dict(n=7, lhs=65329, rhs=65328, modulus=65520), 7),
+    ]),
+]
+
+
+@fixture(scope="module")
+def registry_bank():
+    """The bank a cold run of the whole registry leaves behind."""
+    saved = dict(forms._bank)
+    forms._bank.clear()
+    reports = run_checks(list(REGISTRY))
+    assert len(reports) == 81 and all(r.ok for r in reports)
+    snap = dict(forms._bank)
+    forms._bank.clear()
+    forms._bank.update(saved)
+    return snap
+
+
+@mark.parametrize("key,k,failing", OUTSIDE_CASES, ids=[c[0][0] for c in OUTSIDE_CASES])
+def test_one_fault_outside_the_sweeps_fails_exactly_its_readers(
+        bank_guard, registry_bank, key, k, failing):
+    bank_guard.clear()
+    bank_guard.update(registry_bank)
+    tab, modulus = bank_guard[key], key[1]
+    values = [int(v) for v in tab.coeffs]
+    values[k - tab.lo] += 1
+    bank_guard[key] = Series(values, tab.lo, tab.frac24, modulus)
+    reports = run_checks(list(REGISTRY))
+    assert len(reports) == 81
+    got = [(r.check, r.params.get("ell"), r.first_failure, r.n_verified)
+           for r in reports if not r.ok]
+    assert got == failing, [r.summary_line() for r in reports if not r.ok]

@@ -7,7 +7,6 @@ from sptlab.forms import (
     _euler_power,
     _inverse_delta,
     classical_congruence_reports,
-    check_classical_congruences,
     delta_series,
     e14_over_delta,
     eisenstein,
@@ -226,8 +225,3 @@ def test_classical_congruence_lines_are_the_exact_expressions_reduced(bank_guard
             assert got.modulus == m, name
             assert got.coeff_range(0, n) == [c % m for c in want.coeff_range(0, n)], name
 
-
-def test_classical_merge():
-    merged = check_classical_congruences(n=60)
-    assert merged.ok
-    assert merged.n_verified > 0

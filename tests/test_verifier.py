@@ -1,3 +1,7 @@
+# standard library
+import json
+import re
+from pathlib import Path
 # third party
 import numpy as np
 # test framework
@@ -5,6 +9,7 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
+from sptlab.gamma0 import atkin_gamma_constant
 from sptlab.reports import sweep, timed_report
 from sptlab.verifier import (
     ATKIN_PAIRS,
@@ -21,7 +26,6 @@ from sptlab.verifier import (
     check_spt_hecke,
     check_spt_prime_powers,
     e46d_reports,
-    gamma_constant_reports,
     inv24,
     run_checks,
     s_psi_display_reports,
@@ -52,20 +56,28 @@ def test_master_modulus_serves_every_sweep():
 
 # -- argument guards ----------------------------------------------------------------
 
-@parametrize('fn,args', [
-    (check_spt_hecke, (4, 72)),
-    (check_spt_hecke, (5, 5)),
-    (check_spt_hecke, (7, 32760)),
-    (check_spt_hecke, (13, 32760)),
-    (check_spt_hecke, (5, 1)),
-    (check_spt_prime_powers, (5, 2)),
-    (check_spt_prime_powers, (11, 3)),
-    (check_a_atkin, (5, 5)),
-    (check_a_atkin, (11, 7)),
-    (check_spt_ell_square, (9,)),
-])
-def test_check_guards(fn, args):
-    with raises(ValueError):
+GUARD_CASES = [
+    (check_spt_hecke, (4, 72), "ell must be a prime >= 5, got 4"),
+    (check_spt_hecke, (5, 5), "modulus t = 5 needs ell != t"),
+    (check_spt_hecke, (7, 32760), "modulus 32760 needs ell coprime to it, got 7"),
+    (check_spt_hecke, (13, 32760), "modulus 32760 needs ell coprime to it, got 13"),
+    (check_spt_hecke, (5, 1), "modulus must be at least 2"),
+    (check_spt_prime_powers, (5, 2), "power must be at least 3, got 2"),
+    (check_spt_prime_powers, (11, 3), "t must be one of (5, 7, 13)"),
+    (check_a_atkin, (5, 5), "ell = t = 5 is excluded"),
+    (check_a_atkin, (11, 7), "t must be one of (5, 7, 13)"),
+    (check_spt_ell_square, (9,), "ell must be a prime >= 5, got 9"),
+]
+# ids name the check and number the case
+GUARD_IDS = ["%s-args%d" % (name, i) for i, name in enumerate(
+    ["check_spt_hecke"] * 5 + ["check_spt_prime_powers"] * 2 + ["check_a_atkin"] * 2
+    + ["check_spt_ell_square"])]
+
+
+@parametrize('fn,args,message', GUARD_CASES, ids=GUARD_IDS)
+def test_check_guards(fn, args, message):
+    # the CLI prints these texts on its exit-2 path, so they are pinned whole
+    with raises(ValueError, match="^%s$" % re.escape(message)):
         fn(*args, n=5)
 
 
@@ -144,8 +156,7 @@ def test_level1_b_at_five():
 
 
 def test_gamma_constants_small():
-    reports = gamma_constant_reports(n=12)
-    assert len(reports) == len(ATKIN_PAIRS)
+    reports = [atkin_gamma_constant(t, ell, 12)[1] for t, ell in ATKIN_PAIRS]
     gammas = {(r.params["t"], r.params["ell"]): r.params["gamma"] for r in reports}
     assert gammas == {(5, 7): 9379, (7, 5): 2399, (13, 5): 165}
 
@@ -197,6 +208,33 @@ def test_run_checks_classical():
     for r in reports:
         assert r.ok
         assert "statement" in r.params
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "check_all.json"
+
+# text mode prints params in dict order, which the sort_keys golden file cannot see
+FAMILY_PARAM_KEYS = {
+    "spt-hecke": ["ell", "modulus", "n", "statement"],
+    "spt-ell-square": ["ell", "modulus", "n", "statement"],
+    "spt-prime-powers": ["t", "a", "modulus", "n", "statement"],
+    "a-atkin": ["t", "ell", "modulus", "n", "statement"],
+    "mell-cong": ["ell", "n", "modulus", "statement"],
+}
+
+
+def test_check_all_matches_the_golden_report():
+    reports = run_checks(list(REGISTRY))
+    got = [r.to_dict() for r in reports]
+    for line in got:
+        del line["elapsed_ms"]
+    with open(GOLDEN_REPORT) as fh:
+        assert json.loads(json.dumps(got)) == json.load(fh)
+    seen = set()
+    for r in reports:
+        if r.check in FAMILY_PARAM_KEYS:
+            assert list(r.params) == FAMILY_PARAM_KEYS[r.check], r.summary_line()
+            seen.add(r.check)
+    assert seen == set(FAMILY_PARAM_KEYS)
 
 
 def test_options_defaults():
