@@ -10,15 +10,12 @@ import math
 import numpy as np
 
 from .reports import identity_report
-from .series import Series, sgn24
+from .series import Series, coeff_dtype, reduce, sgn24
 
 
 def euler_product(n, modulus=0):
     """prod_{k>=1} (1 - q^k) truncated at q^n, via pentagonal numbers."""
-    if modulus:
-        out = np.zeros(n + 1, dtype=np.int64)
-    else:
-        out = [0] * (n + 1)
+    out = np.zeros(n + 1, dtype=coeff_dtype(modulus))
     k = 0
     while True:
         g = k * (3 * k - 1) // 2
@@ -30,32 +27,25 @@ def euler_product(n, modulus=0):
         if g2 <= n:
             out[g2] = sign
         k += 1
-    return Series(out, 0, 0, modulus, copy=False)
+    return Series(out, 0, 0, modulus)
 
 
 def _divisor_power_sums(weight, n, modulus=0):
-    """sigma_{weight}(m) for 1 <= m <= n (index 0 unused)."""
-    if modulus:
-        dk = np.ones(n + 1, dtype=np.int64)
-        base = np.arange(n + 1, dtype=np.int64) % modulus
-        for _ in range(weight):
-            dk *= base
-            dk %= modulus
-        sig = np.zeros(n + 1, dtype=np.int64)
-        # every divisor pair d * j = m has d <= sqrt(n) or j <= n / (r + 1):
-        # the small d one strided add each, the large d one per cofactor j
-        r = math.isqrt(n)
-        for d in range(1, r + 1):
-            sig[d::d] += dk[d]
-        for j in range(1, n // (r + 1) + 1):
-            sig[j * (r + 1) :: j] += dk[r + 1 : n // j + 1]
-        return sig % modulus
-    sig = [0] * (n + 1)
-    for d in range(1, n + 1):
-        dk = d**weight
-        for m in range(d, n + 1, d):
-            sig[m] += dk
-    return sig
+    """sigma_{weight}(m) for 1 <= m <= n (index 0 unused), weight >= 1."""
+    dtype = coeff_dtype(modulus)
+    base = reduce(np.arange(n + 1, dtype=dtype), modulus)
+    dk = base
+    for _ in range(weight - 1):
+        dk = reduce(dk * base, modulus)
+    sig = np.zeros(n + 1, dtype=dtype)
+    # every divisor pair d * j = m has d <= sqrt(n) or j <= n / (r + 1):
+    # the small d one strided add each, the large d one per cofactor j
+    r = math.isqrt(n)
+    for d in range(1, r + 1):
+        sig[d::d] += dk[d]
+    for j in range(1, n // (r + 1) + 1):
+        sig[j * (r + 1) :: j] += dk[r + 1 : n // j + 1]
+    return reduce(sig, modulus)
 
 
 _EIS_SCALE = {2: -24, 4: 240, 6: -504}
@@ -65,15 +55,9 @@ def eisenstein(weight, n, modulus=0):
     """Normalized Eisenstein series E_weight for weight in {2, 4, 6}."""
     if weight not in _EIS_SCALE:
         raise ValueError("weight must be one of 2, 4, 6")
-    c = _EIS_SCALE[weight]
-    sig = _divisor_power_sums(weight - 1, n, modulus)
-    if modulus:
-        out = (sig * (c % modulus)) % modulus
-        out[0] = 1 % modulus
-        return Series(out, 0, 0, modulus, copy=False)
-    out = [c * s for s in sig]
+    out = reduce(_divisor_power_sums(weight - 1, n, modulus) * _EIS_SCALE[weight], modulus)
     out[0] = 1
-    return Series(out, 0, 0, 0, copy=False)
+    return Series._wrap(out, 0, 0, modulus)
 
 
 def _euler_power(k, n):
@@ -85,7 +69,7 @@ def _euler_power(k, n):
     one pass over the pentagonal g <= i per coefficient; the division by i
     is exact, which a composite modulus would not allow.
     """
-    e = euler_product(n).coeffs
+    e = euler_product(n).coeffs.tolist()
     terms = [(g, (k + 1) * g * e[g], e[g]) for g in range(1, n + 1) if e[g]]
     c = [1] + [0] * n
     for i in range(1, n + 1):
@@ -111,7 +95,7 @@ def eta_pow(k, n, modulus=0):
         body = (inverse_euler(top, modulus) ** -k).coeffs
     else:
         body = (euler_product(top, modulus) ** k).coeffs
-    return Series(body, lo, frac, modulus, copy=False).truncate(n)
+    return Series(body, lo, frac, modulus).truncate(n)
 
 
 def delta_series(n, modulus=0):

@@ -52,11 +52,10 @@ def e2t(t, n, modulus=0):
     _eta_exponent(t)
     e2 = eisenstein(2, n)
     num = e2.dilate(t).scale(t) - e2
-    for i, c in enumerate(num.coeffs):
-        if c % (t - 1):
-            raise ArithmeticError("E2 combination not divisible by %d at q^%d" % (t - 1, i))
-    vals = [c // (t - 1) for c in num.coeffs]
-    out = Series(vals, 0, 0, 0, copy=False)
+    bad = np.flatnonzero(num.coeffs % (t - 1))
+    if len(bad):
+        raise ArithmeticError("E2 combination not divisible by %d at q^%d" % (t - 1, bad[0]))
+    out = Series._wrap(num.coeffs // (t - 1), 0, 0, 0)
     return out.reduce_mod(modulus) if modulus else out
 
 
@@ -218,8 +217,8 @@ def s_form(t, k, n):
 
 
 def _legendre_twist(beta, t):
-    leg = legendre_class(np.arange(beta.lo, beta.valid_to + 1), t).tolist()
-    return Series([e * c for e, c in zip(leg, beta.coeffs)], beta.lo, 23, beta.modulus)
+    leg = legendre_class(np.arange(beta.lo, beta.valid_to + 1), t)
+    return Series(leg * beta.coeffs, beta.lo, 23, beta.modulus)
 
 
 def psi_form(t, k, n):

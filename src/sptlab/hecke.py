@@ -13,7 +13,7 @@ import numpy as np
 from .forms import delta_series, eisenstein, eta_pow, euler_product, e14_over_delta, j_series
 from .partitions import stream
 from .reports import identity_report, sweep, timed_report
-from .series import Series
+from .series import Series, reduce
 
 _CHI12 = {1: 1, 11: 1, 5: -1, 7: -1}
 
@@ -100,12 +100,8 @@ def hecke_combo(f, params, n, lo=None):
     mid = chi12(ell) * (legendre_class(m, ell) + params.shift) * params.v
     # the last term reads index f.lo - 1, a zero, unless ell^2 divides m + s
     back = np.where((m + s) % e2 == 0, (m + s) // e2, f.lo - 1)
-    if not f.modulus:
-        mid = mid.astype(object)
     out = params.u * f.gather(e2 * m - s) + mid * f.gather(m) + params.w * f.gather(back)
-    if f.modulus:
-        return Series._wrap(out % f.modulus, lo, 23, f.modulus)
-    return Series._wrap(out.tolist(), lo, 23, 0)
+    return Series._wrap(reduce(out, f.modulus), lo, 23, f.modulus)
 
 
 # -- the polynomial family A_m(x) ---------------------------------------------

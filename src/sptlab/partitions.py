@@ -167,7 +167,7 @@ def first_violation(kind, values, modulus=0):
         lhs, rhs = got.mul(euler_product(n, modulus)), _andrews_rhs(n, modulus)
     else:
         lhs, rhs = got, _build(kind, n, modulus)
-    bad = np.flatnonzero(np.asarray(lhs.coeffs) != np.asarray(rhs.coeffs))
+    bad = np.flatnonzero(lhs.coeffs != rhs.coeffs)
     return int(bad[0]) if len(bad) else None
 
 

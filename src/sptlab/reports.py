@@ -88,8 +88,9 @@ def sweep(rec, idx, lhs, rhs=0, modulus=0, n_verified=None):
     """Record whether lhs[i] == rhs[i], modulo modulus when it is nonzero, for
     every i.  The first i that differs fails at n = idx[i] with both sides
     (reduced) and n_verified = i, or the count given; else len(idx) pass.
-    A list is read exactly, as an object array.  Returns whether all pass."""
-    lhs, rhs = (np.array(v, dtype=object) if isinstance(v, list) else v for v in (lhs, rhs))
+    An array keeps its dtype; a list or a scalar is read exactly, as an
+    object array.  Returns whether all pass."""
+    lhs, rhs = (np.asarray(v, dtype=getattr(v, "dtype", object)) for v in (lhs, rhs))
     rhs = np.broadcast_to(rhs, np.shape(lhs))
     diff = lhs - rhs
     bad = np.flatnonzero(diff % modulus if modulus else diff)

@@ -6,10 +6,13 @@ fractional tag frac24 in [0, 24) (s = frac24 for frac24 <= 12, else
 frac24 - 24).  Coefficients below lo are known to vanish; coefficients
 above valid_to are unknown and reading them is a hard error.
 
-Two coefficient domains are supported: exact (python ints, with Fractions
-tolerated where linear algebra produces them) and residues modulo M >= 2
-stored in numpy int64 arrays.  A table of arithmetic-function values
-f(0..N), such as p(n) or spt(n), is a Series too.
+The coefficients are one 1-D numpy array in either of two domains: exact,
+an object array of Python ints (Fractions tolerated where linear algebra
+produces them), or residues modulo M >= 2, an int64 array with entries in
+[0, M).  Every operation is one array expression for both, reduced mod M
+when there is a modulus; only the products and inverses choose a kernel by
+domain.  A table of arithmetic-function values f(0..N), such as p(n) or
+spt(n), is a Series too.
 """
 
 from __future__ import annotations
@@ -43,6 +46,18 @@ def split_e24(e24):
     return (e24 - sgn24(f)) // 24, f
 
 
+def coeff_dtype(modulus):
+    """The array dtype of a domain: int64 residues mod a modulus, Python
+    objects when exact (modulus 0)."""
+    return np.int64 if modulus else object
+
+
+def reduce(x, modulus):
+    """x (a value or an array) reduced into the domain: x % modulus, or x
+    itself when exact."""
+    return x % modulus if modulus else x
+
+
 def _is_exact_value(c):
     return isinstance(c, (int, np.integer, Fraction))
 
@@ -50,7 +65,7 @@ def _is_exact_value(c):
 class Series:
     __slots__ = ("frac24", "lo", "coeffs", "modulus")
 
-    def __init__(self, coeffs, lo=0, frac24=0, modulus=0, copy=True):
+    def __init__(self, coeffs, lo=0, frac24=0, modulus=0):
         if not 0 <= frac24 < 24:
             raise GridError("frac24 must lie in [0, 24)")
         if modulus == 1 or modulus < 0:
@@ -60,14 +75,7 @@ class Series:
         self.frac24 = int(frac24)
         self.lo = int(lo)
         self.modulus = int(modulus)
-        if modulus:
-            arr = np.asarray(coeffs, dtype=np.int64)
-            arr = arr % modulus
-            self.coeffs = arr
-        else:
-            if copy or not isinstance(coeffs, list):
-                coeffs = [int(c) if isinstance(c, np.integer) else c for c in coeffs]
-            self.coeffs = coeffs
+        self.coeffs = reduce(np.asarray(coeffs, dtype=coeff_dtype(modulus)), modulus)
 
     # -- construction helpers ------------------------------------------------
 
@@ -83,15 +91,13 @@ class Series:
     @classmethod
     def zero(cls, valid_to, frac24=0, modulus=0, lo=0):
         n = max(0, valid_to - lo + 1)
-        if modulus:
-            return cls._wrap(np.zeros(n, dtype=np.int64), lo, frac24, modulus)
-        return cls._wrap([0] * n, lo, frac24, modulus)
+        return cls._wrap(np.zeros(n, dtype=coeff_dtype(modulus)), lo, frac24, modulus)
 
     @classmethod
     def one(cls, valid_to, modulus=0):
         s = cls.zero(valid_to, 0, modulus, 0)
         if valid_to >= 0:
-            s.coeffs[0] = 1 % modulus if modulus else 1
+            s.coeffs[0] = 1
         return s
 
     # -- basic accessors -----------------------------------------------------
@@ -111,13 +117,12 @@ class Series:
             )
         if n < self.lo:
             return 0
-        c = self.coeffs[n - self.lo]
-        return int(c) if isinstance(c, np.integer) else c
+        return self.coeffs.item(n - self.lo)
 
     def gather(self, idx):
         """The coefficients at an array of indices, read as coeff reads them:
-        0 below lo, ValidityError past valid_to.  An int64 array of residues,
-        or an object array of the exact values."""
+        0 below lo, ValidityError past valid_to; an array of the Series'
+        dtype."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and idx.max() > self.valid_to:
             raise ValidityError(
@@ -125,17 +130,9 @@ class Series:
             )
         pos = idx - self.lo
         keep = pos >= 0
-        if self.modulus:
-            out = np.zeros(idx.shape, dtype=np.int64)
-            out[keep] = self.coeffs[pos[keep]]
-        else:
-            out = np.zeros(idx.shape, dtype=object)
-            out[keep] = [self.coeffs[i] for i in pos[keep].tolist()]
+        out = np.zeros(idx.shape, dtype=self.coeffs.dtype)
+        out[keep] = self.coeffs[pos[keep]]
         return out
-
-    def coeff_range(self, lo, hi):
-        """Coefficients for indices lo..hi inclusive as a plain list."""
-        return self.gather(range(lo, hi + 1)).tolist()
 
     @property
     def values(self):
@@ -144,9 +141,7 @@ class Series:
         return self.coeffs
 
     def is_zero(self):
-        if self.modulus:
-            return not self.coeffs.any()
-        return all(c == 0 for c in self.coeffs)
+        return not np.count_nonzero(self.coeffs)
 
     def __repr__(self):
         dom = "mod %d" % self.modulus if self.modulus else "exact"
@@ -172,15 +167,9 @@ class Series:
 
     def strip(self):
         """Drop leading zero coefficients, raising lo accordingly."""
-        n = len(self.coeffs)
-        if self.modulus:
-            nz = np.nonzero(self.coeffs)[0]
-            i = int(nz[0]) if len(nz) else n
-        else:
-            i = 0
-            while i < n and self.coeffs[i] == 0:
-                i += 1
-        if i == 0 or i == n:
+        nz = np.flatnonzero(self.coeffs)
+        i = int(nz[0]) if len(nz) else 0
+        if i == 0:
             return self
         return Series._wrap(self.coeffs[i:], self.lo + i, self.frac24, self.modulus)
 
@@ -195,23 +184,20 @@ class Series:
         lo = min(self.lo, other.lo)
         hi = min(self.valid_to, other.valid_to)
         m = self.modulus
-        if m:
-            out = np.zeros(max(0, hi - lo + 1), dtype=np.int64)
-            for s, c in ((self, c1 % m), (other, c2 % m)):
-                if len(s.coeffs) == 0 or hi < s.lo:
-                    continue
-                seg = s.coeffs[: hi - s.lo + 1]
-                out[s.lo - lo : s.lo - lo + len(seg)] += (seg * c) % m
-            return Series._wrap(out % m, lo, self.frac24, m)
-        out = [0] * max(0, hi - lo + 1)
-        for s, c in ((self, c1), (other, c2)):
-            if hi < s.lo:
-                continue
-            for i in range(min(len(s.coeffs), hi - s.lo + 1)):
-                v = s.coeffs[i]
-                if v:
-                    out[s.lo - lo + i] += c * v
-        return Series._wrap(out, lo, self.frac24, 0)
+        out = np.zeros(max(0, hi - lo + 1), dtype=self.coeffs.dtype)
+        for k, (s, c) in enumerate(((self, c1), (other, c2))):
+            # residues times residues stay below 2^62, so two sum in int64.
+            # The first term is stored, not added to zeros, and a weight of
+            # -1 subtracts in place: neither makes a temporary of big ints
+            seg = s.coeffs[: max(0, hi - s.lo + 1)]
+            part = out[s.lo - lo : s.lo - lo + len(seg)]
+            if k == 0:
+                part[:] = seg if c == 1 else seg * reduce(c, m)
+            elif c == -1:
+                part -= seg
+            else:
+                part += seg if c == 1 else seg * reduce(c, m)
+        return Series._wrap(reduce(out, m), lo, self.frac24, m)
 
     def __add__(self, other):
         return self.lincomb(other, 1, 1)
@@ -223,16 +209,10 @@ class Series:
         return self.scale(-1)
 
     def scale(self, c):
-        if self.modulus:
-            if isinstance(c, Fraction):
-                raise ValueError("Fraction scalar on a modular series")
-            return Series._wrap(
-                (self.coeffs * (c % self.modulus)) % self.modulus,
-                self.lo,
-                self.frac24,
-                self.modulus,
-            )
-        return Series._wrap([c * v for v in self.coeffs], self.lo, self.frac24, 0)
+        m = self.modulus
+        if m and isinstance(c, Fraction):
+            raise ValueError("Fraction scalar on a modular series")
+        return Series._wrap(reduce(self.coeffs * reduce(c, m), m), self.lo, self.frac24, m)
 
     # -- multiplication --------------------------------------------------
 
@@ -259,9 +239,12 @@ class Series:
             return Series.zero(hi, frac, m, lo=lo)
         if m:
             conv = _conv_mod(self.coeffs, other.coeffs, m, n_out)
-            return Series._wrap(conv, lo, frac, m)
-        out = _conv_exact(self.coeffs, other.coeffs, n_out)
-        return Series._wrap(out, lo, frac, 0)
+        else:
+            # the exact kernels work on lists; a square stays one operand
+            a = self.coeffs[:n_out].tolist()
+            b = a if other.coeffs is self.coeffs else other.coeffs[:n_out].tolist()
+            conv = np.array(_conv_exact(a, b, n_out), dtype=object)
+        return Series._wrap(conv, lo, frac, m)
 
     def __pow__(self, k):
         if k == 0:
@@ -296,14 +279,15 @@ class Series:
                 raise UnitError("leading coefficient %d is not a unit mod %d" % (c0, m))
             inv = _invert_mod(a.coeffs, m, c0_inv, prefix)
             return Series._wrap(inv, lo, frac, m)
-        c0 = a.coeffs[0]
-        if isinstance(c0, Fraction) or any(isinstance(c, Fraction) for c in a.coeffs):
+        coeffs = a.coeffs.tolist()
+        c0 = coeffs[0]
+        if any(isinstance(c, Fraction) for c in coeffs):
             c0_inv = Fraction(1, 1) / c0
         elif c0 == 1 or c0 == -1:
             c0_inv = c0
         else:
             raise UnitError("exact inversion needs leading coefficient +-1, got %r" % (c0,))
-        inv = _invert_exact(a.coeffs, c0_inv, prefix)
+        inv = _invert_exact(coeffs, c0_inv, prefix)
         return Series._wrap(inv, lo, frac, 0)
 
     # -- reindexing operations ---------------------------------------------
@@ -322,12 +306,8 @@ class Series:
             # highest known exponent in 24ths maps to t * (24*valid_to + s)
             hi, _ = split_e24(t * (24 * self.valid_to + s))
             return Series.zero(hi, frac, self.modulus, lo=new_lo)
-        if self.modulus:
-            out = np.zeros(t * (n - 1) + 1, dtype=np.int64)
-            out[::t] = self.coeffs
-        else:
-            out = [0] * (t * (n - 1) + 1)
-            out[::t] = self.coeffs
+        out = np.zeros(t * (n - 1) + 1, dtype=self.coeffs.dtype)
+        out[::t] = self.coeffs
         return Series._wrap(out, new_lo, frac, self.modulus)
 
     def qderiv(self):
@@ -335,12 +315,8 @@ class Series:
         if self.frac24 != 0:
             raise GridError("qderiv needs frac24 == 0; dilate by 24 first")
         m = self.modulus
-        if m:
-            idx = np.arange(self.lo, self.lo + len(self.coeffs), dtype=np.int64) % m
-            return Series._wrap((self.coeffs * idx) % m, self.lo, 0, m)
-        return Series._wrap(
-            [(self.lo + i) * c for i, c in enumerate(self.coeffs)], self.lo, 0, 0
-        )
+        idx = reduce(np.arange(self.lo, self.lo + len(self.coeffs), dtype=np.int64), m)
+        return Series._wrap(reduce(self.coeffs * idx, m), self.lo, 0, m)
 
     def sift(self, stride, offset=0):
         """Keep coefficients at indices stride*m + offset: new[m] = old[stride*m + offset].
@@ -362,10 +338,7 @@ class Series:
         if n == 0:
             return Series.zero(new_hi, frac, self.modulus, lo=new_lo)
         start = stride * (new_lo - carry) + offset - self.lo
-        if self.modulus:
-            out = self.coeffs[start : start + stride * (n - 1) + 1 : stride].copy()
-        else:
-            out = self.coeffs[start : start + stride * (n - 1) + 1 : stride]
+        out = self.coeffs[start : start + stride * (n - 1) + 1 : stride].copy()
         return Series._wrap(out, new_lo, frac, self.modulus)
 
     def reduce_mod(self, m):
@@ -374,18 +347,13 @@ class Series:
             raise ValueError("modulus must be >= 2")
         if self.modulus == m:
             return self
-        if self.modulus:
-            if self.modulus % m:
-                raise GridError(
-                    "cannot reduce mod %d from mod %d" % (m, self.modulus)
-                )
-            return Series._wrap(self.coeffs % m, self.lo, self.frac24, m)
-        # one pass: a Fraction leaves numpy an object array, where asking for
-        # int64 would silently truncate it
-        arr = np.array([c % m for c in self.coeffs])
-        if arr.dtype == object:
+        if self.modulus % m:
+            raise GridError("cannot reduce mod %d from mod %d" % (m, self.modulus))
+        res = self.coeffs % m
+        # int64 would silently truncate a Fraction
+        if res.dtype == object and any(isinstance(c, Fraction) for c in res):
             raise ValueError("cannot reduce a series with Fraction coefficients")
-        return Series._wrap(arr.astype(np.int64, copy=False), self.lo, self.frac24, m)
+        return Series._wrap(res.astype(np.int64, copy=False), self.lo, self.frac24, m)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -402,27 +370,17 @@ class Series:
         if hi > min(self.valid_to, other.valid_to):
             raise ValidityError("comparison window exceeds validity")
         a, b = self._window(lo, hi), other._window(lo, hi)
-        if self.modulus:
-            idx = np.flatnonzero(a != b)
-            if len(idx) == 0:
-                return None
-            i = int(idx[0])
-            return lo + i, int(a[i]), int(b[i])
-        for n, x, y in zip(range(lo, hi + 1), a, b):
-            if x != y:
-                return n, x, y
-        return None
+        idx = np.flatnonzero(a != b)
+        if len(idx) == 0:
+            return None
+        i = int(idx[0])
+        return lo + i, a.item(i), b.item(i)
 
     def _window(self, lo, hi):
         """Coefficients of indices lo..hi (hi <= valid_to), zero below self.lo."""
         pad = max(0, min(self.lo, hi + 1) - lo)
         seg = self.coeffs[max(0, lo - self.lo) : max(0, hi - self.lo + 1)]
-        if self.modulus:
-            return np.concatenate([np.zeros(pad, dtype=np.int64), seg])
-        return [0] * pad + seg
-
-    def agrees(self, other, lo=None, hi=None):
-        return self.first_difference(other, lo, hi) is None
+        return np.concatenate([np.zeros(pad, dtype=seg.dtype), seg])
 
 
 # -- low-level coefficient kernels -------------------------------------------
@@ -766,8 +724,9 @@ _INV_BLOCK = 128
 
 
 def _invert_exact(a, c0_inv, prefix=None):
-    """Power-series inverse of an exact coefficient list (a[0] a unit); out[i]
-    reads only out[:i], so a known prefix is kept and the recurrence resumes.
+    """Power-series inverse of an exact coefficient list (a[0] a unit), as an
+    object array; out[i] reads only out[:i], so a known prefix is kept and the
+    recurrence resumes.
 
     The recurrence runs in blocks of _INV_BLOCK indices.  A term a[k] with
     k >= _INV_BLOCK reads only finished blocks, so its share of a block is one
@@ -810,7 +769,7 @@ def _invert_exact(a, c0_inv, prefix=None):
             else:
                 out[i] = s if neg else -s
         done[b0:b1] = out[b0:b1]
-    return out
+    return done
 
 
 def _invert_mod(a, m, c0_inv, prefix=None):

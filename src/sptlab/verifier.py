@@ -77,6 +77,11 @@ def _require_hecke_modulus(ell, modulus, **_):
         raise ValueError("modulus 32760 needs ell coprime to it, got %d" % ell)
     if modulus in LEVELS and ell == modulus:
         raise ValueError("modulus t = %d needs ell != t" % modulus)
+    if 32760 % modulus or math.gcd(modulus, ell) > 1:
+        raise ValueError(
+            "modulus %d is outside the theorem: it must divide 32760 and be coprime"
+            " to ell = %d" % (modulus, ell)
+        )
 
 
 def _require_power(a, **_):
@@ -89,8 +94,8 @@ def _require_power(a, **_):
 # spt(l^2 m - s) + chi12(l)((1-24m|l) - 1 - l) spt(m) + l spt((m+s)/l^2) over
 # 1 <= m <= n vanishes mod the requested modulus.  Valid moduli: 72 and 3 for
 # any prime l >= 5; t in {5, 7, 13} when l != t; their product 32760 when l is
-# coprime to it.  When 3 divides the modulus the runner adds its mod-3
-# companion sweep.
+# coprime to it; so every divisor of 32760 coprime to l, and no other.  When 3
+# divides the modulus the runner adds its mod-3 companion sweep.
 check_spt_hecke = SweepFamily(
     "spt-hecke", "spt", ("ell", "modulus"), ("ell", "modulus", "n"), n=200,
     modulus=lambda modulus, **_: modulus,
@@ -178,8 +183,15 @@ def a_atkin_beta_crosscheck(t, ell, n=None):
     _require_level(t)
     _require_ell(ell, t)
     s = s_ell(ell)
+    # decompose_gamma0 needs F * eta, valid to min(n, n + 2 - s), past q^(t s);
+    # the default t s + 6 covers every l <= 13
+    least = t * s + max(1, s - 1)
     if n is None:
-        n = t * s + 6
+        n = max(t * s + 6, least)
+    if n < least:
+        raise ValueError(
+            "a-atkin-beta at t = %d, ell = %d needs n >= %d, got %d" % (t, ell, least, n)
+        )
     mod = t ** TC[t]
     f = stream("a", ell * ell * n - s)
     combo = hecke_combo(f, HeckeParams.weight_three_half(ell), n)

@@ -18,9 +18,9 @@ STREAM_KEYS = [(kind, m) for kind in ("p", "spt", "d", "a") for m in (0, MASTER_
 
 
 def _digest(tab):
-    if isinstance(tab.coeffs, np.ndarray):
-        return hashlib.sha256(tab.coeffs.tobytes()).hexdigest()
-    return hashlib.sha256(repr(tab.coeffs).encode()).hexdigest()
+    # an object array's bytes are pointers, so an exact table hashes its values
+    data = tab.coeffs.tobytes() if tab.modulus else repr(tab.coeffs.tolist()).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 @fixture(scope="module")
@@ -81,6 +81,31 @@ def test_check_all_does_not_mutate_shared_tables(cold_run):
     finally:
         bank.clear()
         bank.update(saved)
+
+
+def _assert_one_array_per_table(bank):
+    """Every bank table holds a 1-D array of its domain: int64 residues in
+    [0, M), or Python objects with no numpy integer among them."""
+    for (tag, m), tab in bank.items():
+        c = tab.coeffs
+        assert isinstance(c, np.ndarray) and c.ndim == 1, (tag, m)
+        if m:
+            assert c.dtype == np.int64, (tag, m)
+            assert c.size == 0 or (c.min() >= 0 and c.max() < m), (tag, m)
+        else:
+            assert c.dtype == object, (tag, m)
+            assert not any(isinstance(v, np.integer) for v in c.tolist()), (tag, m)
+
+
+def test_bank_tables_are_one_array_of_their_domain(cold_run, bank_guard):
+    assert {m for _, m in bank_guard} >= {0, MASTER_MODULUS}
+    _assert_one_array_per_table(bank_guard)
+    # the sweep families that take an exact table under --mod exact
+    exact = ["spt-hecke", "spt-ell-square", "spt-prime-powers", "a-atkin"]
+    bank_guard.clear()
+    assert all(r.ok for r in run_checks(exact, CheckOptions(exact=True, t=5, nmax=10)))
+    assert {"p", "spt", "a"} <= {tag for tag, m in bank_guard if m == 0}
+    _assert_one_array_per_table(bank_guard)
 
 
 def test_one_wrong_master_spt_fails_exactly_its_readers(bank_guard):

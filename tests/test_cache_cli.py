@@ -159,6 +159,20 @@ def test_check_exit_codes(capsys):
     assert main(["check", "a-atkin", "--t", "5", "--ell", "5", "--nmax", "4"]) == 2
 
 
+@parametrize('argv, message', [
+    ("check spt-hecke --ell 5 --mod 25 --nmax 10",
+     "modulus 25 is outside the theorem: it must divide 32760 and be coprime to ell = 5"),
+    ("check a-atkin-beta --t 7 --ell 11 --nmax 15",
+     "a-atkin-beta at t = 7, ell = 11 needs n >= 39, got 15"),
+])
+def test_check_out_of_range_arguments_are_usage_errors(capsys, argv, message):
+    # a claim outside the theorem, or a window too short to decide it, is no FAIL
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sptlab: %s\n" % message
+    assert captured.out == ""
+
+
 def test_check_json_format(capsys):
     assert main(["check", "e46d", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

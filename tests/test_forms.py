@@ -49,7 +49,7 @@ def sigma(weight, m):
 
 def test_euler_product_matches_expansion():
     n = 60
-    assert euler_product(n).coeff_range(0, n) == euler_oracle(n)
+    assert euler_product(n).gather(range(0, n + 1)).tolist() == euler_oracle(n)
 
 
 @parametrize('weight,scale', [(2, -24), (4, 240), (6, -504)])
@@ -72,7 +72,7 @@ def test_modular_divisor_sums_match_exact(weight, n):
 def test_eisenstein_modular_agrees_with_exact():
     e = eisenstein(4, 100)
     em = eisenstein(4, 100, modulus=65520)
-    assert e.reduce_mod(65520).agrees(em)
+    assert e.reduce_mod(65520).first_difference(em) is None
 
 
 def test_eisenstein_rejects_other_weights():
@@ -84,7 +84,7 @@ def test_delta_tau_values():
     tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643]
     d = delta_series(9)
     assert d.lo == 1 or d.coeff(0) == 0
-    assert d.coeff_range(1, 9) == tau
+    assert d.gather(range(1, 10)).tolist() == tau
 
 
 def test_j_expansion():
@@ -101,7 +101,7 @@ def test_inverse_delta_times_delta_is_one(n, modulus):
     assert (inv.lo, inv.valid_to, inv.frac24) == (-1, n, 0)
     prod = inv.mul(delta_series(n + 2, modulus))
     assert prod.valid_to == n + 1
-    assert prod.agrees(Series.one(n + 1, modulus))
+    assert prod.first_difference(Series.one(n + 1, modulus)) is None
 
 
 def test_e14_over_delta_identity():
@@ -109,7 +109,7 @@ def test_e14_over_delta_identity():
     lhs = e14_over_delta(n) * delta_series(n + 2)
     e4 = eisenstein(4, n)
     rhs = e4 * e4 * eisenstein(6, n)
-    assert lhs.agrees(rhs, lo=0, hi=n - 2)
+    assert lhs.first_difference(rhs, lo=0, hi=n - 2) is None
     assert e14_over_delta(5).coeff(-1) == 1
     assert e14_over_delta(5).coeff(1) == -196884
 
@@ -119,10 +119,10 @@ def test_eta_pow_grid_and_partitions():
     inv = eta_pow(-1, 30)
     assert inv.frac24 == 23
     assert all(inv.coeff(n) == p.coeff(n) for n in range(31))
-    assert eta_pow(24, 20).agrees(delta_series(20))
+    assert eta_pow(24, 20).first_difference(delta_series(20)) is None
     e = eta_pow(1, 20)
     assert e.frac24 == 1
-    assert e.coeff_range(0, 3) == [1, -1, -1, 0]
+    assert e.gather(range(0, 4)).tolist() == [1, -1, -1, 0]
 
 
 def test_eta_pow_negative_grid():
@@ -150,7 +150,7 @@ def test_miller_powers_match_repeated_products():
 
 
 def test_miller_inverse_delta_is_bit_identical_to_the_power_of_p():
-    assert _euler_power(-24, 2002) == (inverse_euler(2002) ** 24).coeffs
+    assert _euler_power(-24, 2002) == (inverse_euler(2002) ** 24).coeffs.tolist()
 
 
 def test_exact_negative_eta_powers_multiply_nothing(monkeypatch):
@@ -160,7 +160,7 @@ def test_exact_negative_eta_powers_multiply_nothing(monkeypatch):
         raise AssertionError("an exact product was formed")
 
     monkeypatch.setattr(series, "_conv_exact", product)
-    assert _inverse_delta(4).coeff_range(-1, 4) == [1, 24, 324, 3200, 25650, 176256]
+    assert _inverse_delta(4).gather(range(-1, 5)).tolist() == [1, 24, 324, 3200, 25650, 176256]
     assert eta_pow(-25, 300).valid_to == 300
 
 
@@ -187,7 +187,7 @@ def test_form_bank_grows_and_truncates():
     a = form("E6", 50)
     b = form("E6", 20)
     assert b.valid_to == 20
-    assert a.agrees(b, hi=20)
+    assert a.first_difference(b, hi=20) is None
     c = form("E6", 80)
     assert c.valid_to >= 80
     with raises(KeyError):
@@ -223,5 +223,6 @@ def test_classical_congruence_lines_are_the_exact_expressions_reduced(bank_guard
     for name, (m, lhs, rhs) in exact.items():
         for got, want in zip(seen[name], (lhs, rhs)):
             assert got.modulus == m, name
-            assert got.coeff_range(0, n) == [c % m for c in want.coeff_range(0, n)], name
+            window = range(0, n + 1)
+            assert got.gather(window).tolist() == [c % m for c in want.gather(window).tolist()], name
 

@@ -67,11 +67,13 @@ GUARD_CASES = [
     (check_a_atkin, (5, 5), "ell = t = 5 is excluded"),
     (check_a_atkin, (11, 7), "t must be one of (5, 7, 13)"),
     (check_spt_ell_square, (9,), "ell must be a prime >= 5, got 9"),
+    (check_spt_hecke, (5, 25),
+     "modulus 25 is outside the theorem: it must divide 32760 and be coprime to ell = 5"),
 ]
 # ids name the check and number the case
 GUARD_IDS = ["%s-args%d" % (name, i) for i, name in enumerate(
     ["check_spt_hecke"] * 5 + ["check_spt_prime_powers"] * 2 + ["check_a_atkin"] * 2
-    + ["check_spt_ell_square"])]
+    + ["check_spt_ell_square", "check_spt_hecke"])]
 
 
 @parametrize('fn,args,message', GUARD_CASES, ids=GUARD_IDS)
@@ -135,6 +137,22 @@ def test_a_atkin_worked_instance():
 def test_a_atkin_beta_crosscheck():
     r = a_atkin_beta_crosscheck(13, 5)
     assert r.ok, r.summary_line()
+
+
+@parametrize('t,ell,least', [(7, 11, 39), (5, 7, 11), (13, 5, 14)])
+def test_a_atkin_beta_needs_n_past_the_decomposition(t, ell, least):
+    # F * eta is valid to min(n, n + 2 - s) and the Gamma0(t) solve reads it
+    # past q^(t s): one n less is a usage error naming the least valid n
+    assert a_atkin_beta_crosscheck(t, ell, least).ok
+    message = "a-atkin-beta at t = %d, ell = %d needs n >= %d, got %d" % (t, ell, least, least - 1)
+    with raises(ValueError, match="^%s$" % re.escape(message)):
+        a_atkin_beta_crosscheck(t, ell, least - 1)
+
+
+def test_a_atkin_beta_default_n_reaches_the_decomposition():
+    # t s + 6 for l <= 13; l = 17 (s = 12) needs t s + 11
+    r = a_atkin_beta_crosscheck(5, 17)
+    assert r.ok and r.params["n"] == 71, r.summary_line()
 
 
 @parametrize('ell,b', [
