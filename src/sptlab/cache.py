@@ -1,5 +1,10 @@
-"""On-disk coefficient cache (QSCACHE v1): plain text, one row per index,
-atomic single-writer replacement, corrupt files treated as misses."""
+"""On-disk coefficient tables (QSCACHE v1): plain text, one row per index,
+atomic single-writer replacement.
+
+`store` writes any table, exact or modular: `series --out` exports and the
+p mod 360360 that `check --cache-dir` keeps.  `load` reads modular files
+only, the one kind a check reads back; a file that fails to parse is
+logged and treated as a miss."""
 
 from __future__ import annotations
 
@@ -58,10 +63,8 @@ def store(cache_dir, kind, values, lo=0):
 
 
 def load(cache_dir, kind):
-    """Read a cached stream; returns (values, lo) or None on miss/corruption.
-
-    values is an int64 array for a modular file and a list of Python ints for
-    an exact one (mod 0)."""
+    """Read a modular table; returns (values, lo), values an int64 array of
+    residues, or None on miss/corruption."""
     path = os.path.join(cache_dir, kind.filename())
     if not os.path.exists(path):
         return None
@@ -84,33 +87,13 @@ def load(cache_dir, kind):
             raise ValueError("text after the end marker")
         if body[-1:] not in ("", "\n"):
             raise ValueError("the last row line has no newline")
-        if kind.modulus:
-            values, lo = _residue_rows(body, rows, kind.modulus)
-        else:
-            values, lo = _exact_rows(body, rows)
+        values, lo = _residue_rows(body, rows, kind.modulus)
         if lo + rows - 1 != kind.nmax:
             raise ValueError("rows end at %d, not at nmax %d" % (lo + rows - 1, kind.nmax))
         return values, lo
     except (ValueError, IndexError, OSError) as exc:
         log.warning("treating corrupt cache file %s as a miss: %s", path, exc)
         return None
-
-
-def _exact_rows(body, rows):
-    """(values, lo) from the `rows` row lines of an exact file, as Python ints."""
-    lines = body.split("\n")[:-1]
-    if len(lines) != rows:
-        raise ValueError("%d row lines, not rows=%d" % (len(lines), rows))
-    values = []
-    lo = 0
-    for i, line in enumerate(lines):
-        n_s, c_s = line.split()
-        if i == 0:
-            lo = int(n_s)
-        elif int(n_s) != lo + i:
-            raise ValueError("non-contiguous rows")
-        values.append(int(c_s))
-    return values, lo
 
 
 def _residue_rows(body, rows, modulus):
@@ -158,21 +141,21 @@ def _residue_rows(body, rows, modulus):
     return values, lo
 
 
-def scan(cache_dir, tag, modulus, t=0):
-    """Best stored SeriesKind for (tag, modulus, t) with the largest nmax."""
+def scan(cache_dir, tag, modulus):
+    """Stored SeriesKind for (tag, modulus) with the largest nmax, or None."""
     if not os.path.isdir(cache_dir):
         return None
     best = None
-    mid = "_t%d" % t if t else ""
-    prefix = "%s%s_n" % (tag, mid)
+    prefix = "%s_n" % tag
     suffix = "_m%d.qsc" % modulus
     for name in os.listdir(cache_dir):
         if not (name.startswith(prefix) and name.endswith(suffix)):
             continue
         middle = name[len(prefix) : -len(suffix)]
-        if not middle.isdigit():
+        # str.isdigit also accepts digits such as '²' that int() refuses
+        if not (middle.isascii() and middle.isdigit()):
             continue
         n = int(middle)
         if best is None or n > best.nmax:
-            best = SeriesKind(tag, n, t, modulus)
+            best = SeriesKind(tag, n, modulus=modulus)
     return best

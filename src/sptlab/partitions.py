@@ -18,14 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import (
-    _bank,
-    _build_p,
-    _divisor_power_sums,
-    euler_product,
-    inverse_euler,
-    memo,
-)
+from .forms import _build_p, _divisor_power_sums, inverse_euler, memo
 from .series import Series
 
 EXACT_CAP = 5000
@@ -40,12 +33,6 @@ def _check_cap(n, modulus, cap):
             "n=%d beyond the %s cap %d (pass cap= to override)"
             % (n, "modular" if modulus else "exact", limit)
         )
-
-
-def partition_stream(n, modulus=0, cap=None):
-    """p(0..n), read from the bank's p table (forms.inverse_euler)."""
-    _check_cap(n, modulus, cap)
-    return inverse_euler(n, modulus)
 
 
 def _andrews_rhs(n, modulus=0):
@@ -134,43 +121,3 @@ def prewarm(n, modulus):
     stream("p", n, modulus)
     stream("spt", n, modulus)
     stream("a", n, modulus)
-
-
-_STREAM_FRAC = {"p": 0, "spt": 0, "d": 23, "a": 23}
-
-
-def seed(kind, values, modulus=0):
-    """Install a precomputed table of kind(0), kind(1), ... into the bank,
-    e.g. from an on-disk cache.
-
-    Kept only if it extends further than what is already stored."""
-    tab = Series(values, 0, _STREAM_FRAC[kind], modulus)
-    got = _bank.get((kind, modulus))
-    if got is None or got.valid_to < tab.valid_to:
-        _bank[(kind, modulus)] = tab
-    return _bank[(kind, modulus)]
-
-
-def first_violation(kind, values, modulus=0):
-    """First n at which the table kind(0), kind(1), ... breaks the identity
-    that defines it, or None if it holds throughout:
-
-        p:    p (q)_inf = 1
-        spt:  (q)_inf spt = the right side of Andrews' identity
-        d, a: the table equals its build from the bank's p (d) or spt and d (a)
-    """
-    n = len(values) - 1
-    got = Series(values, 0, 0, modulus)
-    if kind == "p":
-        lhs, rhs = got.mul(euler_product(n, modulus)), Series.one(n, modulus)
-    elif kind == "spt":
-        lhs, rhs = got.mul(euler_product(n, modulus)), _andrews_rhs(n, modulus)
-    else:
-        lhs, rhs = got, _build(kind, n, modulus)
-    bad = np.flatnonzero(lhs.coeffs != rhs.coeffs)
-    return int(bad[0]) if len(bad) else None
-
-
-def bank_tables():
-    """Snapshot of the shared bank, keyed by (tag, modulus)."""
-    return dict(_bank)

@@ -10,7 +10,7 @@ from pytest import MonkeyPatch, fixture, mark
 from sptlab import forms, series
 from sptlab.forms import euler_product
 from sptlab.hecke import legendre
-from sptlab.partitions import prewarm, seed, stream
+from sptlab.partitions import prewarm, stream
 from sptlab.series import Series
 from sptlab.verifier import MASTER_MODULUS, REGISTRY, CheckOptions, inv24, run_checks
 
@@ -199,11 +199,11 @@ def test_one_fault_fails_its_reader_at_the_predicted_index(
     clean = run_checks(TABLE_SWEEPS, opts)
     assert len(clean) == 9 and all(r.ok for r in clean)
     # the clean run stored the table the check reads, at its full length
-    kind, modulus = key
-    values = [int(v) for v in bank_guard[key].coeffs]
+    tab = bank_guard[key]
+    modulus = tab.modulus
+    values = tab.coeffs.copy()
     values[index] = (values[index] + 1) % modulus
-    del bank_guard[key]
-    seed(kind, values, modulus)
+    bank_guard[key] = Series(values, 0, tab.frac24, modulus)
     failure = dict(failure)
     if check == "atkin-gamma":
         gamma = next(r for r in clean if r.check == check).params["gamma"]

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 # third party
 import numpy as np
 # test framework
@@ -12,12 +13,15 @@ from pytest import mark, param, raises
 from sptlab import cache, partitions
 from sptlab.cache import SeriesKind, load, scan, store
 from sptlab.cli import _seed_from_cache, main
+from sptlab.forms import inverse_euler
 from sptlab.reports import CongruenceReport
 from sptlab import verifier
 
 parametrize = mark.parametrize
 
 MASTER = verifier.MASTER_MODULUS
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_REPORT = ROOT / "perfbench" / "golden" / "check_all.json"
 
 
 # -- the on-disk format -------------------------------------------------------
@@ -57,12 +61,12 @@ def test_store_writes_the_exact_bytes(tmp_path):
 
 
 def test_store_load_negative_lo_and_t(tmp_path):
-    kind = SeriesKind("G", 5, t=7)
-    store(tmp_path, kind, [1, -4, 2, 8, -5, -4, -10], lo=-1)
-    assert kind.filename() == "G_t7_n5_m0.qsc"
+    kind = SeriesKind("G", 5, t=7, modulus=97)
+    store(tmp_path, kind, [1, 93, 2, 8, 92, 93, 87], lo=-1)
+    assert kind.filename() == "G_t7_n5_m97.qsc"
     values, lo = load(tmp_path, kind)
     assert lo == -1
-    assert values == [1, -4, 2, 8, -5, -4, -10]
+    assert values.tolist() == [1, 93, 2, 8, 92, 93, 87]
 
 
 def test_load_missing_is_none(tmp_path):
@@ -102,20 +106,16 @@ def test_load_kind_mismatch_is_miss(tmp_path, caplog):
     param(lambda text: text.replace("\n3 3\n", "\n3 3-\n"), id="trailing-sign"),
 ])
 def test_corrupt_files_are_misses(tmp_path, caplog, breakage):
-    # both backends: an exact file is read row by row, a modular one by
-    # whole-array numpy operations
-    for modulus in (0, MASTER):
-        kind = SeriesKind("p", 5, modulus=modulus)
-        path = store(tmp_path, kind, [1, 1, 2, 3, 5, 7])
-        with open(path) as fh:
-            text = fh.read()
-        assert breakage(text) != text
-        with open(path, "w") as fh:
-            fh.write(breakage(text))
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
-            assert load(tmp_path, kind) is None, modulus
-        assert "corrupt" in caplog.text, modulus
+    kind = SeriesKind("p", 5, modulus=MASTER)
+    path = store(tmp_path, kind, [1, 1, 2, 3, 5, 7])
+    with open(path) as fh:
+        text = fh.read()
+    assert breakage(text) != text
+    with open(path, "w") as fh:
+        fh.write(breakage(text))
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        assert load(tmp_path, kind) is None
+    assert "corrupt" in caplog.text
 
 
 def test_rows_short_of_nmax_are_a_miss(tmp_path, caplog):
@@ -135,6 +135,15 @@ def test_scan_picks_largest(tmp_path):
     assert best == SeriesKind("spt", 40, 0, 72)
     assert scan(tmp_path, "a", 72) is None
     assert scan(tmp_path / "nowhere", "spt", 72) is None
+
+
+def test_scan_ignores_names_without_ascii_digits(tmp_path, capsys):
+    # str.isdigit accepts '²', which int() refuses
+    (tmp_path / "p_n\u00b2_m360360.qsc").write_text("")
+    (tmp_path / "p_n\u0663_m360360.qsc").write_text("")  # Arabic-Indic three
+    assert scan(tmp_path, "p", MASTER) is None
+    assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
+    assert "3 checks: 3 pass" in capsys.readouterr().out
 
 
 def test_store_is_atomic_replace(tmp_path):
@@ -230,79 +239,133 @@ def test_series_level_kind_needs_t(capsys):
 def test_series_out_roundtrip(tmp_path, capsys):
     assert main(["series", "j", "--n", "3", "--out", str(tmp_path)]) == 0
     path = capsys.readouterr().out.strip()
-    assert path.startswith(str(tmp_path))
-    values, lo = load(tmp_path, SeriesKind("j", 3))
-    assert lo == -1
-    assert values == [1, 744, 196884, 21493760, 864299970]
+    assert path == str(tmp_path / "j_n3_m0.qsc")
+    with open(path) as fh:
+        assert fh.read() == (
+            "QSCACHE v1\n"
+            "kind=j params=- nmax=3 mod=0 frac24=0\n"
+            "rows=5\n"
+            "-1 1\n0 744\n1 196884\n2 21493760\n3 864299970\n"
+            "end\n"
+        )
+
+
+def _golden_lines(out):
+    got = json.loads(out)
+    for line in got:
+        del line["elapsed_ms"]
+    return got
+
+
+def test_check_all_cache_dir_writes_only_p(tmp_path, capsys, bank_guard):
+    bank_guard.clear()
+    assert main(["check", "all", "--format", "json", "--cache-dir", str(tmp_path)]) == 0
+    with open(GOLDEN_REPORT) as fh:
+        assert _golden_lines(capsys.readouterr().out) == json.load(fh)
+    assert os.listdir(tmp_path) == ["p_n40000_m360360.qsc"]
+
+
+def test_warm_check_all_reads_only_the_p_file(tmp_path, capsys, caplog, monkeypatch,
+                                              bank_guard):
+    # a cache dir as older versions left it: p, spt, d and a mod 360360, the
+    # a table all zero; only p is read, and nothing is written
+    bank_guard.clear()
+    for kind, frac24 in (("p", 0), ("spt", 0), ("d", 23)):
+        tab = partitions.stream(kind, 40000, MASTER)
+        store(tmp_path, SeriesKind(kind, 40000, 0, MASTER, frac24), tab.coeffs)
+    store(tmp_path, SeriesKind("a", 40000, 0, MASTER, 23), [0] * 40001)
+    loaded, stored = [], []
+    monkeypatch.setattr(cache, "load", lambda d, kind: loaded.append(kind.filename())
+                        or load(d, kind))
+    monkeypatch.setattr(cache, "store", lambda *args: stored.append(args))
+    bank_guard.clear()
+    with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+        assert main(["check", "all", "--format", "json", "--cache-dir", str(tmp_path)]) == 0
+    with open(GOLDEN_REPORT) as fh:
+        assert _golden_lines(capsys.readouterr().out) == json.load(fh)
+    assert caplog.text == ""
+    assert loaded == ["p_n40000_m360360.qsc"] and stored == []
 
 
 def test_check_cache_dir_roundtrip(tmp_path, capsys, bank_guard):
-    # plant a small master-modulus table, run a cheap check to flush it to
-    # disk, then clear the bank and confirm a second run seeds from the file
-    spt = partitions.stream("spt", 60, MASTER)
+    # plant a small master-modulus p, run a check that builds no master table
+    # to flush it to disk, then clear the bank and confirm a second run seeds
+    # from the file and writes nothing back
+    bank_guard.clear()
+    p = partitions.stream("p", 60, MASTER)
     assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    stored = scan(tmp_path, "spt", MASTER)
-    assert stored is not None and stored.nmax >= 60
+    assert os.listdir(tmp_path) == ["p_n60_m360360.qsc"]
+    path = tmp_path / "p_n60_m360360.qsc"
+    os.utime(path, ns=(0, 0))
     bank_guard.clear()
     assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    seeded = partitions.bank_tables()[("spt", MASTER)]
-    assert seeded.valid_to == spt.valid_to
-    assert seeded.frac24 == 0
-    assert [seeded.coeff(i) for i in range(10)] == [spt.coeff(i) for i in range(10)]
+    seeded = bank_guard[("p", MASTER)]
+    assert seeded.valid_to == 60 and seeded.frac24 == 0
+    assert seeded.coeffs.tolist() == p.coeffs.tolist()
+    assert os.stat(path).st_mtime_ns == 0
 
 
 def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
     store(tmp_path, SeriesKind("p", 10, modulus=MASTER), list(range(1, 11)), lo=1)
     bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
-        _seed_from_cache(tmp_path)
+        assert _seed_from_cache(tmp_path) == -1
     assert "rows start at 1" in caplog.text
-    assert ("p", MASTER) not in partitions.bank_tables()
+    assert ("p", MASTER) not in bank_guard
     assert partitions.stream("p", 10, MASTER).coeff(0) == 1
 
 
-def test_seeded_d_and_a_keep_their_grid(tmp_path, bank_guard):
-    bank_guard.clear()
-    for kind in ("d", "a"):
-        tab = partitions.stream(kind, 20, MASTER)
-        store(tmp_path, SeriesKind(kind, 20, modulus=MASTER), list(tab.coeffs))
-    bank_guard.clear()
-    _seed_from_cache(tmp_path)
-    tabs = partitions.bank_tables()
-    assert tabs[("d", MASTER)].frac24 == 23
-    assert tabs[("a", MASTER)].frac24 == 23
-
-
 def test_cached_zero_tables_are_misses(tmp_path, caplog, bank_guard):
-    # well-formed files whose values are all zero satisfy every "== 0 mod m"
-    # sweep; each must fail its defining identity and be rebuilt instead
-    for kind in ("p", "spt", "d", "a"):
-        store(tmp_path, SeriesKind(kind, 30, modulus=MASTER), [0] * 31)
+    # a well-formed p file whose values are all zero would make every table
+    # built from it zero, and so satisfy every "== 0 mod m" sweep; it must
+    # fail p (q)_inf = 1 and be rebuilt instead
+    store(tmp_path, SeriesKind("p", 30, modulus=MASTER), [0] * 31)
     bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
-        _seed_from_cache(tmp_path)
-    rejected = [r for r in caplog.records if "defining identity" in r.getMessage()]
-    assert len(rejected) == 4
-    exact = {kind: partitions.stream(kind, 30) for kind in ("p", "spt", "d", "a")}
-    for kind, tab in exact.items():
-        got = partitions.stream(kind, 30, MASTER)
-        assert [got.coeff(n) for n in range(31)] == [tab.coeff(n) % MASTER for n in range(31)]
-        assert any(got.coeff(n) for n in range(31))
+        assert _seed_from_cache(tmp_path) == -1
+    assert "p table breaks its defining identity at n = 0" in caplog.text
+    assert ("p", MASTER) not in bank_guard
+    exact = inverse_euler(30)
+    got = partitions.stream("p", 30, MASTER)
+    assert got.coeffs.tolist() == [v % MASTER for v in exact.coeffs.tolist()]
 
 
 def test_cached_p_with_one_wrong_coefficient_is_rejected(tmp_path, caplog, bank_guard):
-    good = [v % MASTER for v in partitions.partition_stream(50).coeffs]
+    good = [v % MASTER for v in inverse_euler(50).coeffs.tolist()]
     bad = list(good)
     bad[17] = (bad[17] + 1) % MASTER
     store(tmp_path, SeriesKind("p", 50, modulus=MASTER), bad)
     bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
-        _seed_from_cache(tmp_path)
+        assert _seed_from_cache(tmp_path) == -1
     assert "p table breaks its defining identity at n = 17" in caplog.text
-    assert ("p", MASTER) not in partitions.bank_tables()
-    assert list(partitions.stream("p", 50, MASTER).coeffs) == good
+    assert ("p", MASTER) not in bank_guard
+    assert partitions.stream("p", 50, MASTER).coeffs.tolist() == good
+
+
+def test_rejected_cache_file_is_rewritten(tmp_path, capsys, caplog, bank_guard):
+    argv = ["check", "spt-hecke", "--ell", "5", "--nmax", "10", "--cache-dir", str(tmp_path)]
+    bank_guard.clear()
+    assert main(argv) == 0
+    path = tmp_path / "p_n40000_m360360.qsc"
+    good = path.read_text()
+    # p(100) = 190569292
+    bad = good.replace("\n100 %d\n" % (190569292 % MASTER),
+                       "\n100 %d\n" % (190569292 % MASTER + 1))
+    assert bad != good
+    path.write_text(bad)
+    for expect_miss in (True, False):
+        bank_guard.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
+            assert main(argv) == 0
+        missed = "breaks its defining identity at n = 100" in caplog.text
+        assert missed == expect_miss, caplog.text
+        assert path.read_text() == good
+        assert os.listdir(tmp_path) == [path.name]
+    capsys.readouterr()
 
 
 @parametrize('value', [10**30, -(MASTER - 3)])
@@ -320,13 +383,13 @@ def test_cached_values_outside_the_residues_are_misses(tmp_path, capsys, caplog,
         assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert "not a residue mod 360360" in caplog.text
-    assert ("p", MASTER) not in partitions.bank_tables()
+    assert ("p", MASTER) not in bank_guard
     assert [partitions.stream("p", 3, MASTER).coeff(n) for n in range(4)] == [1, 1, 2, 3]
 
 
 def test_traced_check_reads_values_of_the_traced_results(tmp_path):
-    # the traced benchmark mode reads out.values off partition_stream,
-    # spt_stream and hecke_combo results
+    # the traced benchmark mode reads out.values off spt_stream and
+    # hecke_combo results
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
@@ -339,3 +402,11 @@ def test_traced_check_reads_values_of_the_traced_results(tmp_path):
     counts = json.loads(spans.read_text())["counts"]
     assert counts["hecke.hecke_combo.terms"] == 11
     assert counts["partitions.spt_stream_mod.coeffs"] == 489
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks run the program, so a change under src/ can
+    # break them
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

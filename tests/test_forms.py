@@ -16,7 +16,7 @@ from sptlab.forms import (
     inverse_euler,
     j_series,
 )
-from sptlab.partitions import partition_stream, stream
+from sptlab.partitions import stream
 from sptlab.series import Series
 
 parametrize = mark.parametrize
@@ -115,7 +115,7 @@ def test_e14_over_delta_identity():
 
 
 def test_eta_pow_grid_and_partitions():
-    p = partition_stream(30)
+    p = inverse_euler(30)
     inv = eta_pow(-1, 30)
     assert inv.frac24 == 23
     assert all(inv.coeff(n) == p.coeff(n) for n in range(31))

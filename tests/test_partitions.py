@@ -4,14 +4,12 @@ from functools import lru_cache
 from pytest import raises, mark
 # local package
 from sptlab import ValidityError, series
+from sptlab.forms import inverse_euler
 from sptlab.series import Series
 from sptlab.partitions import (
     EXACT_CAP,
     MODULAR_CAP,
-    bank_tables,
-    partition_stream,
     prewarm,
-    seed,
     spt_bruteforce,
     spt_stream,
     stream,
@@ -80,18 +78,18 @@ def spt_tail_oracle(n):
 # -- partition and spt values ----------------------------------------------------
 
 def test_partition_values():
-    p = partition_stream(100)
+    p = stream("p", 100)
     assert [p.coeff(i) for i in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     assert p.coeff(100) == 190569292
 
 
 def test_partition_against_oracle():
-    p = partition_stream(200)
+    p = inverse_euler(200)
     assert list(p.coeffs) == partition_oracle(200)
 
 
 def test_partition_modular_matches_exact():
-    pm = partition_stream(300, modulus=360360)
+    pm = inverse_euler(300, modulus=360360)
     pe = partition_oracle(300)
     assert all(int(pm.coeff(i)) == pe[i] % 360360 for i in range(301))
 
@@ -151,7 +149,7 @@ def test_spt_linear_congruences(t, r):
 def test_weighted_streams(bank_guard):
     n = 40
     d, a = stream("d", n), stream("a", n)
-    p = partition_stream(n)
+    p = stream("p", n)
     s = spt_stream(n)
     assert d.frac24 == 23 and a.frac24 == 23
     for m in range(n + 1):
@@ -184,10 +182,9 @@ def test_reduce_to_needs_divisor():
 
 def test_caps_guard_and_override():
     with raises(ValueError):
-        partition_stream(EXACT_CAP + 1)
+        spt_stream(EXACT_CAP + 1)
     with raises(ValueError):
         spt_stream(MODULAR_CAP + 1, modulus=5)
-    assert partition_stream(EXACT_CAP + 1, cap=EXACT_CAP + 1).coeff(EXACT_CAP) > 0
 
 
 # -- the shared bank --------------------------------------------------------------
@@ -213,20 +210,18 @@ def test_bank_divisor_modulus_reuse(bank_guard):
 def test_bank_builds_d_and_a_together(bank_guard):
     bank_guard.clear()  # force the build path under the guard
     stream("a", 30, modulus=97)
-    tabs = bank_tables()
-    assert ("d", 97) in tabs
-    assert ("a", 97) in tabs
+    assert ("d", 97) in bank_guard
+    assert ("a", 97) in bank_guard
     prewarm(25, 97)  # already warm; must not shrink anything
-    assert bank_tables()[("a", 97)].valid_to >= 30
+    assert bank_guard[("a", 97)].valid_to >= 30
 
 
 def test_d_build_reads_only_p(bank_guard):
     bank_guard.clear()
     d = stream("d", 30, modulus=97)
     assert d.valid_to == 30 and d.frac24 == 23
-    tabs = bank_tables()
-    assert ("p", 97) in tabs
-    assert ("spt", 97) not in tabs
+    assert ("p", 97) in bank_guard
+    assert ("spt", 97) not in bank_guard
 
 
 def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
@@ -290,18 +285,3 @@ def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
     got = stream("p", 200, modulus)
     assert len(made) == 1
     assert bank_guard[("p", modulus)] is got and got.coeffs is made[0]
-
-
-def test_seed_keeps_longest(bank_guard):
-    seeded = seed("spt", list(range(50)), modulus=999983)
-    assert seeded.valid_to == 49
-    shorter = seed("spt", list(range(10)), modulus=999983)
-    assert shorter.valid_to == 49  # the longer table stays
-    got = stream("spt", 30, modulus=999983)
-    assert got.coeff(30) == 30
-    assert got.frac24 == 0
-
-
-def test_seed_frac_defaults(bank_guard):
-    assert seed("a", [1, 2], modulus=999979).frac24 == 23
-    assert seed("p", [1, 1], modulus=999979).frac24 == 0
