@@ -1,0 +1,110 @@
+"""Time the three series kernels on fixed operands.
+
+The cases are the two Newton inversions behind the modular p tables (p mod
+360360 at 40,001 terms, the master table of `check all`, and p mod 169 at
+18,584 terms, for the 13^2 sweep) and eight exact products past the byte
+limb kernel's point cap: the shapes that `check all` and the ten
+`series --out` exports of the benchmark multiply, each regenerated from a
+fixed seed as random signed ints of the same lengths and bit sizes.
+
+    python scripts/bench_kernels.py --label change
+    python scripts/bench_kernels.py --label parent --src ../parent/src
+
+sptlab is imported from --src (default: this checkout's src).  Each case is
+timed as the minimum of --repeat calls, and the figures go under --label into
+--out (default: BENCH_kernels.json at the checkout root), next to the labels
+already there.  A SHA-256 of each result shows whether two labels computed
+the same coefficients.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (name, modulus, terms) of the Newton inversions of the Euler product
+INVERSIONS = [("invert_mod 360360 x 40001", 360360, 40001),
+              ("invert_mod 169 x 18584", 169, 18584)]
+
+# (name, terms of each operand, bits of a, bits of b); n_out is the length
+PRODUCTS = [
+    ("check all: 2175^2 at 7/159 bits", 2175, 7, 159),
+    ("check all: 2531^2 at 16/173 bits", 2531, 16, 173),
+    ("check all: 4956^2 at 16/246 bits", 4956, 16, 246),
+    ("series j: 2002^2 at 128/737 bits", 2002, 128, 737),
+    ("series e14_over_delta: 2003^2 at 86/64 bits", 2003, 86, 64),
+    ("series e14_over_delta: 2002^2 at 148/737 bits", 2002, 148, 737),
+    ("series spt: 3001^2 at 8/189 bits", 3001, 8, 189),
+    ("series a: 3001^2 at 8/189 bits", 3001, 8, 189),
+]
+
+
+def operand(rng, terms, bits):
+    """terms random signed ints below 2^bits in absolute value, the first of
+    exactly bits bits."""
+    out = [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(terms)]
+    out[0] = (1 << bits) - 1
+    return out
+
+
+def best_of(repeat, fn):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), out
+
+
+def digest(values):
+    return hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernels.json"))
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+    from sptlab import series
+    from sptlab.forms import euler_product
+
+    cases = {}
+    for name, m, terms in INVERSIONS:
+        a = euler_product(terms - 1, m).coeffs
+        dt, out = best_of(args.repeat, lambda: series._invert_mod(a, m, 1))
+        cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out.tolist())}
+    for seed, (name, terms, bits_a, bits_b) in enumerate(PRODUCTS):
+        rng = random.Random(seed)
+        a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)
+        dt, out = best_of(args.repeat, lambda: series._conv_exact(a, b, terms))
+        cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out)}
+    for name, case in cases.items():
+        print("%-48s %9.2f ms  %s" % (name, case["ms"], case["sha256"]))
+
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc.setdefault("runs", {})[args.label] = {
+        "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version(), "numpy": np.__version__},
+        "repeat": args.repeat,
+        "cases": cases,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,10 +8,10 @@ import sys
 import time
 
 from . import cache, partitions
-from .forms import _bank, euler_product, form
+from .forms import form
 from .gamma0 import e2t, hauptmodul, phi_t
-from .series import Series, ValidityError
-from .verifier import MASTER_MODULUS, REGISTRY, CheckOptions, run_checks
+from .series import ValidityError
+from .verifier import REGISTRY, CheckOptions, run_checks
 
 _FORM_KINDS = ("euler", "E2", "E4", "E6", "delta", "j", "e14_over_delta")
 _STREAM_KINDS = ("p", "spt", "d", "a")
@@ -84,55 +84,12 @@ def _check_options(args):
     )
 
 
-def _seed_from_cache(cache_dir):
-    """Install the cached p mod MASTER_MODULUS into the bank if it holds
-    p (q)_inf = 1, which a table of wrong values, all zeros included, breaks.
-    Returns the nmax of the file installed, or -1 if none was."""
-    best = cache.scan(cache_dir, "p", MASTER_MODULUS)
-    got = cache.load(cache_dir, best) if best else None
-    if got is None:
-        return -1
-    values, lo = got
-    if lo != 0:
-        # p starts at n = 0; the bank would read the missing rows as zeros
-        cache.log.warning(
-            "treating cache file %s as a miss: rows start at %d, not 0",
-            best.filename(), lo,
-        )
-        return -1
-    n = best.nmax
-    p = Series(values, 0, 0, MASTER_MODULUS)
-    bad = p.mul(euler_product(n, MASTER_MODULUS)).first_difference(
-        Series.one(n, MASTER_MODULUS))
-    if bad is not None:
-        cache.log.warning(
-            "treating cache file %s as a miss: its p table breaks its "
-            "defining identity at n = %d", best.filename(), bad[0],
-        )
-        return -1
-    _bank[("p", MASTER_MODULUS)] = p
-    return n
-
-
-def _store_to_cache(cache_dir, seeded_to):
-    """Write the bank's p mod MASTER_MODULUS unless the file the seed
-    installed reaches as far."""
-    p = _bank.get(("p", MASTER_MODULUS))
-    if p is not None and p.valid_to > seeded_to:
-        sk = cache.SeriesKind("p", p.valid_to, modulus=MASTER_MODULUS)
-        cache.store(cache_dir, sk, p.coeffs)
-
-
 def _run_check(args):
     opts = _check_options(args)
     names = list(REGISTRY) if args.name == "all" else [args.name]
-    if args.cache_dir:
-        seeded_to = _seed_from_cache(args.cache_dir)
     t0 = time.perf_counter()
     reports = run_checks(names, opts)
     elapsed = time.perf_counter() - t0
-    if args.cache_dir:
-        _store_to_cache(args.cache_dir, seeded_to)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

@@ -17,7 +17,7 @@ spt(n), is a Series too.
 
 from __future__ import annotations
 
-import math
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -281,7 +281,7 @@ class Series:
             return Series._wrap(inv, lo, frac, m)
         coeffs = a.coeffs.tolist()
         c0 = coeffs[0]
-        if any(isinstance(c, Fraction) for c in coeffs):
+        if Fraction in set(map(type, coeffs)):
             c0_inv = Fraction(1, 1) / c0
         elif c0 == 1 or c0 == -1:
             c0_inv = c0
@@ -351,7 +351,7 @@ class Series:
             raise GridError("cannot reduce mod %d from mod %d" % (m, self.modulus))
         res = self.coeffs % m
         # int64 would silently truncate a Fraction
-        if res.dtype == object and any(isinstance(c, Fraction) for c in res):
+        if res.dtype == object and Fraction in set(map(type, res)):
             raise ValueError("cannot reduce a series with Fraction coefficients")
         return Series._wrap(res.astype(np.int64, copy=False), self.lo, self.frac24, m)
 
@@ -388,12 +388,16 @@ class Series:
 _SCHOOLBOOK_CUTOFF = 64 * 64
 
 # Largest 2-D transform, rows x columns, that _conv_bytes takes; bigger
-# products go multi-modular (_conv_crt), whose memory does not grow with the
-# coefficient size.  Measured on a 2-core x86-64 host with numpy 2.4, peak
-# RSS of the exact `series j --n 2000` and `series e14_over_delta --n 2000`
-# exports (2002 x 2002-term products): 34.9 and 34.3 MB at 2^16, 35.0 and
-# 36.3 MB at 2^17, 56.0 MB each with no cap.
+# products go to the limb-column kernel (_conv_columns), which holds only a
+# few one-dimensional spectra at a time.  Measured on a 2-core x86-64 host with
+# numpy 2.4, peak RSS of the exact `series j --n 2000` and `series
+# e14_over_delta --n 2000` exports (2002 x 2002-term products): 34.9 and
+# 34.3 MB at 2^16, 35.0 and 36.3 MB at 2^17, 56.0 MB each with no cap.
 _BYTES_POINTS = 1 << 16
+
+# The limb-sum bound k L 2^(2w) that _conv_fft proves exact (error below
+# 0.07), at k = 3 limbs of w = 11 bits and L = 200001 terms, one past the cap.
+_LIMB_BUDGET = 3 * 200001 << 22
 
 
 def _conv_exact(a, b, n_out):
@@ -402,13 +406,13 @@ def _conv_exact(a, b, n_out):
     Python-int operands go to np.convolve on int64 when the shorter one has
     fewer than _FFT_CUTOFF terms and no partial sum can reach 2^63, else to
     schoolbook when tiny, else to _conv_bytes or, past its point cap or when
-    its rounding guard trips, to the multi-modular _conv_crt.  Fractions
-    always take schoolbook.
+    its rounding guard trips, to _conv_columns.  Everything else, Fractions
+    included, and a product whose column guard trips take schoolbook.
     """
     square = a is b
     a = a[:n_out]
     b = a if square else b[:n_out]
-    if all(type(c) is int for c in a) and (square or all(type(c) is int for c in b)):
+    if set(map(type, a)) == {int} and (square or set(map(type, b)) == {int}):
         max_a = max(max(a), -min(a))
         max_b = max_a if square else max(max(b), -min(b))
         if max_a == 0 or max_b == 0:
@@ -424,7 +428,7 @@ def _conv_exact(a, b, n_out):
         if len(a) * len(b) > _SCHOOLBOOK_CUTOFF:
             out = _conv_bytes(a, b, n_out, max_a, max_b)
             if out is None:
-                out = _conv_crt(a, b, n_out, bound)
+                out = _conv_columns(a, b, n_out, max_a, max_b)
             if out is not None:
                 return out
     return _conv_schoolbook(a, b, n_out)
@@ -467,9 +471,7 @@ def _conv_bytes(a, b, n_out, max_a, max_b):
     _BYTES_POINTS = 2^16 every sum is below 2^31 and the float64 error (about
     2^-53 log2(R C) ||x|| ||y||, with ||x|| ||y|| < 2^32) is far below 1/4.
     Returns None past the cap, or, as _conv_fft's guard does, when a float
-    lies 1/4 or more from its rounding.  The base-256 carry runs in int64
-    over W = bits(max_a max_b min(len a, len b))//8 + 1 digit rows, enough
-    bytes to hold every product coefficient signed.
+    lies 1/4 or more from its rounding.
     """
     la = max_a.bit_length() // 8 + 1
     lb = max_b.bit_length() // 8 + 1
@@ -490,140 +492,108 @@ def _conv_bytes(a, b, n_out, max_a, max_b):
     if np.abs(x, out=x).max() >= 0.25:
         return None
     del x
-    w = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
-    k = min(w, cols)
-    # digit rows at and above W only add multiples of 256^W: dropped
-    digits = np.zeros((w, n), dtype=np.int64)
-    digits[:k] = r[:, :k].T
-    for d in range(w - 1):
-        digits[d + 1] += digits[d] >> 8
-        digits[d] &= 255
-    raw = digits.astype(np.uint8).T.tobytes()
-    out = [int.from_bytes(raw[i * w : (i + 1) * w], "little", signed=True) for i in range(n)]
-    out.extend([0] * (n_out - n))
-    return out
+    columns = (r[:, j].astype(np.int64) for j in range(cols))
+    return _assemble(columns, cols, 8, _product_bytes(a, b, max_a, max_b), n, n_out)
 
 
-_PRIMES = None
-
-
-def _crt_primes():
-    """The primes in [2^31 - 2^17, 2^31), largest first (6121 of them, enough
-    for a modulus of about 190 000 bits); sieved on first use."""
-    global _PRIMES
-    if _PRIMES is None:
-        lo, hi = (1 << 31) - (1 << 17), 1 << 31
-        root = math.isqrt(hi) + 1
-        small = np.ones(root, dtype=bool)
-        small[:2] = False
-        for p in range(2, math.isqrt(root) + 1):
-            if small[p]:
-                small[p * p :: p] = False
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in np.flatnonzero(small).tolist():
-            seg[(-lo) % p :: p] = False
-        _PRIMES = (lo + np.flatnonzero(seg)[::-1]).astype(np.int64)
-    return _PRIMES
-
-
-def _conv_crt(a, b, n_out, bound):
-    """Exact a*b truncated to n_out, from its residues modulo primes below 2^31.
-
-    bound must be at least every |coefficient| of the product.  The fewest
-    primes whose product M exceeds 4 bound are used; each residue product is
-    one limb-split FFT (_conv_fft), and _crt_lift recovers the integers.
-    Returns None, so the caller can fall back, when the prime table is too
-    short or an FFT's rounding guard trips.
+def _conv_columns(a, b, n_out, max_a, max_b):
+    """Exact a*b truncated to n_out (arguments as for _conv_bytes) from
+    float64 FFTs of w-bit limb columns: a = sum_i A_i 2^(w i), and the
+    product's column C_s = sum_(i+j=s) A_i B_j (_limb_columns) is added at
+    bit offset w s (_assemble).  The operand with fewer limbs is transformed
+    once; the other's columns stream past it.  w is the widest whose bound
+    min(ka, kb) L 2^(2w), for ka and kb limbs and L the longer operand, is
+    within _LIMB_BUDGET.  Returns None, for the caller's schoolbook, when no
+    width fits or the rounding guard trips.
     """
-    primes = []
-    m = 1
-    for p in _crt_primes().tolist():
-        if m > 4 * bound:
+    bits_a, bits_b = max_a.bit_length() + 1, max_b.bit_length() + 1
+    length = max(len(a), len(b))
+    for w in range(20, 0, -1):  # the budget allows no more than 20 bits
+        ka, kb = -(-bits_a // w), -(-bits_b // w)
+        if min(ka, kb) * length << 2 * w <= _LIMB_BUDGET:
             break
-        primes.append(p)
-        m *= p
-    if m <= 4 * bound:
+    else:
         return None
+    if kb < ka:
+        a, b, ka, kb = b, a, kb, ka
+    size = _fft_size(len(a) + len(b) - 1)
     n = min(n_out, len(a) + len(b) - 1)
-    ra = _residues(a, primes)
-    rb = ra if b is a else _residues(b, primes)
-    res = np.empty((len(primes), n), dtype=np.int64)
-    for i, p in enumerate(primes):
-        x = ra[i]
-        conv = _conv_fft(x, x if rb is ra else rb[i], p, n)
-        if conv is None:
-            return None
-        res[i] = conv
-    del ra, rb
-    out = _crt_lift(res, primes, m)
-    out.extend([0] * (n_out - n))
-    return out
+    thin = np.array(list(_int_spectra(a, w, ka, size)))
+    thick = thin if b is a else _int_spectra(b, w, kb, size)
+    columns = _limb_columns(thin, thick, size, 0, n)
+    return _assemble(columns, ka + kb - 1, w, _product_bytes(a, b, max_a, max_b), n, n_out)
 
 
-def _residues(coeffs, primes):
-    """coeffs mod each prime, as a (len(primes), len(coeffs)) int64 array.
+def _int_spectra(coeffs, w, k, size):
+    """Yield the rfft, at length size, of each of the k w-bit limb columns
+    of a list of ints (w <= 24, 2^(w k) > 2 max|c|): c = sum_i limb_i 2^(w i)
+    in two's complement, the last limb signed."""
+    nb = (w * k + 7) // 8 + 3  # each limb reads a 4-byte window
+    raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in coeffs)
+    for i in range(k):
+        q, t = divmod(w * i, 8)
+        win = np.ndarray(len(coeffs), "<i4", raw, q, (nb,))
+        # the top limb is sign-extended by an arithmetic shift
+        limb = win << (32 - t - w) >> (32 - w) if i == k - 1 else win >> t & (1 << w) - 1
+        yield np.fft.rfft(limb, size)
 
-    |c| is cut into L 16-bit limbs and multiplied by the matrix of 2^(16 l)
-    mod p; each sum is below L 2^47, exact in int64 for L < 2^16 (a million
-    bits, far beyond the prime table).
+
+def _limb_columns(fa, fb, size, lo, hi):
+    """Yield coefficients lo..hi-1, rounded to int64, of the limb columns
+    C_s = sum_(i+j=s) A_i B_j, s = 0, 1, ..., from the limb spectra of a (the
+    k rows of fa) and of b (fb, read once) at cyclic length size.  Each b
+    spectrum adds into a window of the k columns it reaches, and the lowest
+    is inverted once complete.  Yields None and stops when a float lies 1/4
+    or more from its rounding.
     """
-    nl = (max(abs(c) for c in coeffs).bit_length() + 15) // 16
-    raw = b"".join(abs(c).to_bytes(2 * nl, "little") for c in coeffs)
-    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(coeffs), nl).astype(np.int64)
-    del raw
-    ps = np.array(primes, dtype=np.int64)
-    pw = np.empty((nl, len(primes)), dtype=np.int64)
-    pw[0] = 1
-    for i in range(1, nl):
-        pw[i] = (pw[i - 1] << 16) % ps
-    res = limbs @ pw
-    del limbs
-    res %= ps
-    neg = np.array([c < 0 for c in coeffs])
-    res[neg] = (ps - res[neg]) % ps
-    return res.T
+    k = len(fa)
+    window = np.zeros_like(fa)
+    for s, fbs in enumerate(itertools.chain(fb, [None] * (k - 1))):
+        row = s % k
+        if fbs is not None:
+            # column s + i sits in row (s + i) mod k
+            window[row:] += fa[: k - row] * fbs
+            window[:row] += fa[k - row :] * fbs
+        x = np.fft.irfft(window[row], size)[lo:hi]
+        window[row] = 0
+        r = np.rint(x)
+        x -= r
+        if np.abs(x, out=x).max() >= 0.25:
+            yield None
+            return
+        yield r.astype(np.int64)
 
 
-def _crt_lift(res, primes, m):
-    """The integers x with |x| < m/4 and x = res[i] mod primes[i] (m their
-    product); res is overwritten.
+def _product_bytes(a, b, max_a, max_b):
+    """Bytes enough for every coefficient of a*b in two's complement."""
+    return (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
 
-    This is the explicit CRT: with u_i = res_i (m/p_i)^-1 mod p_i, the sum
-    S = sum u_i m/p_i is x plus a multiple t m, and t is the nearest integer
-    to sum u_i/p_i, which float64 finds because x/m lies within 1/4 of it.
-    The base-256 digits of S come from a float64 matrix product of the u_i
-    with the bytes of the m/p_i, exact since every entry is below
-    k 2^39 < 2^53 for the k <= 6121 primes, and one carry pass; S < k m
-    fits in two bytes more than m.
+
+def _assemble(columns, count, w, nb, n, n_out):
+    """The n ints sum_s columns[s] 2^(w s), read as nb-byte two's complement
+    and padded with zeros to n_out, from the count int64 columns yielded in
+    order of s; None if a column is None.
+
+    Byte j is final once the columns starting in it are added, so one int64
+    accumulator carries the rest; it stays below 2^8 times the largest
+    column.  Columns at or past 8 nb bits add multiples of 2^(8 nb) only and
+    are not read.
     """
-    k, n = res.shape
-    ps = np.array(primes, dtype=np.int64)[:, None]
-    cof = [m // p for p in primes]
-    inv = np.array([pow(c % p, -1, p) for c, p in zip(cof, primes)], dtype=np.int64)
-    res *= inv[:, None]
-    res %= ps
-    nb = (m.bit_length() + 7) // 8
-    cb = np.frombuffer(b"".join(c.to_bytes(nb, "little") for c in cof), dtype=np.uint8)
-    cb = cb.reshape(k, nb).T.astype(np.float64)
-    w = nb + 2
-    # blocks of coefficients keep the digit matrix near 256 KiB
-    step = max(64, (1 << 15) // w)
-    out = []
-    for lo in range(0, n, step):
-        u = res[:, lo : lo + step].astype(np.float64)
-        t = np.rint((u / ps).sum(axis=0)).astype(np.int64).tolist()
-        digits = np.zeros((w, u.shape[1]), dtype=np.int64)
-        digits[:nb] = cb @ u
-        del u
-        for d in range(w - 1):
-            digits[d + 1] += digits[d] >> 8
-            digits[d] &= 255
-        raw = digits.astype(np.uint8).T.tobytes()
-        out.extend(
-            int.from_bytes(raw[i * w : (i + 1) * w], "little") - ti * m
-            for i, ti in enumerate(t)
-        )
-    return out
+    out = np.empty((nb, n), dtype=np.uint8)
+    acc = np.zeros(n, dtype=np.int64)
+    s = 0
+    for j in range(nb):
+        while s < count and w * s < 8 * j + 8:
+            col = next(columns)
+            if col is None:
+                return None
+            acc += col << (w * s - 8 * j)
+            s += 1
+        out[j] = acc & 255
+        acc >>= 8
+    raw = out.T.tobytes()
+    ints = [int.from_bytes(raw[i * nb : (i + 1) * nb], "little", signed=True) for i in range(n)]
+    return ints + [0] * (n_out - n)
 
 
 def _check_conv_bound(m, n):
@@ -650,9 +620,7 @@ def _conv_mod(a, b, m, n_out):
     if conv is None:
         _check_conv_bound(m, short)
         conv = np.convolve(a, b)[:n_out] % m
-    if len(conv) < n_out:
-        conv = np.concatenate([conv, np.zeros(n_out - len(conv), dtype=np.int64)])
-    return conv
+    return np.pad(conv, (0, n_out - len(conv)))
 
 
 def _fft_size(n):
@@ -669,52 +637,58 @@ def _fft_size(n):
     return best
 
 
+def _limbs(m, length):
+    """(k, w) for residues mod m in operands of at most length terms: the
+    fewest limbs k, of w = ceil(bits(m - 1)/k) bits, whose limb-sum bound
+    k length 2^(2w) is within _LIMB_BUDGET."""
+    bits = (m - 1).bit_length()
+    k = 1
+    while k < bits and k * length << 2 * -(-bits // k) > _LIMB_BUDGET:
+        k += 1
+    return k, -(-bits // k)
+
+
+def _residue_spectra(a, k, w, size):
+    """The rfft, at length size, of the k w-bit limbs of an int64 residue
+    array: row i for limb i."""
+    return np.fft.rfft((a >> w * np.arange(k)[:, None]) & ((1 << w) - 1), size)
+
+
+def _mod_columns(fa, fb, w, m, size, lo, hi):
+    """Coefficients lo..hi-1 mod m of the cyclic length-size product whose
+    w-bit limb spectra are fa and fb (as _limb_columns takes them), or None
+    if the rounding guard trips."""
+    out = np.zeros(hi - lo, dtype=np.int64)
+    for s, c in enumerate(_limb_columns(fa, fb, size, lo, hi)):
+        if c is None:
+            return None
+        out += c % m * pow(2, w * s, m) % m
+    out %= m
+    return out
+
+
 def _conv_fft(a, b, m, n_out):
     """Exact a*b mod m from float64 FFTs of the w-bit limbs of a and b.
 
     A residue below m < 2^31 splits into k limbs of w = ceil(bits(m-1)/k)
-    bits: k = 2 (w <= 10) for m < 2^20, else k = 3 (w <= 11).  The limb
-    products with i + j = s are summed as spectra and rounded after one
+    bits, and each limb column sum_(i+j=s) A_i B_j is rounded after one
     inverse transform.  For operands of at most L terms each such sum is
     below k L 2^(2w), exact in float64 and int64.  Percival's bound for a
     float64 FFT product of length up to 2^19, about 230 ulp of
-    ||x|| ||y|| < L 2^(2w), puts the error below k L 2^(2w) 2^-45: 0.07 at
-    L = MODULAR_CAP + 1 for k = 3, and 0.012 for k = 2.  That bound is for
-    radix-2 transforms and these are mixed radix 2/3, so a guard measures
-    the error instead: if any float lies 1/4 or more from its rounding,
-    the result is None and the caller uses np.convolve.
+    ||x|| ||y|| < L 2^(2w), puts the error below k L 2^(2w) 2^-45: 0.07 for
+    k = 3 at w = 11 and L = MODULAR_CAP + 1, which is _LIMB_BUDGET.  _limbs
+    takes the fewest limbs whose bound stays within it: one for m = 169 up to
+    the cap, two for m = 360360 past 9 terms, three for m near 2^31 at the
+    cap.
+    That bound is for radix-2 transforms and these are mixed radix 2/3, so a
+    guard measures the error instead: if any float lies 1/4 or more from its
+    rounding, the result is None and the caller uses np.convolve.
     """
-    k = 2 if m < 1 << 20 else 3
-    w = -(-(m - 1).bit_length() // k)
-    mask = (1 << w) - 1
+    k, w = _limbs(m, max(len(a), len(b)))
     size = _fft_size(len(a) + len(b) - 1)
-    n = min(n_out, len(a) + len(b) - 1)
-    fa = [np.fft.rfft((a >> (w * i)) & mask, size) for i in range(k)]
-    fb = fa if b is a else [np.fft.rfft((b >> (w * i)) & mask, size) for i in range(k)]
-    out = np.zeros(n, dtype=np.int64)
-    for s in range(2 * k - 1):
-        lo, hi = max(0, s - k + 1), min(s, k - 1)
-        spec = fa[lo] * fb[s - lo]
-        for i in range(lo + 1, hi + 1):
-            spec += fa[i] * fb[s - i]
-        if lo + k - 1 == s:
-            # the last limb-sum to read fa[lo] and fb[lo]
-            fa[lo] = fb[lo] = None
-        x = np.fft.irfft(spec, size)[:n]
-        del spec
-        r = np.rint(x)
-        x -= r
-        if np.abs(x, out=x).max() >= 0.25:
-            return None
-        del x
-        c = r.astype(np.int64)
-        del r
-        c %= m
-        c *= pow(2, w * s, m)
-        c %= m
-        out += c
-    out %= m
-    return out
+    fa = _residue_spectra(a, k, w, size)
+    fb = fa if b is a else _residue_spectra(b, k, w, size)
+    return _mod_columns(fa, fb, w, m, size, 0, min(n_out, len(a) + len(b) - 1))
 
 
 # Block length of _invert_exact.  Measured on a 2-core x86-64 host with
@@ -773,15 +747,42 @@ def _invert_exact(a, c0_inv, prefix=None):
 
 
 def _invert_mod(a, m, c0_inv, prefix=None):
-    """Newton iteration x <- x(2 - ax) mod (m, q^n), from a known prefix of
-    the inverse if given (each step doubles the correct length)."""
+    """Newton iteration for 1/a mod (m, q^n), from a known prefix of the
+    inverse if given; each step (_newton_step) doubles the number of correct
+    terms."""
     n = len(a)
-    known = prefix is not None and len(prefix)
-    x = np.array(prefix[:n] if known else [c0_inv], dtype=np.int64)
-    prec = len(x)
-    while prec < n:
-        prec = min(2 * prec, n)
-        t = (-_conv_mod(a, x, m, prec)) % m
-        t[0] = (t[0] + 2) % m
-        x = _conv_mod(x, t, m, prec)
+    start = prefix[:n] if prefix is not None and len(prefix) else [c0_inv]
+    h = len(start)
+    x = np.zeros(n, dtype=np.int64)
+    x[:h] = start
+    while h < n:
+        prec = min(2 * h, n)
+        x[h:prec] = _newton_step(a[:prec], x[:h], m)
+        h = prec
     return x
+
+
+def _newton_step(a, x, m):
+    """Coefficients h..prec-1 of 1/a mod m, for x = 1/a to h terms and a to
+    prec <= 2h terms.
+
+    a x = 1 + q^h e mod q^prec, so the new coefficients are -(x e) mod
+    q^(prec - h), and e is coefficients h..prec-1 of a x: a middle product.
+    One cyclic transform of length _fft_size(prec) gives it, because the
+    terms of the linear product past that length wrap onto indices below h.
+    x e fits the same length without wrapping, so x's limb spectra serve
+    both products.  Short steps, and a step whose rounding guard trips, take
+    the two linear products of _conv_mod.
+    """
+    h, prec = len(x), len(a)
+    if h >= _FFT_CUTOFF:
+        k, w = _limbs(m, prec)
+        size = _fft_size(prec)
+        fx = _residue_spectra(x, k, w, size)
+        e = _mod_columns(fx, _residue_spectra(a, k, w, size), w, m, size, h, prec)
+        if e is not None:
+            xe = _mod_columns(fx, _residue_spectra(e, k, w, size), w, m, size, 0, prec - h)
+            if xe is not None:
+                return (-xe) % m
+    e = _conv_mod(a, x, m, prec)[h:]
+    return (-_conv_mod(x, e, m, prec - h)) % m

@@ -8,11 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cache
 from .forms import (
+    _bank,
     classical_congruence_reports,
     delta_series,
     eisenstein,
     eta_pow,
+    euler_product,
 )
 from .gamma0 import (
     LEVELS,
@@ -43,6 +46,7 @@ from .hecke import (
 )
 from .partitions import prewarm, stream
 from .reports import identity_report, sweep, timed_report
+from .series import Series
 
 DESK_ELLS = (5, 7, 11, 13)
 ATKIN_PAIRS = ((5, 7), (7, 5), (13, 5))
@@ -478,13 +482,50 @@ def _levels(opts):
     return (opts.t,) if opts.t else LEVELS
 
 
+def _seed_from_cache(cache_dir):
+    """Install the cached p mod MASTER_MODULUS into the bank if it holds
+    p (q)_inf = 1, which a table of wrong values, all zeros included, breaks.
+    Returns the nmax of the file installed, or -1 if none was."""
+    best = cache.scan(cache_dir, "p", MASTER_MODULUS)
+    got = cache.load(cache_dir, best) if best else None
+    if got is None:
+        return -1
+    values, lo = got
+    if lo != 0:
+        # p starts at n = 0; the bank would read the missing rows as zeros
+        cache.log.warning("treating cache file %s as a miss: rows start at %d, not 0",
+                          best.filename(), lo)
+        return -1
+    n = best.nmax
+    p = Series(values, 0, 0, MASTER_MODULUS)
+    bad = p.mul(euler_product(n, MASTER_MODULUS)).first_difference(
+        Series.one(n, MASTER_MODULUS))
+    if bad is not None:
+        cache.log.warning("treating cache file %s as a miss: its p table breaks its "
+                          "defining identity at n = %d", best.filename(), bad[0])
+        return -1
+    _bank[("p", MASTER_MODULUS)] = p
+    return n
+
+
 def _prewarm(n_need, opts):
     """Build one master table that every divisor-modulus sweep can reuse.
 
-    The size is rounded up so different checks agree on a single build."""
+    The size is rounded up so different checks agree on a single build.
+    With a cache dir, the run's first master build starts from the cached
+    p, and a p that the build made or extended is written back, so a run
+    that builds no master table reads and writes nothing."""
     if opts.exact:
         return
+    key = ("p", MASTER_MODULUS)
+    if opts.cache_dir and key not in _bank:
+        _seed_from_cache(opts.cache_dir)
+    before = _bank.get(key)
     prewarm(-(-n_need // 40000) * 40000, MASTER_MODULUS)
+    p = _bank[key]
+    if opts.cache_dir and p is not before:
+        cache.store(opts.cache_dir, cache.SeriesKind("p", p.valid_to, modulus=MASTER_MODULUS),
+                    p.coeffs)
 
 
 def _tasks_classical(opts):

@@ -83,6 +83,30 @@ def test_check_all_does_not_mutate_shared_tables(cold_run):
         bank.update(saved)
 
 
+def test_cold_check_all_trips_no_rounding_guard(bank_guard, monkeypatch):
+    # every float64 limb product of a cold check all rounds within its
+    # guard: the modular FFT products, the Newton steps and the exact
+    # column kernel, which all invert through _limb_columns
+    limb_columns, columns = series._limb_columns, series._conv_columns
+    products, tripped, exact = [], [], []
+
+    def spy(*args):
+        products.append(args[2:])
+        for col in limb_columns(*args):
+            if col is None:
+                tripped.append(args[2:])
+            yield col
+
+    monkeypatch.setattr(series, "_limb_columns", spy)
+    monkeypatch.setattr(series, "_conv_columns",
+                        lambda *args: exact.append(len(args[0])) or columns(*args))
+    bank_guard.clear()
+    reports = run_checks(list(REGISTRY))
+    assert len(reports) == 81 and all(r.ok for r in reports)
+    assert len(products) > 50 and len(exact) >= 3
+    assert tripped == []
+
+
 def _assert_one_array_per_table(bank):
     """Every bank table holds a 1-D array of its domain: int64 residues in
     [0, M), or Python objects with no numpy integer among them."""

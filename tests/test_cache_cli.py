@@ -12,10 +12,11 @@ from pytest import mark, param, raises
 # local package
 from sptlab import cache, partitions
 from sptlab.cache import SeriesKind, load, scan, store
-from sptlab.cli import _seed_from_cache, main
+from sptlab.cli import main
 from sptlab.forms import inverse_euler
 from sptlab.reports import CongruenceReport
 from sptlab import verifier
+from sptlab.verifier import _seed_from_cache
 
 parametrize = mark.parametrize
 
@@ -287,24 +288,34 @@ def test_warm_check_all_reads_only_the_p_file(tmp_path, capsys, caplog, monkeypa
     assert loaded == ["p_n40000_m360360.qsc"] and stored == []
 
 
-def test_check_cache_dir_roundtrip(tmp_path, capsys, bank_guard):
-    # plant a small master-modulus p, run a check that builds no master table
-    # to flush it to disk, then clear the bank and confirm a second run seeds
-    # from the file and writes nothing back
+def test_check_cache_dir_roundtrip(tmp_path, capsys, monkeypatch, bank_guard):
+    # a run that builds the master table writes p; a second run seeds from
+    # the file and writes nothing back; a check that builds no master table
+    # neither reads nor writes the cache dir
+    argv = ["check", "spt-hecke", "--ell", "5", "--nmax", "10", "--cache-dir", str(tmp_path)]
     bank_guard.clear()
-    p = partitions.stream("p", 60, MASTER)
-    assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert os.listdir(tmp_path) == ["p_n60_m360360.qsc"]
-    path = tmp_path / "p_n60_m360360.qsc"
+    assert main(argv) == 0
+    p = bank_guard[("p", MASTER)]
+    path = tmp_path / "p_n40000_m360360.qsc"
+    assert os.listdir(tmp_path) == [path.name]
     os.utime(path, ns=(0, 0))
+    loaded = []
+    monkeypatch.setattr(cache, "load", lambda d, kind: loaded.append(kind.filename())
+                        or load(d, kind))
     bank_guard.clear()
-    assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+    assert main(argv) == 0
     seeded = bank_guard[("p", MASTER)]
-    assert seeded.valid_to == 60 and seeded.frac24 == 0
+    assert loaded == [path.name]
+    assert seeded.valid_to == 40000 and seeded.frac24 == 0
     assert seeded.coeffs.tolist() == p.coeffs.tolist()
     assert os.stat(path).st_mtime_ns == 0
+    touched = []
+    for name in ("scan", "load", "store"):
+        monkeypatch.setattr(cache, name, lambda *args, name=name: touched.append(name))
+    bank_guard.clear()
+    assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert touched == [] and ("p", MASTER) not in bank_guard
 
 
 def test_seed_rejects_rows_not_starting_at_zero(tmp_path, caplog, bank_guard):
@@ -369,7 +380,7 @@ def test_rejected_cache_file_is_rewritten(tmp_path, capsys, caplog, bank_guard):
 
 
 @parametrize('value', [10**30, -(MASTER - 3)])
-def test_cached_values_outside_the_residues_are_misses(tmp_path, capsys, caplog, bank_guard, value):
+def test_cached_values_outside_the_residues_are_misses(tmp_path, caplog, bank_guard, value):
     # p(3) = 3; 10^30 does not fit int64 and -360357 is 3 mod 360360, but
     # neither is a residue in [0, 360360), so both files are corrupt
     kind = SeriesKind("p", 3, modulus=MASTER)
@@ -380,8 +391,7 @@ def test_cached_values_outside_the_residues_are_misses(tmp_path, capsys, caplog,
         fh.write(text.replace("\n3 3\n", "\n3 %d\n" % value))
     bank_guard.clear()
     with caplog.at_level(logging.WARNING, logger="sptlab.cache"):
-        assert main(["check", "e46d", "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+        assert _seed_from_cache(tmp_path) == -1
     assert "not a residue mod 360360" in caplog.text
     assert ("p", MASTER) not in bank_guard
     assert [partitions.stream("p", 3, MASTER).coeff(n) for n in range(4)] == [1, 1, 2, 3]

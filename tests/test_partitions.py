@@ -4,7 +4,7 @@ from functools import lru_cache
 from pytest import raises, mark
 # local package
 from sptlab import ValidityError, series
-from sptlab.forms import inverse_euler
+from sptlab.forms import euler_product, inverse_euler
 from sptlab.series import Series
 from sptlab.partitions import (
     EXACT_CAP,
@@ -237,26 +237,26 @@ def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
             return inner(a, *args)
         return call
 
-    newton_lengths = []
-    conv_mod = series._conv_mod
+    steps = []
+    newton_step = series._newton_step
 
-    def conv_spy(a, b, m, n_out):
-        newton_lengths.append(n_out)
-        return conv_mod(a, b, m, n_out)
+    def step_spy(a, x, m):
+        steps.append((len(x), len(a)))
+        return newton_step(a, x, m)
 
     monkeypatch.setattr(series, "_invert_exact", spy(series._invert_exact))
     monkeypatch.setattr(series, "_invert_mod", spy(series._invert_mod))
-    monkeypatch.setattr(series, "_conv_mod", conv_spy)
+    monkeypatch.setattr(series, "_newton_step", step_spy)
     for modulus in (0, 169):
         bank_guard.clear()
         del starts[:]
         small = stream("p", 100, modulus)
-        del newton_lengths[:]
+        del steps[:]
         grown = stream("p", 3000, modulus)
         assert starts == [0, 101]
         if modulus:
-            # Newton's first step doubles the stored 101 terms
-            assert min(newton_lengths) == 202
+            # Newton's first step continues from the 101 stored terms
+            assert steps[0] == (101, 202)
         else:
             # the same int objects: indices 0..100 were copied, not recomputed
             assert all(x is y for x, y in zip(grown.coeffs, small.coeffs))
@@ -266,6 +266,21 @@ def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
         assert [grown.coeff(k) for k in range(3001)] == [
             v % modulus if modulus else v for v in want
         ]
+
+
+@parametrize('m', [2, 169, 360360, 2**31 - 1])
+def test_newton_inverse_matches_coin_counting_from_every_prefix(monkeypatch, m):
+    # 1/(q)_inf mod m by the middle-product Newton steps, from scratch at a
+    # length whose last steps transform, then continued from every prefix of
+    # p with the transform cutoff lowered so that nearly every step takes it
+    want = [v % m for v in partition_oracle(1100)]
+    a = euler_product(1100, m).coeffs
+    assert series._invert_mod(a, m, 1).tolist() == want
+    monkeypatch.setattr(series, "_FFT_CUTOFF", 8)
+    want, a = want[:400], a[:400]
+    for h in range(401):
+        got = series._invert_mod(a, m, 1, want[:h] if h else None)
+        assert got.tolist() == want, h
 
 
 @parametrize('modulus', [0, 169])

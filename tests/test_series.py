@@ -1,9 +1,5 @@
 # standard library
-import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from unittest import mock
 # third party
@@ -21,12 +17,13 @@ from sptlab.series import (
     _conv_schoolbook,
     _conv_bytes,
     _check_conv_bound,
-    _conv_crt,
+    _conv_columns,
     _conv_exact,
     _conv_mod,
-    _crt_primes,
     _FFT_CUTOFF,
     _BYTES_POINTS,
+    _LIMB_BUDGET,
+    _limbs,
 )
 from sptlab.forms import euler_product
 
@@ -593,7 +590,7 @@ def test_master_inverse_is_exact():
     assert not prod.coeffs[1:].any()
 
 
-# -- the multi-modular exact product --------------------------------------------
+# -- the exact product kernels ------------------------------------------------
 
 def schoolbook_exact(a, b, n_out):
     """Truncated product in plain ints; shares no code with sptlab."""
@@ -604,46 +601,12 @@ def schoolbook_exact(a, b, n_out):
     return out
 
 
-def is_prime(n):
-    # deterministic Miller-Rabin for n < 2^32
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_crt_prime_table():
-    primes = _crt_primes().tolist()
-    lo = 2**31 - 2**17
-    assert primes == sorted(primes, reverse=True)
-    assert primes == [n for n in range(2**31 - 1, lo - 1, -2) if is_prime(n)]
-    assert len(primes) == 6121
-
-
-def test_import_leaves_prime_table_unbuilt():
-    code = "import sptlab.cli, sptlab.series; print(sptlab.series._PRIMES is None)"
-    src = os.path.dirname(os.path.dirname(series.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "True"
-
-
 # constants that force each path of _conv_exact for a nonzero product
 PATHS = {
     "int64": dict(_FFT_CUTOFF=10**9),
     "schoolbook": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=10**9),
     "bytes": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=10**9),
-    "multimodular": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=0),
+    "columns": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=0),
 }
 
 
@@ -682,7 +645,7 @@ def conv_exact_taking(a, b, n_out, **constants):
             mock.patch.object(series, "_conv_schoolbook",
                               spy("schoolbook", series._conv_schoolbook)), \
             mock.patch.object(series, "_conv_bytes", spy("bytes", series._conv_bytes)), \
-            mock.patch.object(series, "_conv_crt", spy("multimodular", series._conv_crt)):
+            mock.patch.object(series, "_conv_columns", spy("columns", series._conv_columns)):
         got = _conv_exact(a, b, n_out)
     return got, taken
 
@@ -693,7 +656,7 @@ def test_conv_exact_dispatch_matches_schoolbook(case):
     path, a, b, n_out = case
     got, taken = conv_exact_taking(a, b, n_out, **PATHS[path])
     assert got == schoolbook_exact(a, b, n_out)
-    want = ["bytes declined", path] if path == "multimodular" else [path]
+    want = ["bytes declined", path] if path == "columns" else [path]
     assert taken == (want if any(a[:n_out]) and any(b[:n_out]) else [])
 
 
@@ -715,7 +678,7 @@ def test_conv_exact_int64_bound(bound, path, sign):
 @parametrize('noise', [0.3, 0.7])
 def test_conv_bytes_rounding_guard(monkeypatch, noise):
     # noise on the inverse 2-D transform must trip the guard and send the
-    # product to the multi-modular path; at 0.7 rounding alone would be wrong
+    # product to the limb-column kernel; at 0.7 rounding alone would be wrong
     irfft2 = np.fft.irfft2
     monkeypatch.setattr(np.fft, "irfft2", lambda *args, **kw: irfft2(*args, **kw) + noise)
     a = [(-7) ** i for i in range(300)]
@@ -724,11 +687,11 @@ def test_conv_bytes_rounding_guard(monkeypatch, noise):
     # can decline
     assert series._fft_size(319) * series._fft_size(106 + 6 - 1) <= _BYTES_POINTS
     got, taken = conv_exact_taking(a, b, 319)
-    assert taken == ["bytes declined", "multimodular"]
+    assert taken == ["bytes declined", "columns"]
     assert got == schoolbook_exact(a, b, 319)
 
 
-@parametrize('lb, path', [(513, "bytes"), (514, "multimodular")])
+@parametrize('lb, path', [(513, "bytes"), (514, "columns")])
 def test_conv_bytes_point_cap(lb, path):
     # 255-bit coefficients are 32 byte limbs, so 63 -> 64 columns; 512 + 513
     # terms need 1024 rows, exactly _BYTES_POINTS, and one term more 1152
@@ -736,52 +699,107 @@ def test_conv_bytes_point_cap(lb, path):
     b = [2**254 + 3 * i for i in range(lb)]
     assert series._fft_size(512 + 513 - 1) * 64 == _BYTES_POINTS
     got, taken = conv_exact_taking(a, b, 512 + lb - 1)
-    assert taken == (["bytes"] if path == "bytes" else ["bytes declined", "multimodular"])
+    assert taken == (["bytes"] if path == "bytes" else ["bytes declined", "columns"])
     assert got == schoolbook_exact(a, b, 512 + lb - 1)
 
 
-def operands_with_bound(bound, length, sign):
-    """a, b of the given length whose product has a coefficient of exactly
-    sign * L * A * B, where L * A * B is the smallest such product >= bound."""
-    a_val = math.isqrt(bound // length) + 1
-    b_val = -(-bound // (length * a_val))
-    return [a_val] * length, [sign * b_val] * length, length * a_val * b_val
+# values of each width drawn for the column kernel: around limb and int64
+# edges, and 2^63 +- 2
+NEAR_2_63 = [2**63 - 2, 2**63 + 2, -(2**63) + 2, -(2**63) - 2]
+
+
+@st.composite
+def column_operands(draw):
+    def side():
+        bits = draw(st.sampled_from([1, 7, 8, 16, 17, 62, 63, 64, 200, 1000]))
+        coeff = st.one_of(st.just(0), st.just(2**bits - 1), st.just(-(2**bits)),
+                          st.sampled_from(NEAR_2_63), st.integers(-(2**bits), 2**bits))
+        # at least one nonzero term, as the dispatcher guarantees
+        return draw(st.lists(coeff, min_size=1, max_size=60).filter(any))
+
+    a = side()
+    b = a if draw(st.booleans()) else side()
+    full = len(a) + len(b) - 1
+    n_out = draw(st.sampled_from([1, max(1, full // 2), full, full + 5]))
+    return a, b, n_out
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_operands())
+def test_conv_columns_matches_schoolbook(case):
+    # thin and thick, squares, signs and zeros, each width against the oracle
+    a, b, n_out = case
+    a_in = a[:n_out]
+    b_in = a_in if b is a else b[:n_out]
+    got = _conv_columns(a_in, b_in, n_out, max(map(abs, a_in)) or 1, max(map(abs, b_in)) or 1)
+    assert got == schoolbook_exact(a, b, n_out)
+
+
+def column_width(bits_a, bits_b, length):
+    """(w, thin limbs) by the rule _conv_columns documents: the widest w <= 24
+    whose bound min(ka, kb) length 2^(2w) is at most 3 * 200001 * 2^22, for
+    ka, kb the w-bit limbs of (bits + 1)-bit two's complement values."""
+    for w in range(24, 0, -1):
+        k = min(-(-(bits_a + 1) // w), -(-(bits_b + 1) // w))
+        if k * length * 4**w <= 3 * 200001 * 2**22:
+            return w, k
 
 
 @parametrize('k', [1, 2, 5])
 @parametrize('side', [-1, 1])
 @parametrize('sign', [-1, 1])
-def test_conv_crt_at_a_prime_count_boundary(k, side, sign):
-    # the product of the primes used must exceed 4 * bound; a bound just below
-    # or just above M / 4 for M the product of the first k primes takes k or
-    # k + 1 primes, and the middle coefficient sits at the edge of the
-    # balanced residue, sign * bound ~ +-M / 4
-    primes = _crt_primes().tolist()
-    m = math.prod(primes[:k])
+def test_conv_columns_at_a_limb_count_boundary(k, side, sign):
+    # the widest thin operand that still takes k limbs (side -1), whose top
+    # limb holds both signed extremes, and one bit wider (side 1); the thick
+    # operand carries the sign
     length = 9
-    target = m // 4 - 3 * length * math.isqrt(m) if side < 0 else m // 4 + 1
-    a, b, bound = operands_with_bound(target, length, sign)
-    assert (bound < m // 4) if side < 0 else (bound > m // 4)
-    used = []
-    lift = series._crt_lift
-    with mock.patch.object(series, "_crt_lift",
-                           lambda res, ps, mm: used.append(len(ps)) or lift(res, ps, mm)):
-        got = _conv_crt(a, b, 2 * length + 3, bound)
-    assert used == [k if side < 0 else k + 1]
-    assert got[length - 1] == sign * bound
+    top = max(bits for bits in range(1, 400) if column_width(bits, 400, length)[1] == k)
+    bits = top if side < 0 else top + 1
+    w, ka = column_width(bits, 400, length)
+    assert ka == k if side < 0 else ka > k
+    if side < 0:
+        assert bits + 1 == w * k
+    a = [2**bits - 1, -(2**bits - 1)] * 4 + [2**bits - 1]
+    b = [sign * (2**400 - 1 - i) for i in range(length)]
+    cut = []
+    spectra = series._int_spectra
+    with mock.patch.object(series, "_int_spectra",
+                           lambda c, w, k, size: cut.append((w, k)) or spectra(c, w, k, size)):
+        got = _conv_columns(a, b, 2 * length + 3, 2**bits - 1, 2**400 - 1)
+    assert cut == [(w, ka), (w, -(-401 // w))]
     assert got == schoolbook_exact(a, b, 2 * length + 3)
 
 
-def test_conv_crt_declines_beyond_the_prime_table():
-    assert _conv_crt([2**200000], [3], 1, 2**200001) is None
-
-
-def test_conv_crt_falls_back_when_the_guard_trips():
-    # a tripped rounding guard in every residue product sends the exact
-    # product, too large for _conv_bytes, on to schoolbook
+def test_conv_columns_falls_back_when_the_guard_trips(monkeypatch):
+    # a tripped rounding guard in the column kernel sends the exact product,
+    # too large for _conv_bytes, on to schoolbook
     a = [(-7) ** i for i in range(300)]
     b = [5 ** (i % 90) - 3 ** i for i in range(400)]
-    with mock.patch.object(series, "_conv_fft", lambda *args: None):
-        assert _conv_crt(a, b, 699, 10**400) is None
-        got = _conv_exact(a, b, 699)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    got, taken = conv_exact_taking(a, b, 699)
+    assert taken == ["bytes declined", "columns declined", "schoolbook"]
     assert got == schoolbook_exact(a, b, 699)
+
+
+# -- the limb rule of the float64 kernels -------------------------------------
+
+@parametrize('m', [2, 169, 360360, 2**20, 2**31 - 1])
+def test_limb_rule_at_its_boundaries(m):
+    # the fewest limbs k of w = ceil(bits/k) bits with k L 2^(2w) within the
+    # budget: at the longest L a limb count allows it is kept, one term more
+    # takes the next count
+    bits = (m - 1).bit_length()
+    assert _LIMB_BUDGET == 3 * 200001 * 2**22
+    for k in range(1, bits):
+        w = -(-bits // k)
+        longest = _LIMB_BUDGET // (k * 4**w)
+        # a count that fewer limbs beat at its own longest L is never taken
+        if all(j * longest * 4 ** -(-bits // j) > _LIMB_BUDGET for j in range(1, k)):
+            assert _limbs(m, longest) == (k, w)
+            assert _limbs(m, longest + 1)[0] > k
+    # the cases the kernels meet, at the modular cap of 200000 terms plus one
+    assert _limbs(169, 200001) == (1, 8)
+    assert _limbs(360360, 200001) == (2, 10)
+    assert _limbs(360360, 40001)[0] == 2
+    assert _limbs(2**31 - 1, 200001) == (3, 11)
