@@ -1,4 +1,5 @@
 # standard library
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -768,6 +769,58 @@ def test_conv_columns_at_a_limb_count_boundary(k, side, sign):
         got = _conv_columns(a, b, 2 * length + 3, 2**bits - 1, 2**400 - 1)
     assert cut == [(w, ka), (w, -(-401 // w))]
     assert got == schoolbook_exact(a, b, 2 * length + 3)
+
+
+def is_prime(n):
+    # deterministic Miller-Rabin for n < 2^32
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def operands_with_bound(bound, length, sign):
+    """a, b of the given length whose product has a coefficient of exactly
+    sign * L * A * B, where L * A * B is the smallest such product >= bound."""
+    a_val = math.isqrt(bound // length) + 1
+    b_val = -(-bound // (length * a_val))
+    return [a_val] * length, [sign * b_val] * length, length * a_val * b_val
+
+
+@parametrize('k', [1, 2, 5])
+@parametrize('side', [-1, 1])
+@parametrize('sign', [-1, 1])
+def test_conv_crt_at_a_prime_count_boundary(k, side, sign):
+    # the bounds just below and just above M / 4, for M the product of the k
+    # largest primes below 2^31, where a multi-modular product switches from
+    # k to k + 1 primes and the middle coefficient sits at the edge of the
+    # balanced residue; the limb-column kernel and the dispatcher must give
+    # the exact product there too
+    primes = []
+    n = 2**31 - 1
+    while len(primes) < k:
+        if is_prime(n):
+            primes.append(n)
+        n -= 2
+    m = math.prod(primes)
+    length = 9
+    target = m // 4 - 3 * length * math.isqrt(m) if side < 0 else m // 4 + 1
+    a, b, bound = operands_with_bound(target, length, sign)
+    assert (bound < m // 4) if side < 0 else (bound > m // 4)
+    want = schoolbook_exact(a, b, 2 * length + 3)
+    assert want[length - 1] == sign * bound
+    assert _conv_columns(a, b, 2 * length + 3, a[0], abs(b[0])) == want
+    assert _conv_exact(a, b, 2 * length + 3) == want
 
 
 def test_conv_columns_falls_back_when_the_guard_trips(monkeypatch):
