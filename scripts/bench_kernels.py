@@ -2,10 +2,13 @@
 
 The cases are the two Newton inversions behind the modular p tables (p mod
 360360 at 40,001 terms, the master table of `check all`, and p mod 169 at
-18,584 terms, for the 13^2 sweep) and eight exact products past the byte
-limb kernel's point cap: the shapes that `check all` and the ten
-`series --out` exports of the benchmark multiply, each regenerated from a
-fixed seed as random signed ints of the same lengths and bit sizes.
+18,584 terms, for the 13^2 sweep) and ten exact products, all taken by the
+limb-column kernel: the eight largest shapes that `check all` and the ten
+`series --out` exports of the benchmark multiply, a long operand of few bits
+(3,001 terms at 22 bits, from the delta export) and a short operand of many
+bits (111 terms at 155 and 192 bits, from `check all`).  Each is
+regenerated from a fixed seed as random signed ints of the same lengths and
+bit sizes.
 
     python scripts/bench_kernels.py --label change
     python scripts/bench_kernels.py --label parent --src ../parent/src
@@ -42,6 +45,8 @@ PRODUCTS = [
     ("series e14_over_delta: 2002^2 at 148/737 bits", 2002, 148, 737),
     ("series spt: 3001^2 at 8/189 bits", 3001, 8, 189),
     ("series a: 3001^2 at 8/189 bits", 3001, 8, 189),
+    ("series delta: 3001^2 at 22/22 bits", 3001, 22, 22),
+    ("check all: 111^2 at 155/192 bits", 111, 155, 192),
 ]
 
 

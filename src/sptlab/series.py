@@ -137,7 +137,7 @@ class Series:
     @property
     def values(self):
         # read as out.values by perfbench/tracer.py; goes with the perfbench
-        # update of ROADMAP item 2
+        # update of ROADMAP item 1
         return self.coeffs
 
     def is_zero(self):
@@ -387,14 +387,6 @@ class Series:
 
 _SCHOOLBOOK_CUTOFF = 64 * 64
 
-# Largest 2-D transform, rows x columns, that _conv_bytes takes; bigger
-# products go to the limb-column kernel (_conv_columns), which holds only a
-# few one-dimensional spectra at a time.  Measured on a 2-core x86-64 host with
-# numpy 2.4, peak RSS of the exact `series j --n 2000` and `series
-# e14_over_delta --n 2000` exports (2002 x 2002-term products): 34.9 and
-# 34.3 MB at 2^16, 35.0 and 36.3 MB at 2^17, 56.0 MB each with no cap.
-_BYTES_POINTS = 1 << 16
-
 # The limb-sum bound k L 2^(2w) that _conv_fft proves exact (error below
 # 0.07), at k = 3 limbs of w = 11 bits and L = 200001 terms, one past the cap.
 _LIMB_BUDGET = 3 * 200001 << 22
@@ -405,8 +397,7 @@ def _conv_exact(a, b, n_out):
 
     Python-int operands go to np.convolve on int64 when the shorter one has
     fewer than _FFT_CUTOFF terms and no partial sum can reach 2^63, else to
-    schoolbook when tiny, else to _conv_bytes or, past its point cap or when
-    its rounding guard trips, to _conv_columns.  Everything else, Fractions
+    schoolbook when tiny, else to _conv_columns.  Everything else, Fractions
     included, and a product whose column guard trips take schoolbook.
     """
     square = a is b
@@ -426,9 +417,7 @@ def _conv_exact(a, b, n_out):
             out.extend([0] * (n_out - len(out)))
             return out
         if len(a) * len(b) > _SCHOOLBOOK_CUTOFF:
-            out = _conv_bytes(a, b, n_out, max_a, max_b)
-            if out is None:
-                out = _conv_columns(a, b, n_out, max_a, max_b)
+            out = _conv_columns(a, b, n_out, max_a, max_b)
             if out is not None:
                 return out
     return _conv_schoolbook(a, b, n_out)
@@ -449,62 +438,15 @@ def _conv_schoolbook(a, b, n_out):
     return out
 
 
-def _byte_limbs(coeffs, nb):
-    """The nb-byte two's complement digits of each int, as a (len, nb) float64
-    matrix whose last column is read signed: c = sum_j limb_j 256^j."""
-    raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in coeffs)
-    limbs = np.frombuffer(raw, dtype=np.uint8).reshape(len(coeffs), nb).astype(np.float64)
-    limbs[:, -1] = np.frombuffer(raw, dtype=np.int8)[nb - 1 :: nb]
-    return limbs
-
-
-def _conv_bytes(a, b, n_out, max_a, max_b):
-    """Exact a*b truncated to n_out (nonzero Python ints, max_a >= max|a|,
-    max_b >= max|b|) from one 2-D float64 FFT of their byte limbs.
-
-    Row i of a's limb matrix holds the la = bits(max_a)//8 + 1 bytes of a[i];
-    the 2-D linear convolution of the two matrices, at R x C =
-    _fft_size(len a + len b - 1) x _fft_size(la + lb - 1) so nothing wraps,
-    gives the product's coefficient i as sum_j X[i, j] 256^j.  Each X[i, j]
-    sums at most min(len a, len b) min(la, lb) <= (R + 1)(C + 1)/4 limb
-    products of absolute value below 2^16, so under the cap R C <=
-    _BYTES_POINTS = 2^16 every sum is below 2^31 and the float64 error (about
-    2^-53 log2(R C) ||x|| ||y||, with ||x|| ||y|| < 2^32) is far below 1/4.
-    Returns None past the cap, or, as _conv_fft's guard does, when a float
-    lies 1/4 or more from its rounding.
-    """
-    la = max_a.bit_length() // 8 + 1
-    lb = max_b.bit_length() // 8 + 1
-    cols = la + lb - 1
-    shape = (_fft_size(len(a) + len(b) - 1), _fft_size(cols))
-    if shape[0] * shape[1] > _BYTES_POINTS:
-        return None
-    spec = np.fft.rfft2(_byte_limbs(a, la), shape)
-    if b is a:
-        spec *= spec
-    else:
-        spec *= np.fft.rfft2(_byte_limbs(b, lb), shape)
-    n = min(n_out, len(a) + len(b) - 1)
-    x = np.fft.irfft2(spec, shape)[:n, :cols]
-    del spec
-    r = np.rint(x)
-    x -= r
-    if np.abs(x, out=x).max() >= 0.25:
-        return None
-    del x
-    columns = (r[:, j].astype(np.int64) for j in range(cols))
-    return _assemble(columns, cols, 8, _product_bytes(a, b, max_a, max_b), n, n_out)
-
-
 def _conv_columns(a, b, n_out, max_a, max_b):
-    """Exact a*b truncated to n_out (arguments as for _conv_bytes) from
-    float64 FFTs of w-bit limb columns: a = sum_i A_i 2^(w i), and the
-    product's column C_s = sum_(i+j=s) A_i B_j (_limb_columns) is added at
-    bit offset w s (_assemble).  The operand with fewer limbs is transformed
-    once; the other's columns stream past it.  w is the widest whose bound
-    min(ka, kb) L 2^(2w), for ka and kb limbs and L the longer operand, is
-    within _LIMB_BUDGET.  Returns None, for the caller's schoolbook, when no
-    width fits or the rounding guard trips.
+    """Exact a*b truncated to n_out (nonzero Python ints, max_a >= max|a|,
+    max_b >= max|b|) from float64 FFTs of w-bit limb columns: a = sum_i A_i
+    2^(w i), and the product's column C_s = sum_(i+j=s) A_i B_j
+    (_limb_columns) is added at bit offset w s (_assemble).  The operand with
+    fewer limbs is transformed once; the other's columns stream past it.  w
+    is the widest whose bound min(ka, kb) L 2^(2w), for ka and kb limbs and L
+    the longer operand, is within _LIMB_BUDGET.  Returns None, for the
+    caller's schoolbook, when no width fits or the rounding guard trips.
     """
     bits_a, bits_b = max_a.bit_length() + 1, max_b.bit_length() + 1
     length = max(len(a), len(b))
@@ -521,7 +463,9 @@ def _conv_columns(a, b, n_out, max_a, max_b):
     thin = np.array(list(_int_spectra(a, w, ka, size)))
     thick = thin if b is a else _int_spectra(b, w, kb, size)
     columns = _limb_columns(thin, thick, size, 0, n)
-    return _assemble(columns, ka + kb - 1, w, _product_bytes(a, b, max_a, max_b), n, n_out)
+    # bytes enough for every coefficient of a*b in two's complement
+    nb = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
+    return _assemble(columns, ka + kb - 1, w, nb, n, n_out)
 
 
 def _int_spectra(coeffs, w, k, size):
@@ -562,11 +506,6 @@ def _limb_columns(fa, fb, size, lo, hi):
             yield None
             return
         yield r.astype(np.int64)
-
-
-def _product_bytes(a, b, max_a, max_b):
-    """Bytes enough for every coefficient of a*b in two's complement."""
-    return (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
 
 
 def _assemble(columns, count, w, nb, n, n_out):

@@ -1,13 +1,15 @@
 # standard library
+import ast
 import hashlib
 import sys
 from collections import Counter
+from pathlib import Path
 # third party
 import numpy as np
 # test framework
 from pytest import MonkeyPatch, fixture, mark
 # local package
-from sptlab import forms, series
+from sptlab import cli, forms, series
 from sptlab.forms import euler_product
 from sptlab.hecke import legendre
 from sptlab.partitions import prewarm, stream
@@ -83,10 +85,13 @@ def test_check_all_does_not_mutate_shared_tables(cold_run):
         bank.update(saved)
 
 
-def test_cold_check_all_trips_no_rounding_guard(bank_guard, monkeypatch):
-    # every float64 limb product of a cold check all rounds within its
-    # guard: the modular FFT products, the Newton steps and the exact
-    # column kernel, which all invert through _limb_columns
+@fixture
+def limb_products(monkeypatch):
+    """Spy on every float64 limb product: the modular FFT products, the
+    Newton steps and the exact column kernel, which all invert through
+    _limb_columns.  Yields (products, tripped, exact): the arguments of each
+    product, of each whose rounding guard tripped, and the length of each
+    exact column product."""
     limb_columns, columns = series._limb_columns, series._conv_columns
     products, tripped, exact = [], [], []
 
@@ -100,10 +105,46 @@ def test_cold_check_all_trips_no_rounding_guard(bank_guard, monkeypatch):
     monkeypatch.setattr(series, "_limb_columns", spy)
     monkeypatch.setattr(series, "_conv_columns",
                         lambda *args: exact.append(len(args[0])) or columns(*args))
+    yield products, tripped, exact
+
+
+def test_cold_check_all_trips_no_rounding_guard(bank_guard, limb_products):
+    # a trip would silently send the product to a slower fallback
+    products, tripped, exact = limb_products
     bank_guard.clear()
     reports = run_checks(list(REGISTRY))
     assert len(reports) == 81 and all(r.ok for r in reports)
     assert len(products) > 50 and len(exact) >= 3
+    assert tripped == []
+
+
+def _series_exact_exports():
+    """The (key, arguments) of the exact table exports that the benchmark's
+    series-exact workload runs, read from perfbench/run.py without importing
+    it."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text()
+    node = next(n for n in ast.parse(source).body if isinstance(n, ast.Assign)
+                and getattr(n.targets[0], "id", None) == "SERIES_EXACT")
+    return ast.literal_eval(node.value)
+
+
+SERIES_EXACT = _series_exact_exports()
+
+# exports whose products are all short enough for np.convolve or schoolbook
+# (the exact p is an inverse recurrence); every other export multiplies
+# through the column kernel
+NO_COLUMN_PRODUCT = {"E2t13", "p"}
+
+
+@mark.parametrize("key, args", SERIES_EXACT, ids=[key for key, _ in SERIES_EXACT])
+def test_cold_series_export_trips_no_rounding_guard(key, args, bank_guard, limb_products):
+    # each export runs in a fresh process, so on an empty bank; a trip would
+    # silently send an exact product to schoolbook
+    _, tripped, exact = limb_products
+    bank_guard.clear()
+    values, *_ = cli._series_values(cli.build_parser().parse_args(["series"] + args))
+    assert len(values) > 1000
+    assert exact or key in NO_COLUMN_PRODUCT
     assert tripped == []
 
 

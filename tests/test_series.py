@@ -16,13 +16,11 @@ from sptlab.series import (
     sgn24,
     split_e24,
     _conv_schoolbook,
-    _conv_bytes,
     _check_conv_bound,
     _conv_columns,
     _conv_exact,
     _conv_mod,
     _FFT_CUTOFF,
-    _BYTES_POINTS,
     _LIMB_BUDGET,
     _limbs,
 )
@@ -492,28 +490,28 @@ def test_exact_ops_past_int64_match_python(c1, c2, lo1, lo2, k1, k2, t, off):
     assert python_ints(f) == [at(c1, lo1, int(n)) for n in kept]
 
 
-def bytes_product(a, b, n_out):
-    """_conv_bytes on its own, with the bounds the dispatcher would pass."""
-    return _conv_bytes(a, b, n_out, max(map(abs, a)), max(map(abs, b)))
+def columns_product(a, b, n_out):
+    """_conv_columns on its own, with the bounds the dispatcher would pass."""
+    return _conv_columns(a, b, n_out, max(map(abs, a)), max(map(abs, b)))
 
 
 @CASES
 @given(coeffs, coeffs)
-def test_kronecker_matches_schoolbook(c1, c2):
-    # Kronecker substitution by a 2-D FFT of byte limbs, alone and dispatched
+def test_conv_columns_and_exact_match_schoolbook(c1, c2):
+    # the limb-column FFT product, alone and dispatched
     a = c1 * 5
     b = c2 * 5
     n_out = len(a) + len(b) - 1
     want = _conv_schoolbook(a, b, n_out)
     if any(a) and any(b):
-        assert bytes_product(a, b, n_out) == want
+        assert columns_product(a, b, n_out) == want
     assert _conv_exact(a, b, n_out) == want
 
 
-def test_kronecker_large_coefficients():
+def test_conv_columns_and_exact_large_coefficients():
     a = [(-3) ** i for i in range(80)]
     b = [7 ** (i % 40) - 2 ** i for i in range(70)]
-    assert bytes_product(a, b, 149) == _conv_schoolbook(a, b, 149)
+    assert columns_product(a, b, 149) == _conv_schoolbook(a, b, 149)
     assert _conv_exact(a, b, 149) == _conv_schoolbook(a, b, 149)
 
 
@@ -606,8 +604,7 @@ def schoolbook_exact(a, b, n_out):
 PATHS = {
     "int64": dict(_FFT_CUTOFF=10**9),
     "schoolbook": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=10**9),
-    "bytes": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=10**9),
-    "columns": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0, _BYTES_POINTS=0),
+    "columns": dict(_FFT_CUTOFF=0, _SCHOOLBOOK_CUTOFF=0),
 }
 
 
@@ -645,7 +642,6 @@ def conv_exact_taking(a, b, n_out, **constants):
             mock.patch.object(np, "convolve", spy("int64", np.convolve)), \
             mock.patch.object(series, "_conv_schoolbook",
                               spy("schoolbook", series._conv_schoolbook)), \
-            mock.patch.object(series, "_conv_bytes", spy("bytes", series._conv_bytes)), \
             mock.patch.object(series, "_conv_columns", spy("columns", series._conv_columns)):
         got = _conv_exact(a, b, n_out)
     return got, taken
@@ -657,8 +653,7 @@ def test_conv_exact_dispatch_matches_schoolbook(case):
     path, a, b, n_out = case
     got, taken = conv_exact_taking(a, b, n_out, **PATHS[path])
     assert got == schoolbook_exact(a, b, n_out)
-    want = ["bytes declined", path] if path == "columns" else [path]
-    assert taken == (want if any(a[:n_out]) and any(b[:n_out]) else [])
+    assert taken == ([path] if any(a[:n_out]) and any(b[:n_out]) else [])
 
 
 @parametrize('bound, path', [(2**63 - 1, "int64"), (2**63, "schoolbook")])
@@ -676,32 +671,13 @@ def test_conv_exact_int64_bound(bound, path, sign):
     assert got[6] == sign * bound
 
 
-@parametrize('noise', [0.3, 0.7])
-def test_conv_bytes_rounding_guard(monkeypatch, noise):
-    # noise on the inverse 2-D transform must trip the guard and send the
-    # product to the limb-column kernel; at 0.7 rounding alone would be wrong
-    irfft2 = np.fft.irfft2
-    monkeypatch.setattr(np.fft, "irfft2", lambda *args, **kw: irfft2(*args, **kw) + noise)
-    a = [(-7) ** i for i in range(300)]
-    b = [5 ** (i % 90) - 3 ** i for i in range(20)]
-    # 106 and 6 byte limbs, 324 x 128 points, under the cap: only the guard
-    # can decline
-    assert series._fft_size(319) * series._fft_size(106 + 6 - 1) <= _BYTES_POINTS
-    got, taken = conv_exact_taking(a, b, 319)
-    assert taken == ["bytes declined", "columns"]
-    assert got == schoolbook_exact(a, b, 319)
-
-
-@parametrize('lb, path', [(513, "bytes"), (514, "columns")])
-def test_conv_bytes_point_cap(lb, path):
-    # 255-bit coefficients are 32 byte limbs, so 63 -> 64 columns; 512 + 513
-    # terms need 1024 rows, exactly _BYTES_POINTS, and one term more 1152
+def test_conv_exact_wide_product_takes_columns():
+    # 512 x 513 terms of 255 bits, past the int64 and schoolbook paths
     a = [(-1) ** i * (2**255 - 1 - i) for i in range(512)]
-    b = [2**254 + 3 * i for i in range(lb)]
-    assert series._fft_size(512 + 513 - 1) * 64 == _BYTES_POINTS
-    got, taken = conv_exact_taking(a, b, 512 + lb - 1)
-    assert taken == (["bytes"] if path == "bytes" else ["bytes declined", "columns"])
-    assert got == schoolbook_exact(a, b, 512 + lb - 1)
+    b = [2**254 + 3 * i for i in range(513)]
+    got, taken = conv_exact_taking(a, b, 1024)
+    assert taken == ["columns"]
+    assert got == schoolbook_exact(a, b, 1024)
 
 
 # values of each width drawn for the column kernel: around limb and int64
@@ -824,14 +800,14 @@ def test_conv_crt_at_a_prime_count_boundary(k, side, sign):
 
 
 def test_conv_columns_falls_back_when_the_guard_trips(monkeypatch):
-    # a tripped rounding guard in the column kernel sends the exact product,
-    # too large for _conv_bytes, on to schoolbook
+    # a tripped rounding guard in the column kernel sends the exact product
+    # on to schoolbook
     a = [(-7) ** i for i in range(300)]
     b = [5 ** (i % 90) - 3 ** i for i in range(400)]
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
     got, taken = conv_exact_taking(a, b, 699)
-    assert taken == ["bytes declined", "columns declined", "schoolbook"]
+    assert taken == ["columns declined", "schoolbook"]
     assert got == schoolbook_exact(a, b, 699)
 
 
