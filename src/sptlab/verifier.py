@@ -3,6 +3,7 @@ the named check registry behind the CLI."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -474,14 +475,6 @@ class CheckOptions:
             raise ValueError("nmax must be at least 1, got %d" % self.nmax)
 
 
-def _ells(opts, default):
-    return tuple(opts.ells) if opts.ells else default
-
-
-def _levels(opts):
-    return (opts.t,) if opts.t else LEVELS
-
-
 def _seed_from_cache(cache_dir):
     """Install the cached p mod MASTER_MODULUS into the bank if it holds
     p (q)_inf = 1, which a table of wrong values, all zeros included, breaks.
@@ -528,136 +521,86 @@ def _prewarm(n_need, opts):
                     p.coeffs)
 
 
-def _tasks_classical(opts):
-    n = opts.nmax or 500
-    return [lambda: classical_congruence_reports(n)]
+@dataclass(frozen=True)
+class Check:
+    """One registry entry.  Called with CheckOptions, it returns one
+    zero-argument task per point of its grid; each returns a list of reports.
 
+    A point is run's leading arguments: (l,), (t, a), an Atkin pair (t, l),
+    or (); a task calls run(*point, n) with n = --nmax or the default n, or
+    run(*point) if the row does not read --nmax.  A row reads only the
+    overrides it names: --ell replaces the grid's l (an Atkin pair then takes
+    each level t != l), --t keeps the points at level t, and "exact" passes
+    --mod exact on to run.  spt-hecke crosses its ells with --mod, or else
+    with the moduli of its theorem."""
 
-def _tasks_zell(opts):
-    n = opts.nmax or 50
-    return [lambda ell=ell: [verify_zell(ell, n)] for ell in _ells(opts, DESK_ELLS)]
+    run: object  # makes the report lines at one point: a report or a list of them
+    grid: tuple = ((),)  # the default points; a bare l stands for (l,)
+    n: int | None = None  # the default n; None leaves it to run
+    master: bool = False  # prewarm the master table to the grid's largest l^2 n
+    reads: tuple = ("nmax",)  # of "ell", "t", "nmax", "mod" and "exact"
+    then: object = None  # one more task after the grid: a callable returning a report
 
+    def points(self, opts):
+        ells = opts.ells if "ell" in self.reads else None
+        t = opts.t if "t" in self.reads else None
+        n = (opts.nmax or self.n,) if "nmax" in self.reads else ()
+        if "mod" in self.reads:
+            ells = ells or self.grid
+            if opts.modulus:
+                return [(ell, opts.modulus) + n for ell in ells]
+            return ([(ell, 72) + n for ell in ells]
+                    + [(ell, m) + n for m in ((t,) if t else LEVELS) for ell in ells if ell != m]
+                    + [(ell, 32760, opts.nmax or 100) for ell in ells if ell not in (5, 7, 13)])
+        if ells and t:
+            if t in ells:
+                raise ValueError("ell = t = %d is excluded" % t)
+            grid = [(t, ell) for ell in ells]
+        elif t:
+            grid = [p for p in self.grid if p[0] == t]
+        elif ells and "t" in self.reads:
+            grid = [(m, ell) for m in LEVELS for ell in ells if ell != m]
+        else:
+            grid = ells or self.grid
+        return [(p if isinstance(p, tuple) else (p,)) + n for p in grid]
 
-def _tasks_xi(opts):
-    n = opts.nmax or 40
-    return [lambda ell=ell: [verify_xi(ell, n)] for ell in _ells(opts, (5, 7, 11))]
+    def __call__(self, opts):
+        points = self.points(opts)
+        # an integer --mod that the row reads is its sweep modulus
+        if self.master and not (opts.modulus and "mod" in self.reads):
+            _prewarm(max(p[0] ** 2 * p[-1] for p in points), opts)
+        exact = {"exact": opts.exact} if "exact" in self.reads else {}
+        tasks = [functools.partial(self._task, p, exact) for p in points]
+        return tasks + [lambda: [self.then()]] if self.then else tasks
 
-
-def _family_tasks(family, grid, exact=False):
-    """One task per argument tuple of a theorem family; each tuple ends in
-    n, and None takes the row's default."""
-    return [lambda args=args: [family(*args, exact=exact)] for args in grid]
-
-
-def _tasks_mell(opts):
-    n = opts.nmax or verify_mell_cong.n
-    ells = _ells(opts, DESK_ELLS)
-    _prewarm(max(ell * ell * n for ell in ells), opts)
-    # the sweep is mod l, so its table is mod l under --mod exact too
-    return _family_tasks(verify_mell_cong, [(ell, n) for ell in ells])
-
-
-def _tasks_spt_hecke(opts):
-    ells = _ells(opts, DESK_ELLS)
-    n = opts.nmax or check_spt_hecke.n
-    if opts.modulus:
-        grid = [(ell, opts.modulus, n) for ell in ells]
-    else:
-        _prewarm(max(ell * ell * n for ell in ells), opts)
-        grid = (
-            [(ell, 72, n) for ell in ells]
-            + [(ell, t, n) for t in _levels(opts) for ell in ells if ell != t]
-            + [(ell, 32760, opts.nmax or 100) for ell in ells if ell not in (5, 7, 13)]
-        )
-    return _family_tasks(check_spt_hecke, grid, opts.exact)
-
-
-def _tasks_spt_ell_square(opts):
-    n = opts.nmax or check_spt_ell_square.n
-    ells = _ells(opts, (5, 7, 11))
-    _prewarm(max(ell * ell * n for ell in ells), opts)
-    return _family_tasks(check_spt_ell_square, [(ell, n) for ell in ells], opts.exact)
-
-
-def _tasks_spt_prime_powers(opts):
-    grid = [(t, 3, opts.nmax) for t in _levels(opts)]
-    return _family_tasks(check_spt_prime_powers, grid, opts.exact)
-
-
-def _atkin_pairs(opts):
-    if opts.t and opts.ells:
-        pairs = tuple((opts.t, ell) for ell in opts.ells)
-    elif opts.t:
-        pairs = tuple(p for p in ATKIN_PAIRS if p[0] == opts.t)
-    elif opts.ells:
-        pairs = tuple((t, ell) for t in LEVELS for ell in opts.ells if ell != t)
-    else:
-        pairs = ATKIN_PAIRS
-    for t, ell in pairs:
-        if ell == t:
-            raise ValueError("ell = t = %d is excluded" % t)
-    return pairs
-
-
-def _tasks_a_atkin(opts):
-    grid = [(t, ell, opts.nmax) for t, ell in _atkin_pairs(opts)]
-    return _family_tasks(check_a_atkin, grid, opts.exact) + [lambda: [a_atkin_worked_instance()]]
-
-
-def _tasks_a_atkin_beta(opts):
-    return [
-        lambda t=t, ell=ell: [a_atkin_beta_crosscheck(t, ell, opts.nmax)]
-        for t, ell in _atkin_pairs(opts)
-    ]
-
-
-def _tasks_level1(opts):
-    return [lambda ell=ell: [check_level1_b(ell)] for ell in _ells(opts, (5, 7, 11))]
-
-
-def _tasks_atkin_gamma(opts):
-    n = opts.nmax or 60
-    return [
-        lambda t=t, ell=ell: [atkin_gamma_constant(t, ell, n)[1]]
-        for t, ell in _atkin_pairs(opts)
-    ]
-
-
-def _tasks_s_forms(opts):
-    n = opts.nmax or 100
-    return [lambda: s_psi_display_reports(n)]
-
-
-def _tasks_beta_vanish(opts):
-    n = opts.nmax or 200
-    return [lambda: beta_display_reports(n)]
-
-
-def _tasks_lemma_congruences(opts):
-    n = opts.nmax or 100
-    return [lambda: check_lemma_congruences(n)]
-
-
-def _tasks_e46d(opts):
-    return [lambda: e46d_reports()]
+    def _task(self, point, exact):
+        out = self.run(*point, **exact)
+        return out if isinstance(out, list) else [out]
 
 
 REGISTRY = {
-    "classical": _tasks_classical,
-    "zell": _tasks_zell,
-    "xi": _tasks_xi,
-    "mell": _tasks_mell,
-    "spt-hecke": _tasks_spt_hecke,
-    "spt-ell-square": _tasks_spt_ell_square,
-    "spt-prime-powers": _tasks_spt_prime_powers,
-    "a-atkin": _tasks_a_atkin,
-    "a-atkin-beta": _tasks_a_atkin_beta,
-    "level1": _tasks_level1,
-    "atkin-gamma": _tasks_atkin_gamma,
-    "s-forms": _tasks_s_forms,
-    "beta-vanish": _tasks_beta_vanish,
-    "lemma-congruences": _tasks_lemma_congruences,
-    "e46d": _tasks_e46d,
+    "classical": Check(classical_congruence_reports, n=500),
+    "zell": Check(verify_zell, DESK_ELLS, n=50, reads=("ell", "nmax")),
+    "xi": Check(verify_xi, (5, 7, 11), n=40, reads=("ell", "nmax")),
+    # the sweep is mod l, so its table is mod l under --mod exact too
+    "mell": Check(verify_mell_cong, DESK_ELLS, n=verify_mell_cong.n, master=True,
+                  reads=("ell", "nmax")),
+    "spt-hecke": Check(check_spt_hecke, DESK_ELLS, n=check_spt_hecke.n, master=True,
+                       reads=("ell", "t", "nmax", "mod", "exact")),
+    "spt-ell-square": Check(check_spt_ell_square, (5, 7, 11), n=check_spt_ell_square.n,
+                            master=True, reads=("ell", "nmax", "exact")),
+    "spt-prime-powers": Check(check_spt_prime_powers, tuple((t, 3) for t in LEVELS),
+                              reads=("t", "nmax", "exact")),
+    "a-atkin": Check(check_a_atkin, ATKIN_PAIRS, reads=("ell", "t", "nmax", "exact"),
+                     then=a_atkin_worked_instance),
+    "a-atkin-beta": Check(a_atkin_beta_crosscheck, ATKIN_PAIRS, reads=("ell", "t", "nmax")),
+    "level1": Check(check_level1_b, (5, 7, 11), reads=("ell",)),
+    "atkin-gamma": Check(lambda t, ell, n: atkin_gamma_constant(t, ell, n)[1], ATKIN_PAIRS,
+                         n=60, reads=("ell", "t", "nmax")),
+    "s-forms": Check(s_psi_display_reports, n=100),
+    "beta-vanish": Check(beta_display_reports, n=200),
+    "lemma-congruences": Check(check_lemma_congruences, n=100),
+    "e46d": Check(e46d_reports, reads=()),
 }
 
 
