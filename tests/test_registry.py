@@ -6,6 +6,7 @@ from pathlib import Path
 # test framework
 from pytest import mark
 # local package
+from sptlab import cli
 from sptlab.reports import CongruenceReport
 from sptlab.verifier import REGISTRY, CheckOptions
 
@@ -46,3 +47,22 @@ def test_row_returns_zero_argument_tasks_of_reports(bank_guard, name):
         reports = task()
         assert isinstance(reports, list) and reports
         assert all(isinstance(r, CongruenceReport) for r in reports)
+
+
+@parametrize("name, flag, value", [
+    ("classical", "mod", "72"),
+    ("level1", "nmax", "12"),
+    ("e46d", "ell", "11"),
+    ("zell", "t", "7"),
+])
+def test_single_check_rejects_an_override_it_does_not_read(capsys, name, flag, value):
+    assert cli.main(["check", name, "--" + flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sptlab: check %s takes no --%s\n" % (name, flag)
+    assert captured.out == ""
+
+
+def test_mod_exact_and_unknown_names_are_not_override_errors(bank_guard, capsys):
+    assert cli.main(["check", "e46d", "--mod", "exact"]) == 0
+    assert cli.main(["check", "no-such-check", "--ell", "11"]) == 2
+    assert "unknown check 'no-such-check'" in capsys.readouterr().err
