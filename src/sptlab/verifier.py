@@ -530,9 +530,9 @@ class Check:
     or (); a task calls run(*point, n) with n = --nmax or the default n, or
     run(*point) if the row does not read --nmax.  A row reads only the
     overrides it names: --ell replaces the grid's l (an Atkin pair then takes
-    each level t != l), --t keeps the points at level t, and "exact" passes
-    --mod exact on to run.  spt-hecke crosses its ells with --mod, or else
-    with the moduli of its theorem."""
+    the --t given, or each level t != l), --t alone keeps the points at level
+    t, and "exact" passes --mod exact on to run.  spt-hecke crosses its ells
+    with --mod, or else with the moduli of its theorem."""
 
     run: object  # makes the report lines at one point: a report or a list of them
     grid: tuple = ((),)  # the default points; a bare l stands for (l,)
@@ -542,6 +542,7 @@ class Check:
     then: object = None  # one more task after the grid: a callable returning a report
 
     def points(self, opts):
+        """The argument tuples of the row's tasks under opts."""
         ells = opts.ells if "ell" in self.reads else None
         t = opts.t if "t" in self.reads else None
         n = (opts.nmax or self.n,) if "nmax" in self.reads else ()
@@ -549,17 +550,19 @@ class Check:
             ells = ells or self.grid
             if opts.modulus:
                 return [(ell, opts.modulus) + n for ell in ells]
+            levels = (t,) if t else LEVELS
             return ([(ell, 72) + n for ell in ells]
-                    + [(ell, m) + n for m in ((t,) if t else LEVELS) for ell in ells if ell != m]
+                    + [(ell, lv) + n for lv in levels for ell in ells if ell != lv]
                     + [(ell, 32760, opts.nmax or 100) for ell in ells if ell not in (5, 7, 13)])
         if ells and t:
             if t in ells:
                 raise ValueError("ell = t = %d is excluded" % t)
             grid = [(t, ell) for ell in ells]
         elif t:
+            _require_level(t)
             grid = [p for p in self.grid if p[0] == t]
         elif ells and "t" in self.reads:
-            grid = [(m, ell) for m in LEVELS for ell in ells if ell != m]
+            grid = [(lv, ell) for lv in LEVELS for ell in ells if ell != lv]
         else:
             grid = ells or self.grid
         return [(p if isinstance(p, tuple) else (p,)) + n for p in grid]

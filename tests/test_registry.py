@@ -4,11 +4,11 @@ import inspect
 import json
 from pathlib import Path
 # test framework
-from pytest import mark
+from pytest import mark, raises
 # local package
 from sptlab import cli
 from sptlab.reports import CongruenceReport
-from sptlab.verifier import REGISTRY, CheckOptions
+from sptlab.verifier import REGISTRY, CheckOptions, run_checks
 
 parametrize = mark.parametrize
 
@@ -66,3 +66,11 @@ def test_mod_exact_and_unknown_names_are_not_override_errors(bank_guard, capsys)
     assert cli.main(["check", "e46d", "--mod", "exact"]) == 0
     assert cli.main(["check", "no-such-check", "--ell", "11"]) == 2
     assert "unknown check 'no-such-check'" in capsys.readouterr().err
+
+
+@parametrize("name", ["spt-prime-powers", "a-atkin", "a-atkin-beta", "atkin-gamma"])
+def test_a_level_outside_the_theorem_is_an_error(name):
+    """The CLI offers only --t 5, 7 or 13; a caller of run_checks gets an
+    error for any other level, not an empty grid."""
+    with raises(ValueError, match="t must be one of"):
+        run_checks([name], CheckOptions(t=11))
