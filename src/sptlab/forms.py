@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .reports import identity_report
-from .series import Series, coeff_dtype, reduce, sgn24
+from .series import Series, coeff_dtype, reduce, split_e24
 
 
 def euler_product(n, modulus=0):
@@ -82,44 +82,47 @@ def _euler_power(k, n):
     return c
 
 
-def eta_pow(k, n, modulus=0):
-    """eta(z)^k = q^(k/24) prod (1-q^m)^k as a Series on the k mod 24 grid.
-    k = -1 is the bank's p; exact k <= -2 comes from Miller's recurrence
-    (_euler_power), modular k <= -2 as a power of the bank's p."""
-    frac = k % 24
-    lo = (k - sgn24(frac)) // 24
-    top = n - min(lo, 0) + abs(lo) + 1
-    if k < -1 and not modulus:
-        body = _euler_power(k, top)
-    elif k < 0:
-        body = (inverse_euler(top, modulus) ** -k).coeffs
-    else:
-        body = (euler_product(top, modulus) ** k).coeffs
-    return Series(body, lo, frac, modulus).truncate(n)
+def eta_quotient(exps, n, modulus=0):
+    """prod_d eta(d z)^(r_d) for a nonempty exps = {d: r_d} through q^n, on
+    the grid and lowest index of q^(sum d r_d / 24).  Each factor
+    (q^d)_inf^(r_d) is built at the length it is read, then dilated: the
+    bank's p at r = -1, Miller's recurrence (_euler_power) for exact
+    r <= -2, a power of the bank's p for modular r <= -2, a power of the
+    Euler product for r >= 0."""
+    lo, frac = split_e24(sum(d * r for d, r in exps.items()))
+    top = max(n - lo, 0)
+    body = None
+    for d, r in sorted(exps.items()):
+        k = -(-top // d)
+        if r == -1:
+            f = inverse_euler(k, modulus)
+        elif r < -1 and not modulus:
+            f = Series(_euler_power(r, k))
+        elif r < 0:
+            f = inverse_euler(k, modulus) ** -r
+        else:
+            f = euler_product(k, modulus) ** r
+        f = f.dilate(d)
+        body = f if body is None else body.mul(f)
+    return Series._wrap(body.coeffs, lo, frac, modulus).truncate(n)
 
 
 def delta_series(n, modulus=0):
-    """Discriminant q-expansion q prod (1-q^m)^24."""
-    return (euler_product(n, modulus) ** 24).shift(1).truncate(n)
-
-
-def _inverse_delta(n, modulus=0):
-    """1/Delta = eta^-24 = q^-1 (q)_inf^-24 through q^n, without inverting
-    the dense Delta."""
-    return eta_pow(-24, n, modulus)
+    """Discriminant q-expansion q prod (1-q^m)^24 = eta^24."""
+    return eta_quotient({1: 24}, n, modulus)
 
 
 def j_series(n, modulus=0):
     """Klein j-function expansion q^-1 + 744 + 196884 q + ..."""
     e4 = eisenstein(4, n + 2, modulus)
-    return (e4 ** 3 * _inverse_delta(n, modulus)).truncate(n)
+    return (e4 ** 3 * eta_quotient({1: -24}, n, modulus)).truncate(n)
 
 
 def e14_over_delta(n, modulus=0):
     """E4^2 E6 / Delta = q^-1 - 196884 q - 42987520 q^2 - ..."""
     e4 = eisenstein(4, n + 2, modulus)
     e6 = eisenstein(6, n + 2, modulus)
-    return (e4 * e4 * e6 * _inverse_delta(n, modulus)).truncate(n)
+    return (e4 * e4 * e6 * eta_quotient({1: -24}, n, modulus)).truncate(n)
 
 
 # -- the memo bank -----------------------------------------------------------

@@ -10,15 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import (
-    e14_over_delta,
-    eisenstein,
-    eta_pow,
-    euler_product,
-    inverse_euler,
-    j_series,
-)
-from .hecke import chi12, legendre, legendre_class
+from .forms import e14_over_delta, eisenstein, eta_quotient, j_series
+from .hecke import chi12, legendre, legendre_class, peel
 from .reports import identity_report, sweep, timed_report
 from .series import Series
 
@@ -40,11 +33,7 @@ def s_t(t):
 def hauptmodul(t, n, modulus=0):
     """G_t = (eta(z)/eta(tz))^(24/(t-1)) = q^-1 (1 + ...) on Gamma0(t)."""
     e = _eta_exponent(t)
-    top = n + e + 1
-    eu = euler_product(top, modulus)
-    # dilation is a ring map: raise to -e before dilating, at the length read
-    body = eu**e * (inverse_euler(-(-top // t), modulus) ** e).dilate(t)
-    return body.shift(-1).truncate(n)
+    return eta_quotient({1: e, t: -e}, n, modulus)
 
 
 def e2t(t, n, modulus=0):
@@ -61,11 +50,8 @@ def e2t(t, n, modulus=0):
 
 def phi_t(t, n, modulus=0):
     """Phi_t = eta(z)/eta(t^2 z) = q^(-s_t) (1 + ...)."""
-    s = s_t(t)
-    top = n + s + 1
-    eu = euler_product(top, modulus)
-    body = eu * inverse_euler(-(-top // (t * t)), modulus).dilate(t * t)
-    return body.shift(-s).truncate(n)
+    _eta_exponent(t)
+    return eta_quotient({1: 1, t * t: -1}, n, modulus)
 
 
 # -- polynomials in the hauptmodul ---------------------------------------------
@@ -97,15 +83,6 @@ class GPoly:
 
     def is_integral(self):
         return all(not isinstance(c, Fraction) for _, c in self.coeffs)
-
-    def __add__(self, other):
-        d = self.as_dict()
-        for j, c in other.coeffs:
-            d[j] = d.get(j, 0) + c
-        return GPoly.from_dict(self.t, d)
-
-    def scale(self, c):
-        return GPoly.from_dict(self.t, {j: c * v for j, v in self.coeffs})
 
     def fricke(self):
         """Image under z -> -1/(tz): G^j picks up t^(12j/(t-1)) G^-j."""
@@ -154,7 +131,7 @@ def beta_stream(t, k, n, modulus=0):
         body = body.mul(k.eval(hauptmodul(t, prec, modulus)))
     else:
         body = body.scale(k.coeff(0))
-    return body.mul(eta_pow(-1, prec, modulus)).truncate(n)
+    return body.mul(eta_quotient({1: -1}, prec, modulus)).truncate(n)
 
 
 def atkin_solve_k(t, m):
@@ -212,7 +189,7 @@ def s_form(t, k, n):
     term1 = inner.dilate(t).truncate(prec).mul(phi_t(t, prec))
     beta = beta_stream(t, k, prec)
     twisted = _legendre_twist(beta, t)
-    term2 = eta_pow(1, prec).mul(twisted).scale(chi12(t))
+    term2 = eta_quotient({1: 1}, prec).mul(twisted).scale(chi12(t))
     return (term1 - term2).truncate(n)
 
 
@@ -236,7 +213,7 @@ def psi_form(t, k, n):
     prec1 = need // t + jmax + 4
     g = hauptmodul(t, prec1)
     inner = e2t(t, prec1).mul(kstar.eval(g))
-    inv_eta_t2 = eta_pow(-1, need // (t * t) + 4).dilate(t * t)
+    inv_eta_t2 = eta_quotient({t * t: -1}, need)
     term1 = inner.dilate(t).mul(inv_eta_t2).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))
@@ -279,35 +256,23 @@ def solve_in_e2t_basis(h, t, s, prec_margin=4):
     if h.valid_to <= ts:
         raise ValueError("need validity beyond q^%d, have q^%d" % (ts, h.valid_to))
     prec = h.valid_to + s + prec_margin
+    e = _eta_exponent(t)
     g = hauptmodul(t, prec, h.modulus)
+    ginv = eta_quotient({1: -e, t: e}, prec, h.modulus)
     e2 = e2t(t, prec, h.modulus)
-    ginv = g.invert()
-    d = [0] * (ts + s + 1)
-    residual = h
-    for e in range(-s, ts + 1):
+
+    def element(e):  # E2t G^a leads at q^-a
         a = -e
-        coeff = residual.coeff(e)
-        if coeff == 0:
-            continue
         power = g**a if a > 0 else (ginv ** (-a) if a < 0 else Series.one(prec, h.modulus))
-        elt = e2.mul(power)
-        lead = elt.coeff(e)
-        if h.modulus:
-            bk = (coeff * pow(lead, -1, h.modulus)) % h.modulus
-        else:
-            if coeff % lead:
-                raise ValueError("non-integer coefficient d_%d" % a)
-            bk = coeff // lead
-        d[a + ts] = bk
-        residual = residual.lincomb(elt, 1, -bk)
-    if not residual.is_zero():
-        raise ValueError("residual nonzero: input outside the E2t G^a span")
-    return Gamma0Basis(t, s, d, h.modulus)
+        return e2.mul(power)
+
+    # d_s .. d_(-ts) come out in that order
+    return Gamma0Basis(t, s, peel(h, range(-s, ts + 1), element)[::-1], h.modulus)
 
 
 def decompose_gamma0(f, t, s):
     """Decompose a q^(n-1/24)-grid stream F: F * eta = sum d_a E2t G_t^a."""
-    h = f.mul(eta_pow(1, f.valid_to + 2, f.modulus))
+    h = f.mul(eta_quotient({1: 1}, f.valid_to + 2, f.modulus))
     return solve_in_e2t_basis(h, t, s)
 
 

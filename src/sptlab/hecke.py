@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import delta_series, eisenstein, eta_pow, euler_product, e14_over_delta, j_series
+from .forms import delta_series, eisenstein, eta_quotient, euler_product, e14_over_delta, j_series
 from .partitions import stream
 from .reports import identity_report, sweep, timed_report
 from .series import Series, reduce
@@ -200,7 +200,7 @@ def verify_zell(ell, n):
     s = s_ell(ell)
     p = stream("p", ell * ell * n - s + 1)
     combo = hecke_combo(p, HeckeParams.weight_neg_half(ell), n)
-    lhs = combo * eta_pow(1, n + s + 2)
+    lhs = combo * eta_quotient({1: 1}, n + s + 2)
     rhs = poly_at_series(c_ell(ell), j_series(n + s + 2))
     return identity_report(
         "zell",
@@ -224,7 +224,7 @@ def verify_xi(ell, n):
     d = stream("d", ell * ell * n - s + 1)
     combo = hecke_combo(d, HeckeParams.weight_three_half(ell), n)
     delta = delta_series(prec)
-    lhs = (combo * eta_pow(1, prec) * delta**s).scale(ell)
+    lhs = (combo * eta_quotient({1: 1 + 24 * s}, prec)).scale(ell)
     e2 = eisenstein(2, prec)
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
@@ -276,25 +276,37 @@ def decompose_level1(f, s):
     if f.valid_to < 2 * s:
         raise ValueError("need validity through q^%d, have q^%d" % (2 * s, f.valid_to))
     basis = level1_basis(s, f.valid_to, f.modulus)
+    # element k leads at q^(s-k), so b_s .. b_1 come out in that order
+    return peel(f, range(s), lambda e: basis[s - e - 1])[::-1]
+
+
+def peel(f, exps, element):
+    """Coefficients c_e of f = sum_e c_e element(e) over a unitriangular basis,
+    e in exps ascending, with element(e) leading at q^e; integers when f is
+    exact, residues when it is modular.  Each c_e is read off the residual
+    at q^e, and element(e) is built only when c_e != 0.  A non-integer c_e,
+    or a residual left nonzero through f's validity, raises ValueError.
+    """
+    out = []
     residual = f
-    b = [0] * (s + 1)
-    for e in range(0, s):
-        k = s - e
-        elt = basis[k - 1]
-        lead = elt.coeff(e)
+    for e in exps:
         coeff = residual.coeff(e)
+        if coeff == 0:
+            out.append(0)
+            continue
+        elt = element(e)
+        lead = elt.coeff(e)
         if f.modulus:
-            bk = (coeff * pow(lead, -1, f.modulus)) % f.modulus
+            c = coeff * pow(lead, -1, f.modulus) % f.modulus
+        elif coeff % lead:
+            raise ValueError("non-integer coefficient at q^%d" % e)
         else:
-            if coeff % lead:
-                raise ValueError("non-integer coefficient b_%d" % k)
-            bk = coeff // lead
-        b[k] = bk
-        if bk:
-            residual = residual.lincomb(elt, 1, -bk)
+            c = coeff // lead
+        out.append(c)
+        residual = residual.lincomb(elt, 1, -c)
     if not residual.truncate(f.valid_to).is_zero():
         raise ValueError("residual is nonzero: input outside the basis span")
-    return b[1:]
+    return out
 
 
 # -- the theorem sweeps ------------------------------------------------------------

@@ -15,7 +15,7 @@ from .forms import (
     classical_congruence_reports,
     delta_series,
     eisenstein,
-    eta_pow,
+    eta_quotient,
     euler_product,
 )
 from .gamma0 import (
@@ -256,7 +256,7 @@ def check_level1_b(ell, margin=8):
     n = 2 * s + margin
     a = stream("a", ell * ell * n - s + 1)
     combo = hecke_combo(a, HeckeParams.weight_three_half(ell), n)
-    f = combo * eta_pow(1, n + 2) * delta_series(n + 2) ** s
+    f = combo * eta_quotient({1: 1 + 24 * s}, n + s + 2)
     with timed_report(
         "level1-b",
         {
@@ -283,13 +283,6 @@ def check_level1_b(ell, margin=8):
 # -- displayed q-expansions ----------------------------------------------------
 
 
-def _eta_quotient(num_pow, den_pow, dilate, n):
-    """eta(dilate*z)^num_pow / eta(z)^den_pow as a series valid past q^n."""
-    hi = n + den_pow + dilate * num_pow + 8
-    num = eta_pow(num_pow, hi // dilate + 4).dilate(dilate)
-    return num * eta_pow(-den_pow, hi)
-
-
 def s_psi_display_reports(n=100):
     """The six displayed weight-3/2 constructions at t in {5, 7} with K = 1:
     the direct S forms, the U_t images of beta, and the Psi forms."""
@@ -298,7 +291,7 @@ def s_psi_display_reports(n=100):
     k7 = GPoly.from_dict(7, {0: 1})
 
     lhs = s_form(5, k5, n)
-    rhs = e2t(5, n + 4).mul(_eta_quotient(6, 6, 5, n).invert())
+    rhs = e2t(5, n + 4).mul(eta_quotient({1: 6, 5: -6}, n + 4))
     reps.append(
         identity_report(
             "s-display-5",
@@ -310,8 +303,8 @@ def s_psi_display_reports(n=100):
     )
 
     lhs = s_form(7, k7, n)
-    r8 = _eta_quotient(8, 8, 7, n).invert()
-    r4 = _eta_quotient(4, 4, 7, n).invert()
+    r8 = eta_quotient({1: 8, 7: -8}, n + 4)
+    r4 = eta_quotient({1: 4, 7: -4}, n + 4)
     rhs = e2t(7, n + 4).mul(r8 + r4.scale(3))
     reps.append(
         identity_report(
@@ -325,7 +318,7 @@ def s_psi_display_reports(n=100):
 
     beta5 = beta_stream(5, k5, 5 * n + 6)
     lhs = beta5.sift(5, -1)
-    rhs = e2t(5, n + 6).mul(_eta_quotient(5, 6, 5, n)).scale(125)
+    rhs = e2t(5, n + 6).mul(eta_quotient({1: -6, 5: 5}, n + 6)).scale(125)
     reps.append(
         identity_report(
             "s-sift-display-5",
@@ -340,7 +333,7 @@ def s_psi_display_reports(n=100):
     beta7 = beta_stream(7, k7, 7 * n + 8)
     lhs = beta7.sift(7, -2)
     rhs = e2t(7, n + 6).mul(
-        _eta_quotient(3, 4, 7, n).scale(3) + _eta_quotient(7, 8, 7, n).scale(49)
+        eta_quotient({1: -4, 7: 3}, n + 6).scale(3) + eta_quotient({1: -8, 7: 7}, n + 6).scale(49)
     ).scale(49)
     reps.append(
         identity_report(
@@ -360,7 +353,7 @@ def s_psi_display_reports(n=100):
     hi = n + 10
     e4, e6 = eisenstein(4, hi), eisenstein(6, hi)
     lhs = psi_form(5, k5, n)
-    rhs = e4**2 * e6 * eta_pow(-25, hi)
+    rhs = e4**2 * e6 * eta_quotient({1: -25}, hi)
     reps.append(
         identity_report(
             "psi-display-5",
@@ -372,7 +365,7 @@ def s_psi_display_reports(n=100):
     )
 
     lhs = psi_form(7, k7, n)
-    rhs = (e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)) * eta_pow(-49, hi)
+    rhs = (e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)) * eta_quotient({1: -49}, hi)
     reps.append(
         identity_report(
             "psi-display-7",

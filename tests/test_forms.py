@@ -5,12 +5,11 @@ from sptlab import forms, series
 from sptlab.forms import (
     _divisor_power_sums,
     _euler_power,
-    _inverse_delta,
     classical_congruence_reports,
     delta_series,
     e14_over_delta,
     eisenstein,
-    eta_pow,
+    eta_quotient,
     euler_product,
     form,
     inverse_euler,
@@ -97,7 +96,7 @@ def test_j_expansion():
 
 @parametrize('n,modulus', [(0, 0), (7, 0), (2002, 0), (3000, 360360)])
 def test_inverse_delta_times_delta_is_one(n, modulus):
-    inv = _inverse_delta(n, modulus)
+    inv = eta_quotient({1: -24}, n, modulus)
     assert (inv.lo, inv.valid_to, inv.frac24) == (-1, n, 0)
     prod = inv.mul(delta_series(n + 2, modulus))
     assert prod.valid_to == n + 1
@@ -116,18 +115,18 @@ def test_e14_over_delta_identity():
 
 def test_eta_pow_grid_and_partitions():
     p = inverse_euler(30)
-    inv = eta_pow(-1, 30)
+    inv = eta_quotient({1: -1}, 30)
     assert inv.frac24 == 23
     assert all(inv.coeff(n) == p.coeff(n) for n in range(31))
-    assert eta_pow(24, 20).first_difference(delta_series(20)) is None
-    e = eta_pow(1, 20)
+    assert eta_quotient({1: 24}, 20).first_difference(delta_series(20)) is None
+    e = eta_quotient({1: 1}, 20)
     assert e.frac24 == 1
     assert e.gather(range(0, 4)).tolist() == [1, -1, -1, 0]
 
 
 def test_eta_pow_negative_grid():
     # eta^-6 sits at q^(-6/24) = q^(-1/4): frac 18, starting index 0
-    s = eta_pow(-6, 10)
+    s = eta_quotient({1: -6}, 10)
     assert s.frac24 == 18
     assert s.lo == 0
     assert s.coeff(0) == 1
@@ -160,8 +159,8 @@ def test_exact_negative_eta_powers_multiply_nothing(monkeypatch):
         raise AssertionError("an exact product was formed")
 
     monkeypatch.setattr(series, "_conv_exact", product)
-    assert _inverse_delta(4).gather(range(-1, 5)).tolist() == [1, 24, 324, 3200, 25650, 176256]
-    assert eta_pow(-25, 300).valid_to == 300
+    assert eta_quotient({1: -24}, 4).gather(range(-1, 5)).tolist() == [1, 24, 324, 3200, 25650, 176256]
+    assert eta_quotient({1: -25}, 300).valid_to == 300
 
 
 @parametrize('modulus', [0, 169])
@@ -175,7 +174,7 @@ def test_eta_pow_minus_one_is_the_banks_p(bank_guard, monkeypatch, modulus):
     for name in ("_invert_exact", "_invert_mod"):
         monkeypatch.setattr(series, name, recompute)
     monkeypatch.setattr(forms, "_euler_power", recompute)
-    got = eta_pow(-1, 250, modulus)
+    got = eta_quotient({1: -1}, 250, modulus)
     assert (got.lo, got.valid_to, got.frac24) == (0, 250, 23)
     assert list(map(int, got.coeffs)) == list(map(int, p.coeffs[:251]))
     if not modulus:

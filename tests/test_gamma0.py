@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
 from sptlab import gamma0
-from sptlab.forms import delta_series, eisenstein, eta_pow, euler_product
+from sptlab.forms import delta_series, eisenstein, eta_quotient, euler_product
 from sptlab.gamma0 import (
     GPoly,
     LEVELS,
@@ -87,8 +87,8 @@ def test_phi_eta_quotient(t):
     s = s_t(t)
     phi = phi_t(t, n)
     assert phi.lo == -s and phi.coeff(-s) == 1
-    eta_sq = eta_pow(1, (n + s + 2) * t * t).dilate(t * t)
-    assert phi.mul(eta_sq).first_difference(eta_pow(1, n), hi=n - s) is None
+    eta_sq = eta_quotient({1: 1}, (n + s + 2) * t * t).dilate(t * t)
+    assert phi.mul(eta_sq).first_difference(eta_quotient({1: 1}, n), hi=n - s) is None
 
 
 # The builders invert and raise to powers before dilating q -> q^t; these are
@@ -116,7 +116,7 @@ def psi_dilated_first(t, k, n):
     need = n + s + 6
     prec1 = need // t + max(abs(j) for j in k.support) + 4
     inner = e2t(t, prec1).mul(k.fricke().eval(hauptmodul(t, prec1)))
-    eta_t2 = eta_pow(1, need // (t * t) + 4).dilate(t * t)
+    eta_t2 = eta_quotient({1: 1}, need // (t * t) + 4).dilate(t * t)
     term1 = inner.dilate(t).mul(eta_t2.invert()).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))
@@ -285,7 +285,7 @@ def test_decompose_gamma0_from_fractional_grid():
     # F = E2,5 * G_5 / eta lives on the q^(n-1/24) grid; decomposing
     # F * eta must recover exactly the G^1 coordinate
     prec = 14
-    f = e2t(5, prec).mul(hauptmodul(5, prec)).mul(eta_pow(1, prec).invert())
+    f = e2t(5, prec).mul(hauptmodul(5, prec)).mul(eta_quotient({1: 1}, prec).invert())
     assert f.frac24 == 23
     basis = decompose_gamma0(f.truncate(8), 5, 1)
     assert basis.coeff(1) == 1
