@@ -523,8 +523,9 @@ class Check:
     or (); a task calls run(*point, n) with n = --nmax or the default n, or
     run(*point) if the row does not read --nmax.  A row reads only the
     overrides it names: --ell replaces the grid's l (an Atkin pair then takes
-    the --t given, or each level t != l), --t alone keeps the points at level
-    t, and "exact" passes --mod exact on to run.  spt-hecke crosses its ells
+    the --t given, or each level t != l; a --t among the ells is an error),
+    --t alone keeps the points at level t, and "exact" passes --mod exact on
+    to run.  spt-hecke crosses its ells
     with --mod, or else with the moduli of its theorem."""
 
     run: object  # makes the report lines at one point: a report or a list of them
@@ -539,6 +540,8 @@ class Check:
         ells = opts.ells if "ell" in self.reads else None
         t = opts.t if "t" in self.reads else None
         n = (opts.nmax or self.n,) if "nmax" in self.reads else ()
+        if ells and t in ells:
+            raise ValueError("ell = t = %d is excluded" % t)
         if "mod" in self.reads:
             ells = ells or self.grid
             if opts.modulus:
@@ -548,8 +551,6 @@ class Check:
                     + [(ell, lv) + n for lv in levels for ell in ells if ell != lv]
                     + [(ell, 32760, opts.nmax or 100) for ell in ells if ell not in (5, 7, 13)])
         if ells and t:
-            if t in ells:
-                raise ValueError("ell = t = %d is excluded" % t)
             grid = [(t, ell) for ell in ells]
         elif t:
             _require_level(t)
