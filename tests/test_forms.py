@@ -1,5 +1,9 @@
+# standard library
+from math import comb
 # test framework
 from pytest import raises, mark
+from hypothesis import given, settings
+import hypothesis.strategies as st
 # local package
 from sptlab import forms, series
 from sptlab.forms import (
@@ -180,6 +184,43 @@ def test_eta_pow_minus_one_is_the_banks_p(bank_guard, monkeypatch, modulus):
     if not modulus:
         # the bank's own int objects, not a recomputation of equal values
         assert all(x is y for x, y in zip(got.coeffs, p.coeffs))
+
+
+def eta_quotient_oracle(exps, n):
+    """(lo, frac24, [c_lo .. c_n]) of prod_d eta(d z)^(r_d) in Python ints:
+    q^(sum d r_d / 24) times each (1 - q^(d m))^r_d, m >= 1, as a
+    schoolbook binomial product, or for r_d < 0 the r_d-fold geometric
+    series sum_j C(|r_d| + j - 1, j) q^(d m j)."""
+    e24 = sum(d * r for d, r in exps.items())
+    frac = e24 % 24
+    lo = (e24 - (frac if frac <= 12 else frac - 24)) // 24
+    top = n - lo
+    c = [1] + [0] * max(top, 0)
+    for d, r in exps.items():
+        for step in range(d, top + 1, d):
+            w = [(-1) ** j * comb(r, j) if r >= 0 else comb(-r + j - 1, j)
+                 for j in range(top // step + 1)]
+            c = [sum(w[j] * c[i - j * step] for j in range(i // step + 1))
+                 for i in range(top + 1)]
+    return lo, frac, c[: top + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from([1, 2, 5, 7, 13, 25, 49, 169]),
+                       st.integers(-30, 30), min_size=1, max_size=3),
+       st.integers(0, 40))
+def test_eta_quotient_matches_an_integer_oracle(exps, n):
+    lo, frac, want = eta_quotient_oracle(exps, n)
+    for modulus in (0, 360360, 5**8):
+        got = eta_quotient(exps, n, modulus)
+        assert (got.lo, got.frac24, got.valid_to) == (lo, frac, max(n, lo - 1))
+        assert [int(x) for x in got.coeffs] == [
+            x % modulus if modulus else x for x in want]
+
+
+def test_eta_quotient_oracle_off_the_integer_grid():
+    # eta(5z)^5 / eta^6 = q^(19/24) (1 + 6 q + ...): frac 19, lowest index 1
+    assert eta_quotient_oracle({5: 5, 1: -6}, 3) == (1, 19, [1, 6, 27])
 
 
 def test_form_bank_grows_and_truncates():

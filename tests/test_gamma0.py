@@ -279,6 +279,12 @@ def test_e2t_basis_guards():
         solve_in_e2t_basis(Series([1] * 4, lo=0), 5, 1)  # too short
     with raises(ValueError):
         solve_in_e2t_basis(Series([1] * 10, lo=0, frac24=3), 5, 1)
+    # one coefficient off a decomposable input leaves a residual
+    h = e2t(5, 12).mul(hauptmodul(5, 12))
+    bumped = h.coeffs.tolist()
+    bumped[4] += 1
+    with raises(ValueError):
+        solve_in_e2t_basis(Series(bumped, lo=h.lo).truncate(8), 5, 1)
 
 
 def test_decompose_gamma0_from_fractional_grid():

@@ -275,3 +275,9 @@ def test_level1_input_guards():
         decompose_level1(Series([1, 0], lo=-1), 1)
     with raises(ValueError):
         decompose_level1(f.truncate(1), 1)
+    # one coefficient off a decomposable input leaves a residual
+    g = level1_basis(2, 8)
+    bumped = (g[0].scale(3) - g[1]).coeffs.tolist()
+    bumped[5] += 1
+    with raises(ValueError):
+        decompose_level1(Series(bumped, lo=0), 2)
