@@ -8,7 +8,12 @@ limb-column kernel: the eight largest shapes that `check all` and the ten
 (3,001 terms at 22 bits, from the delta export) and a short operand of many
 bits (111 terms at 155 and 192 bits, from `check all`).  Each is
 regenerated from a fixed seed as random signed ints of the same lengths and
-bit sizes.
+bit sizes.  Two pairs of eta-quotient builds follow, each pair one series
+by two paths: the exact factor (q)_inf^-6 of the G_5 export (1,200 terms,
+so 242 terms before the dilation q -> q^5) by Miller's recurrence and as
+the sixth power of the bank's p, whose build the minimum leaves out; and
+the (eta/eta(5z))^6 of the s-forms display to q^104, as a product of its
+two factors and as the inverse of its reciprocal eta(5z)^6/eta^6.
 
     python scripts/bench_kernels.py --label change
     python scripts/bench_kernels.py --label parent --src ../parent/src
@@ -71,6 +76,29 @@ def digest(values):
     return hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()[:16]
 
 
+def eta_cases(Series, euler_product, inverse_euler, euler_power):
+    """(name, build) of the eta-quotient pairs; each build returns the
+    coefficients as ints, from sptlab functions every checkout has."""
+    g5 = -(-1201 // 5) + 1  # terms of (q^5)_inf^-6 in G_5 to q^1200
+
+    def direct():  # (q)^6 (q^5)^-6 through q^105, as forms.eta_quotient builds it
+        return (euler_product(105) ** 6).mul(Series(euler_power(-6, 21)).dilate(5))
+
+    def inverted():  # the reciprocal at the length the s-forms display used to build it
+        recip = Series(euler_power(-6, 145)).mul((euler_product(29) ** 6).dilate(5))
+        return recip.invert().truncate(105)
+
+    return [
+        ("G5 factor (q)^-6 x %d: Miller recurrence" % g5,
+         lambda: euler_power(-6, g5 - 1)),
+        ("G5 factor (q)^-6 x %d: power of p" % g5,
+         lambda: (inverse_euler(g5 - 1) ** 6).coeffs.tolist()),
+        ("s-forms (eta/eta(5z))^6 x 106: direct", lambda: direct().coeffs.tolist()),
+        ("s-forms (eta/eta(5z))^6 x 106: inverted reciprocal",
+         lambda: inverted().coeffs.tolist()),
+    ]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
@@ -81,7 +109,8 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     from sptlab import series
-    from sptlab.forms import euler_product
+    from sptlab.forms import _euler_power, euler_product, inverse_euler
+    from sptlab.series import Series
 
     cases = {}
     for name, m, terms in INVERSIONS:
@@ -93,8 +122,11 @@ def main(argv=None):
         a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)
         dt, out = best_of(args.repeat, lambda: series._conv_exact(a, b, terms))
         cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out)}
+    for name, fn in eta_cases(Series, euler_product, inverse_euler, _euler_power):
+        dt, out = best_of(args.repeat, fn)
+        cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out)}
     for name, case in cases.items():
-        print("%-48s %9.2f ms  %s" % (name, case["ms"], case["sha256"]))
+        print("%-52s %9.2f ms  %s" % (name, case["ms"], case["sha256"]))
 
     doc = {}
     if os.path.exists(args.out):
