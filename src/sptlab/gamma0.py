@@ -256,9 +256,9 @@ def solve_in_e2t_basis(h, t, s, prec_margin=4):
     if h.valid_to <= ts:
         raise ValueError("need validity beyond q^%d, have q^%d" % (ts, h.valid_to))
     prec = h.valid_to + s + prec_margin
-    e = _eta_exponent(t)
+    r = _eta_exponent(t)
     g = hauptmodul(t, prec, h.modulus)
-    ginv = eta_quotient({1: -e, t: e}, prec, h.modulus)
+    ginv = eta_quotient({1: -r, t: r}, prec, h.modulus)
     e2 = e2t(t, prec, h.modulus)
 
     def element(e):  # E2t G^a leads at q^-a

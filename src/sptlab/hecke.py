@@ -280,16 +280,16 @@ def decompose_level1(f, s):
     return peel(f, range(s), lambda e: basis[s - e - 1])[::-1]
 
 
-def peel(f, exps, element):
+def peel(f, leads, element):
     """Coefficients c_e of f = sum_e c_e element(e) over a unitriangular basis,
-    e in exps ascending, with element(e) leading at q^e; integers when f is
+    e in leads ascending, with element(e) leading at q^e; integers when f is
     exact, residues when it is modular.  Each c_e is read off the residual
     at q^e, and element(e) is built only when c_e != 0.  A non-integer c_e,
     or a residual left nonzero through f's validity, raises ValueError.
     """
     out = []
     residual = f
-    for e in exps:
+    for e in leads:
         coeff = residual.coeff(e)
         if coeff == 0:
             out.append(0)

@@ -332,9 +332,8 @@ def s_psi_display_reports(n=100):
 
     beta7 = beta_stream(7, k7, 7 * n + 8)
     lhs = beta7.sift(7, -2)
-    rhs = e2t(7, n + 6).mul(
-        eta_quotient({1: -4, 7: 3}, n + 6).scale(3) + eta_quotient({1: -8, 7: 7}, n + 6).scale(49)
-    ).scale(49)
+    r3, r7 = eta_quotient({1: -4, 7: 3}, n + 6), eta_quotient({1: -8, 7: 7}, n + 6)
+    rhs = e2t(7, n + 6).mul(r3.scale(3) + r7.scale(49)).scale(49)
     reps.append(
         identity_report(
             "s-sift-display-7",
@@ -365,7 +364,8 @@ def s_psi_display_reports(n=100):
     )
 
     lhs = psi_form(7, k7, n)
-    rhs = (e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)) * eta_quotient({1: -49}, hi)
+    num = e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)
+    rhs = num * eta_quotient({1: -49}, hi)
     reps.append(
         identity_report(
             "psi-display-7",
