@@ -135,6 +135,9 @@ def test_eta_pow_negative_grid():
     assert s.lo == 0
     assert s.coeff(0) == 1
     assert s.coeff(1) == 6
+    # eta(5z)^5 / eta^6 = q^(19/24) (1 + 6 q + 27 q^2 + ...): frac 19, from index 1
+    q = eta_quotient({5: 5, 1: -6}, 3)
+    assert (q.frac24, q.lo, q.coeffs.tolist()) == (19, 1, [1, 6, 27])
 
 
 def test_miller_powers_match_repeated_products():
@@ -189,7 +192,7 @@ def test_eta_pow_minus_one_is_the_banks_p(bank_guard, monkeypatch, modulus):
 def eta_quotient_oracle(exps, n):
     """(lo, frac24, [c_lo .. c_n]) of prod_d eta(d z)^(r_d) in Python ints:
     q^(sum d r_d / 24) times each (1 - q^(d m))^r_d, m >= 1, as a
-    schoolbook binomial product, or for r_d < 0 the r_d-fold geometric
+    schoolbook binomial product, or for r_d < 0 the |r_d|-fold geometric
     series sum_j C(|r_d| + j - 1, j) q^(d m j)."""
     e24 = sum(d * r for d, r in exps.items())
     frac = e24 % 24
@@ -216,11 +219,6 @@ def test_eta_quotient_matches_an_integer_oracle(exps, n):
         assert (got.lo, got.frac24, got.valid_to) == (lo, frac, max(n, lo - 1))
         assert [int(x) for x in got.coeffs] == [
             x % modulus if modulus else x for x in want]
-
-
-def test_eta_quotient_oracle_off_the_integer_grid():
-    # eta(5z)^5 / eta^6 = q^(19/24) (1 + 6 q + ...): frac 19, lowest index 1
-    assert eta_quotient_oracle({5: 5, 1: -6}, 3) == (1, 19, [1, 6, 27])
 
 
 def test_form_bank_grows_and_truncates():
