@@ -107,67 +107,26 @@ def hecke_combo(f, params, n, lo=None):
 # -- the polynomial family A_m(x) ---------------------------------------------
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _pscale(a, c):
-    return tuple(c * v for v in a)
-
-
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return tuple(out)
-
-
-def _ptrim(a):
-    n = len(a)
-    while n > 1 and a[n - 1] == 0:
-        n -= 1
-    return tuple(a[:n])
-
-
-def ono_poly_A(m_max, n=None):
+def ono_poly_A(m_max):
     """The tuple (A_0, ..., A_m_max) of integer polynomials in x, each a
     tuple of coefficients from x^0 up, defined by
     sum_m A_m(x) q^m = E(q) (E4^2 E6/Delta) / (j - x).
 
+    Since 1/(j - x) = sum_k x^k j^-(k+1), the x^k coefficient of A_m is the
+    q^m coefficient of E (E4^2 E6/Delta) j^-(k+1), which starts at q^k.
     A_0 = 1, A_1 = x - 745, and A_m is monic of degree m.
     """
-    if n is None:
-        n = m_max
-    if n < m_max:
-        raise ValueError("precision n must be at least m_max")
-    j = j_series(m_max + 1)
-    # u = q (j - x), a unit power series over Z[x]
-    u = [(j.coeff(k - 1),) for k in range(m_max + 1)]
-    if m_max >= 1:
-        u[1] = (744, -1)
-    binv = [(1,)] + [(0,)] * m_max
-    for i in range(1, m_max + 1):
-        acc = (0,)
-        for k in range(1, i + 1):
-            if u[k] != (0,):
-                acc = _padd(acc, _pmul(u[k], binv[i - k]))
-        binv[i] = _ptrim(_pscale(acc, -1))
-    g = euler_product(m_max + 1) * e14_over_delta(m_max + 1)
-    gq = [g.coeff(k - 1) for k in range(m_max + 1)]
+    jinv = j_series(m_max + 1).invert()
+    h = euler_product(m_max + 1) * e14_over_delta(m_max + 1)
+    powers = []  # E (E4^2 E6/Delta) j^-(k+1), k = 0..m_max
+    for _ in range(m_max + 1):
+        h = h.mul(jinv)
+        powers.append(h)
     polys = []
     for m in range(m_max + 1):
-        acc = (0,)
-        for k in range(m + 1):
-            if gq[k]:
-                acc = _padd(acc, _pscale(binv[m - k], gq[k]))
-        acc = _ptrim(acc)
-        assert len(acc) == m + 1 and acc[m] == 1, "A_%d is not monic of degree %d" % (m, m)
-        polys.append(acc)
+        poly = tuple(powers[k].coeff(m) for k in range(m + 1))
+        assert poly[m] == 1, "A_%d is not monic of degree %d" % (m, m)
+        polys.append(poly)
     return tuple(polys)
 
 
@@ -176,9 +135,7 @@ def c_ell(ell):
     s = s_ell(ell)
     a = list(ono_poly_A(s)[s])
     a[0] += ell * chi12(ell)
-    out = _ptrim(tuple(a))
-    assert len(out) == s + 1 and out[s] == 1
-    return out
+    return tuple(a)
 
 
 def poly_at_series(poly, x):

@@ -190,9 +190,58 @@ def test_poly_family_monic():
         assert poly[m] == 1
 
 
-def test_poly_precision_guard():
-    with raises(ValueError):
-        ono_poly_A(5, n=3)
+# Python-int power series with constant term 1 at q^0, truncated at q^n; they
+# share no code with sptlab.
+
+def _series_mul(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
+def _series_inv(a, n):
+    out = [1]
+    for k in range(1, n + 1):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)))
+    return out
+
+
+def _euler_by_pentagonals(n):
+    out = [0] * (n + 1)
+    for k in range(-n, n + 1):
+        g = k * (3 * k - 1) // 2
+        if 0 <= g <= n:
+            out[g] += (-1) ** (k % 2)
+    return out
+
+
+def _eisenstein_by_sigma(scale, power, n):
+    return [1] + [scale * sum(d**power for d in range(1, m + 1) if m % d == 0)
+                  for m in range(1, n + 1)]
+
+
+@parametrize('x', [0, 1, 744, -745])
+def test_poly_family_satisfies_its_generating_identity(x):
+    # with J = q j = E4^3/(q)_inf^24 and R = q E E4^2 E6/Delta = E E4^2 E6/(q)_inf^24,
+    # (sum A_m(x) q^m)(j - x) = E E4^2 E6/Delta through q^(m_max - 1) reads
+    # sum_(i<=k) A_i(x) J_(k-i) - x A_(k-1)(x) = R_k for k <= m_max
+    m_max = 8
+    n = m_max
+    euler = _euler_by_pentagonals(n)
+    e4 = _eisenstein_by_sigma(240, 3, n)
+    e6 = _eisenstein_by_sigma(-504, 5, n)
+    inv_euler24 = [1] + [0] * n
+    for _ in range(24):
+        inv_euler24 = _series_mul(inv_euler24, euler, n)
+    inv_euler24 = _series_inv(inv_euler24, n)
+    e4sq = _series_mul(e4, e4, n)
+    big_j = _series_mul(_series_mul(e4sq, e4, n), inv_euler24, n)
+    rhs = _series_mul(_series_mul(_series_mul(euler, e4sq, n), e6, n), inv_euler24, n)
+    at_x = [sum(c * x**i for i, c in enumerate(poly)) for poly in ono_poly_A(m_max)]
+    assert len(at_x) == m_max + 1
+    for k in range(n + 1):
+        lhs = sum(at_x[i] * big_j[k - i] for i in range(k + 1))
+        if k:
+            lhs -= x * at_x[k - 1]
+        assert lhs == rhs[k], (x, k)
 
 
 @parametrize('ell,poly', [
