@@ -181,7 +181,7 @@ def a_atkin_worked_instance():
 
 def a_atkin_beta_crosscheck(t, ell, n=None):
     """Exact structure behind the admissible-class vanishing: the combination
-    series F satisfies F * eta = sum_{a=-ts..s} d_a E2t G_t^a with integer d_a,
+    series F satisfies F * eta = E2t sum_{a=-ts..s} d_a G_t^a with integer d_a,
     d_a == 0 (mod t^c) for a <= 0; with K = the positive part, beta = E2t K(G)/eta
     matches F exactly on -s..-1 (value -l at -s), matches F mod t^c everywhere,
     and vanishes exactly on the class legendre(1-24n|t) = -1."""
@@ -212,15 +212,15 @@ def a_atkin_beta_crosscheck(t, ell, n=None):
         },
     ) as rec:
         try:
-            basis = decompose_gamma0(combo, t, s)
+            d = decompose_gamma0(combo, t, s)
         except ValueError as exc:
             rec.fail(0, "decomposition: %s" % exc, "integer d_a")
             return rec.report
         low = range(-t * s, 1)
-        if not sweep(rec, low, [basis.coeff(a) for a in low], modulus=mod):
+        if not sweep(rec, low, [d.coeff(a) for a in low], modulus=mod):
             return rec.report
         count = len(low)
-        kpoly = GPoly.from_dict(t, {a: basis.coeff(a) for a in range(1, s + 1)})
+        kpoly = GPoly(t, tuple((a, c) for a, c in d.coeffs if a > 0))
         beta = beta_stream(t, kpoly, n)
         m = np.arange(-s, n + 1)
         b, c = beta.gather(m), combo.gather(m)
@@ -248,12 +248,12 @@ def a_atkin_beta_crosscheck(t, ell, n=None):
     return rec.report
 
 
-def check_level1_b(ell, margin=8):
+def check_level1_b(ell):
     """The combination series times eta Delta^s decomposes over E4^(3k-1) E6
     Delta^(s-k) with b_s = -l, and b_1 == 0 (mod 5) whenever l != 5."""
     _require_ell(ell)
     s = s_ell(ell)
-    n = 2 * s + margin
+    n = 2 * s + 8
     a = stream("a", ell * ell * n - s + 1)
     combo = hecke_combo(a, HeckeParams.weight_three_half(ell), n)
     f = combo * eta_quotient({1: 1 + 24 * s}, n + s + 2)
@@ -434,14 +434,14 @@ def e46d_reports():
             },
         ) as rec:
             try:
-                basis = e46d_decompose(t)
+                k = e46d_decompose(t)
             except ValueError as exc:
                 rec.fail(0, "decomposition: %s" % exc, "integer a_j")
                 reps.append(rec.report)
                 continue
             if t == 5:
                 idx = sorted(_E46D5_VALUES)
-                sweep(rec, idx, [basis.coeff(a) for a in idx], [_E46D5_VALUES[a] for a in idx])
+                sweep(rec, idx, [k.coeff(a) for a in idx], [_E46D5_VALUES[a] for a in idx])
             else:
                 rec.ok(t + 2)
         reps.append(rec.report)
