@@ -1,4 +1,4 @@
-"""Time the three series kernels on fixed operands.
+"""Time the series kernels on fixed operands, alternating checkouts case by case.
 
 The cases are the two Newton inversions behind the modular p tables (p mod
 360360 at 40,001 terms, the master table of `check all`, and p mod 169 at
@@ -8,21 +8,27 @@ limb-column kernel: the eight largest shapes that `check all` and the ten
 (3,001 terms at 22 bits, from the delta export) and a short operand of many
 bits (111 terms at 155 and 192 bits, from `check all`).  Each is
 regenerated from a fixed seed as random signed ints of the same lengths and
-bit sizes.  Two pairs of eta-quotient builds follow, each pair one series
+bit sizes.  Three pairs of eta-quotient builds follow, each pair one series
 by two paths: the exact factor (q)_inf^-6 of the G_5 export (1,200 terms,
 so 242 terms before the dilation q -> q^5) by Miller's recurrence and as
-the sixth power of the bank's p, whose build the minimum leaves out; and
-the (eta/eta(5z))^6 of the s-forms display to q^104, as a product of its
-two factors and as the inverse of its reciprocal eta(5z)^6/eta^6.
+the sixth power of the bank's p, whose build the minimum leaves out; the
+(eta/eta(5z))^6 of the s-forms display to q^104, as a product of its two
+factors and as the inverse of its reciprocal eta(5z)^6/eta^6; and G_5^-3
+mod 5^6 at 110 terms, as the eta-quotient (eta(5z)/eta)^18 and as the cube
+of the inverted hauptmodul.  The last case is the polynomial family
+A_0..A_7 of hecke.ono_poly_A.
 
-    python scripts/bench_kernels.py --label change
-    python scripts/bench_kernels.py --label parent --src ../parent/src
+    python scripts/bench_kernels.py --side parent=../parent/src --side change=src
 
-sptlab is imported from --src (default: this checkout's src).  Each case is
-timed as the minimum of --repeat calls, and the figures go under --label into
---out (default: BENCH_kernels.json at the checkout root), next to the labels
-already there.  A SHA-256 of each result shows whether two labels computed
-the same coefficients.
+Each --side LABEL=SRC starts one worker process that imports sptlab from SRC
+(default: one side, "change", this checkout's src).  In each of --rounds
+rounds every case is timed in every worker in turn, the first worker
+rotating from round to round, so drift of the host lands in each side's
+spread rather than between the sides.  A sample is the minimum of --repeat
+calls; each side reports the median of its samples and their range.  The
+figures go under each label into --out (default: BENCH_kernels.json at the
+checkout root), next to the labels already there.  A SHA-256 of each result
+shows whether two sides computed the same coefficients.
 """
 
 import argparse
@@ -31,6 +37,8 @@ import json
 import os
 import platform
 import random
+import statistics
+import subprocess
 import sys
 import time
 
@@ -76,68 +84,137 @@ def digest(values):
     return hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()[:16]
 
 
-def eta_cases(Series, euler_product, inverse_euler, euler_power):
-    """(name, build) of the eta-quotient pairs; each build returns the
-    coefficients as ints, from sptlab functions every checkout has."""
+def case_table():
+    """(name, build) of every case, from sptlab functions every checkout has;
+    each build returns the coefficients as a flat list, or a tuple of them."""
+    from sptlab import series
+    from sptlab.forms import _euler_power, eta_quotient, euler_product, inverse_euler
+    from sptlab.gamma0 import hauptmodul
+    from sptlab.hecke import ono_poly_A
+    from sptlab.series import Series
+
+    cases = []
+    for name, m, terms in INVERSIONS:
+        a = euler_product(terms - 1, m).coeffs
+        cases.append((name, lambda a=a, m=m: series._invert_mod(a, m, 1).tolist()))
+    for seed, (name, terms, bits_a, bits_b) in enumerate(PRODUCTS):
+        rng = random.Random(seed)
+        a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)
+        cases.append((name, lambda a=a, b=b, n=terms: series._conv_exact(a, b, n)))
+
     g5 = -(-1201 // 5) + 1  # terms of (q^5)_inf^-6 in G_5 to q^1200
 
     def direct():  # (q)^6 (q^5)^-6 through q^105, as forms.eta_quotient builds it
-        return (euler_product(105) ** 6).mul(Series(euler_power(-6, 21)).dilate(5))
+        return (euler_product(105) ** 6).mul(Series(_euler_power(-6, 21)).dilate(5))
 
     def inverted():  # the reciprocal at the length the s-forms display used to build it
-        recip = Series(euler_power(-6, 145)).mul((euler_product(29) ** 6).dilate(5))
+        recip = Series(_euler_power(-6, 145)).mul((euler_product(29) ** 6).dilate(5))
         return recip.invert().truncate(105)
 
-    return [
+    def g5_cubed():  # (1/G_5)^3 mod 5^6 on q^3..q^112
+        return hauptmodul(5, 108, 5**6).invert() ** 3
+
+    return cases + [
         ("G5 factor (q)^-6 x %d: Miller recurrence" % g5,
-         lambda: euler_power(-6, g5 - 1)),
+         lambda: _euler_power(-6, g5 - 1)),
         ("G5 factor (q)^-6 x %d: power of p" % g5,
          lambda: (inverse_euler(g5 - 1) ** 6).coeffs.tolist()),
         ("s-forms (eta/eta(5z))^6 x 106: direct", lambda: direct().coeffs.tolist()),
         ("s-forms (eta/eta(5z))^6 x 106: inverted reciprocal",
          lambda: inverted().coeffs.tolist()),
+        ("G5^-3 mod 5^6 x 110: (eta(5z)/eta)^18",
+         lambda: eta_quotient({1: -18, 5: 18}, 112, 5**6).coeffs.tolist()),
+        ("G5^-3 mod 5^6 x 110: inverted hauptmodul cubed",
+         lambda: g5_cubed().coeffs.tolist()),
+        ("ono_poly_A(7)", lambda: ono_poly_A(7)),
     ]
+
+
+def worker(src):
+    """Serve timing requests on stdin, one JSON [name, repeat] a line, with
+    sptlab imported from src: first the case names, then one {ms, sha256}
+    line per request."""
+    sys.path.insert(0, os.path.abspath(src))
+    table = dict(case_table())
+    print(json.dumps(list(table)), flush=True)
+    for line in sys.stdin:
+        name, repeat = json.loads(line)
+        dt, out = best_of(repeat, table[name])
+        print(json.dumps({"ms": 1e3 * dt, "sha256": digest(out)}), flush=True)
+
+
+def ask(proc, name, repeat):
+    proc.stdin.write(json.dumps([name, repeat]) + "\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+
+
+def summary(samples):
+    ms = sorted(samples)
+    return {"ms": round(statistics.median(ms), 3),
+            "range_ms": [round(ms[0], 3), round(ms[-1], 3)],
+            "samples_ms": [round(x, 3) for x in samples]}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
+    ap.add_argument("--side", action="append", metavar="LABEL=SRC",
+                    help="a label and the src directory to import sptlab from")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernels.json"))
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    if args.worker:
+        return worker(args.worker)
+    sides = [side.split("=", 1) for side in args.side or ["change=" + os.path.join(ROOT, "src")]]
+    labels = [label for label, _ in sides]
+    procs = {label: subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--worker", src],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for label, src in sides}
+    try:
+        names = [json.loads(procs[label].stdout.readline()) for label in labels]
+        if any(n != names[0] for n in names):
+            raise SystemExit("the sides define different cases")
+        samples = {label: {name: [] for name in names[0]} for label in labels}
+        sha = {label: {} for label in labels}
+        for r in range(args.rounds):
+            order = labels[r % len(labels):] + labels[:r % len(labels)]
+            for name in names[0]:
+                for label in order:
+                    got = ask(procs[label], name, args.repeat)
+                    samples[label][name].append(got["ms"])
+                    sha[label][name] = got["sha256"]
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+
+    cases = {label: {name: dict(summary(xs), sha256=sha[label][name])
+                      for name, xs in samples[label].items()} for label in labels}
+    print("%-52s %s" % ("ms: median [min, max] of %d rounds" % args.rounds,
+                        "  ".join("%-26s" % label for label in labels)))
+    for name in names[0]:
+        cells = ["%8.2f [%7.2f, %7.2f]" % ((cases[label][name]["ms"],)
+                                         + tuple(cases[label][name]["range_ms"]))
+                 for label in labels]
+        shas = {sha[label][name] for label in labels}
+        print("%-52s %s  %s" % (name, "  ".join(cells), shas.pop() if len(shas) == 1 else "DIFFER"))
+
     import numpy as np
-    from sptlab import series
-    from sptlab.forms import _euler_power, euler_product, inverse_euler
-    from sptlab.series import Series
-
-    cases = {}
-    for name, m, terms in INVERSIONS:
-        a = euler_product(terms - 1, m).coeffs
-        dt, out = best_of(args.repeat, lambda: series._invert_mod(a, m, 1))
-        cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out.tolist())}
-    for seed, (name, terms, bits_a, bits_b) in enumerate(PRODUCTS):
-        rng = random.Random(seed)
-        a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)
-        dt, out = best_of(args.repeat, lambda: series._conv_exact(a, b, terms))
-        cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out)}
-    for name, fn in eta_cases(Series, euler_product, inverse_euler, _euler_power):
-        dt, out = best_of(args.repeat, fn)
-        cases[name] = {"ms": round(1e3 * dt, 2), "sha256": digest(out)}
-    for name, case in cases.items():
-        print("%-52s %9.2f ms  %s" % (name, case["ms"], case["sha256"]))
-
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc.setdefault("runs", {})[args.label] = {
-        "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version(), "numpy": np.__version__},
-        "repeat": args.repeat,
-        "cases": cases,
-    }
+    for label in labels:
+        doc.setdefault("runs", {})[label] = {
+            "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                     "python": platform.python_version(), "numpy": np.__version__},
+            "repeat": args.repeat,
+            "rounds": args.rounds,
+            "alternated_with": [other for other in labels if other != label],
+            "cases": cases[label],
+        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
