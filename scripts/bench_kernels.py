@@ -21,7 +21,7 @@ A_0..A_7 of hecke.ono_poly_A.
     python scripts/bench_kernels.py --side parent=../parent/src --side change=src
 
 Each --side LABEL=SRC starts one worker process that imports sptlab from SRC
-(default: one side, "change", this checkout's src).  In each of --rounds
+(default: one side, "change", this checkout's src).  In each of ROUNDS
 rounds every case is timed in every worker in turn, the first worker
 rotating from round to round, so drift of the host lands in each side's
 spread rather than between the sides.  A sample is the minimum of --repeat
@@ -43,6 +43,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROUNDS = 7
 
 # (name, modulus, terms) of the Newton inversions of the Euler product
 INVERSIONS = [("invert_mod 360360 x 40001", 360360, 40001),
@@ -162,7 +163,6 @@ def main(argv=None):
                     help="a label and the src directory to import sptlab from")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernels.json"))
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -178,7 +178,7 @@ def main(argv=None):
             raise SystemExit("the sides define different cases")
         samples = {label: {name: [] for name in names[0]} for label in labels}
         sha = {label: {} for label in labels}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = labels[r % len(labels):] + labels[:r % len(labels)]
             for name in names[0]:
                 for label in order:
@@ -192,7 +192,7 @@ def main(argv=None):
 
     cases = {label: {name: dict(summary(xs), sha256=sha[label][name])
                       for name, xs in samples[label].items()} for label in labels}
-    print("%-52s %s" % ("ms: median [min, max] of %d rounds" % args.rounds,
+    print("%-52s %s" % ("ms: median [min, max] of %d rounds" % ROUNDS,
                         "  ".join("%-26s" % label for label in labels)))
     for name in names[0]:
         cells = ["%8.2f [%7.2f, %7.2f]" % ((cases[label][name]["ms"],)
@@ -211,7 +211,7 @@ def main(argv=None):
             "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                      "python": platform.python_version(), "numpy": np.__version__},
             "repeat": args.repeat,
-            "rounds": args.rounds,
+            "rounds": ROUNDS,
             "alternated_with": [other for other in labels if other != label],
             "cases": cases[label],
         }
