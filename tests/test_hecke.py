@@ -190,8 +190,8 @@ def test_poly_family_monic():
         assert poly[m] == 1
 
 
-# Python-int power series with constant term 1 at q^0, truncated at q^n; they
-# share no code with sptlab.
+# Python-int power series from q^0, as coefficient lists truncated at q^n (the
+# inverse needs constant term 1); they share no code with sptlab.
 
 def _series_mul(a, b, n):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
@@ -223,8 +223,7 @@ def test_poly_family_satisfies_its_generating_identity(x):
     # with J = q j = E4^3/(q)_inf^24 and R = q E E4^2 E6/Delta = E E4^2 E6/(q)_inf^24,
     # (sum A_m(x) q^m)(j - x) = E E4^2 E6/Delta through q^(m_max - 1) reads
     # sum_(i<=k) A_i(x) J_(k-i) - x A_(k-1)(x) = R_k for k <= m_max
-    m_max = 8
-    n = m_max
+    n = m_max = 8
     euler = _euler_by_pentagonals(n)
     e4 = _eisenstein_by_sigma(240, 3, n)
     e6 = _eisenstein_by_sigma(-504, 5, n)
