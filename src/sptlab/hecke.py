@@ -1,18 +1,16 @@
 """Hecke-type three-term coefficient combinations on the q^(n - 1/24) grid,
-the polynomial family attached to the j-function that generates them, the
-level-one basis decompositions used to certify their congruences, and the
-row type and runner of the verifier's theorem sweeps."""
+the polynomial family attached to the j-function that generates them, and
+the level-one basis decompositions used to certify their congruences."""
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import delta_series, eisenstein, eta_quotient, euler_product, e14_over_delta, j_series
 from .partitions import stream
-from .reports import identity_report, sweep, timed_report
+from .reports import identity_report
 from .series import Series, reduce
 
 _CHI12 = {1: 1, 11: 1, 5: -1, 7: -1}
@@ -264,91 +262,3 @@ def peel(f, leads, element):
     if not residual.truncate(f.valid_to).is_zero():
         raise ValueError("residual is nonzero: input outside the basis span")
     return out
-
-
-# -- the theorem sweeps ------------------------------------------------------------
-
-_ARG = inspect.Parameter.POSITIONAL_OR_KEYWORD
-
-
-@dataclass(frozen=True)
-class SweepFamily:
-    """One family of "this coefficient combination is == 0 (mod M)" claims:
-    for each m in lo..n, on the class (1-24m|p) = eps when there is one, a
-    sum of terms read from one bank table vanishes mod M.
-
-    The rules are functions of the row's named arguments, plus s =
-    (ell^2-1)/24 when ell is one of them, n, and, as they are known,
-    modulus (M) and terms.  Calling a row with its arguments, then n and
-    exact (positionally or by keyword), runs the sweep and returns its report.
-    """
-
-    check: str  # report name
-    tag: str  # the bank table, "spt" or "a"
-    args: tuple  # argument names, before n and exact
-    keys: tuple  # report params ahead of the statement, in print order
-    n: object  # default n: an int or a rule
-    modulus: object  # rule for M
-    statement: object  # rule for the statement text
-    # rule for ((weight, slope, offset), ...), each term read at slope m +
-    # offset; None is the three-halves combo, hecke_combo at weights (1, 1, ell)
-    terms: object = None
-    lo: int | None = 1  # first m; None starts at -s, the principal part
-    class_filter: tuple | None = None  # (argument name p, eps): keep (1-24m|p) = eps
-    guards: tuple = ()  # rules that raise ValueError on bad arguments
-
-    def __call__(self, *args, **kwargs):
-        sig = inspect.Signature(
-            [inspect.Parameter(a, _ARG) for a in self.args]
-            + [inspect.Parameter("n", _ARG, default=None),
-               inspect.Parameter("exact", _ARG, default=False)]
-        )
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        ns = dict(bound.arguments)
-        exact = ns.pop("exact")
-        for guard in self.guards:
-            guard(**ns)
-        if "ell" in ns:
-            ns["s"] = s_ell(ns["ell"])
-        if ns["n"] is None:
-            ns["n"] = self.n(**ns) if callable(self.n) else self.n
-        n = ns["n"]
-        mod = ns["modulus"] = self.modulus(**ns)
-        if self.terms is None:
-            size = ns["ell"] ** 2 * n - ns["s"]
-        else:
-            ns["terms"] = self.terms(**ns)
-            size = max(slope * n + offset for _, slope, offset in ns["terms"])
-        f = stream(self.tag, size, 0 if exact else mod)
-        lo = -ns["s"] if self.lo is None else self.lo
-        m = np.arange(lo, n + 1)
-        if self.class_filter:
-            p, eps = self.class_filter
-            m = m[legendre_class(m, ns[p]) == eps]
-        params = {k: ns[k] for k in self.keys}
-        params["statement"] = self.statement(**ns)
-        with timed_report(self.check, params) as rec:
-            # when 3 divides M the same sweep is repeated mod 3 on an
-            # independently reduced table, which can only fail on an
-            # arithmetic bug
-            if sweep(rec, m, self._lhs(f, m, lo, ns), modulus=mod) and mod % 3 == 0:
-                sweep(rec, m, self._lhs(f.reduce_mod(3), m, lo, ns), modulus=3,
-                      n_verified=len(m))
-        return rec.report
-
-    def _lhs(self, f, m, lo, ns):
-        """The row's sum at each entry of m, read from the table f."""
-        if self.terms is None:
-            params = HeckeParams.weight_three_half(ns["ell"])
-            return hecke_combo(f, params, ns["n"], lo=lo).gather(m)
-        return sum(w * f.gather(slope * m + offset) for w, slope, offset in ns["terms"])
-
-
-# Every coefficient of the three-halves combo on a(n) vanishes mod ell.
-verify_mell_cong = SweepFamily(
-    "mell-cong", "a", ("ell",), ("ell", "n", "modulus"), n=200,
-    modulus=lambda ell, **_: ell,
-    statement=lambda **_: "three-halves combo of a(n)=12spt(n)+(24n-1)p(n) == 0 (mod l)",
-    lo=None,
-)

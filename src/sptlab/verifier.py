@@ -35,13 +35,11 @@ from .gamma0 import (
 )
 from .hecke import (
     HeckeParams,
-    SweepFamily,
     decompose_level1,
     hecke_combo,
     is_odd_prime,
     legendre_class,
     s_ell,
-    verify_mell_cong,
     verify_xi,
     verify_zell,
 )
@@ -63,19 +61,19 @@ def inv24(m):
     return pow(24, -1, m)
 
 
-def _require_ell(ell, t=None, **_):
+def _require_ell(ell, t=None):
     if not is_odd_prime(ell) or ell < 5:
         raise ValueError("ell must be a prime >= 5, got %r" % (ell,))
     if t is not None and ell == t:
         raise ValueError("ell = t = %d is excluded" % t)
 
 
-def _require_level(t, **_):
+def _require_level(t):
     if t not in LEVELS:
         raise ValueError("t must be one of %s" % (LEVELS,))
 
 
-def _require_hecke_modulus(ell, modulus, **_):
+def _require_hecke_modulus(ell, modulus):
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if modulus == 32760 and ell in (5, 7, 13):
@@ -89,67 +87,103 @@ def _require_hecke_modulus(ell, modulus, **_):
         )
 
 
-def _require_power(a, **_):
+def _require_power(a):
     if a < 3:
         raise ValueError("power must be at least 3, got %d" % a)
 
 
-# -- the theorem families, one row each (hecke.SweepFamily) --------------------
-
-# spt(l^2 m - s) + chi12(l)((1-24m|l) - 1 - l) spt(m) + l spt((m+s)/l^2) over
-# 1 <= m <= n vanishes mod the requested modulus.  Valid moduli: 72 and 3 for
-# any prime l >= 5; t in {5, 7, 13} when l != t; their product 32760 when l is
-# coprime to it; so every divisor of 32760 coprime to l, and no other.  When 3
-# divides the modulus the runner adds its mod-3 companion sweep.
-check_spt_hecke = SweepFamily(
-    "spt-hecke", "spt", ("ell", "modulus"), ("ell", "modulus", "n"), n=200,
-    modulus=lambda modulus, **_: modulus,
-    statement=lambda modulus, **_: "spt(l^2 n - s) + chi12(l)((1-24n|l)-1-l) spt(n)"
-    " + l spt((n+s)/l^2) == 0 (mod %d)" % modulus,
-    guards=(_require_ell, _require_hecke_modulus),
-)
-
-# spt(l^2 m - s_l) == 0 (mod l) whenever legendre(1-24m|l) = 1.
-check_spt_ell_square = SweepFamily(
-    "spt-ell-square", "spt", ("ell",), ("ell", "modulus", "n"), n=300,
-    modulus=lambda ell, **_: ell,
-    terms=lambda ell, s, **_: ((1, ell * ell, -s),),
-    statement=lambda **_: "spt(l^2 n - s_l) == 0 (mod l) on (1-24n|l) = 1",
-    class_filter=("ell", 1),
-    guards=(_require_ell,),
-)
+# -- the theorem families: "this sum is == 0 (mod M)" for each m ---------------
 
 
-def _prime_power_terms(t, a, **_):
-    # the 13 family carries a minus sign
-    return ((1, t**a, inv24(t**a)), (-t if t == 13 else t, t ** (a - 2), inv24(t ** (a - 2))))
+def _sweep_report(check, params, f, m, lhs):
+    """Report whether lhs(f), the family's sum read from the table f at each
+    entry of m, vanishes mod params["modulus"].  When 3 divides it the same
+    sweep is repeated mod 3 on an independently reduced table, which can only
+    fail on an arithmetic bug."""
+    mod = params["modulus"]
+    with timed_report(check, params) as rec:
+        if sweep(rec, m, lhs(f), modulus=mod) and mod % 3 == 0:
+            sweep(rec, m, lhs(f.reduce_mod(3)), modulus=3, n_verified=len(m))
+    return rec.report
 
 
-# spt(t^a m + r_a) +/- t spt(t^(a-2) m + r_(a-2)) == 0 over 0 <= m <= n at the
-# prime-power modulus 5^(2a-3) / 7^((3a-2)//2) / 13^(a-1), where r_k =
-# inv24(t^k); a must be at least 3.
-check_spt_prime_powers = SweepFamily(
-    "spt-prime-powers", "spt", ("t", "a"), ("t", "a", "modulus", "n"),
-    n=lambda t, **_: {5: 30, 7: 20, 13: 8}[t],
-    modulus=lambda t, a, **_: t ** {5: 2 * a - 3, 7: (3 * a - 2) // 2, 13: a - 1}[t],
-    terms=_prime_power_terms,
-    statement=lambda t, a, modulus, terms, **_: "spt(%d^%d n + %d) %s %d spt(%d^%d n + %d)"
-    " == 0 (mod %d)" % (t, a, terms[0][2], "-" if terms[1][0] < 0 else "+", t, t, a - 2,
-                        terms[1][2], modulus),
-    lo=0,
-    guards=(_require_level, _require_power),
-)
+def _combo(ell, lo, n, m):
+    """The three-halves combo (weights 1, 1, l) over lo..n of a table, read at m."""
+    params = HeckeParams.weight_three_half(ell)
+    return lambda f: hecke_combo(f, params, n, lo=lo).gather(m)
 
-# On the class legendre(1-24m|t) = -1 the three-halves combination of
-# a(n) = 12 spt(n) + (24n-1) p(n) vanishes mod t^c, c = 6/4/2 for t = 5/7/13.
-check_a_atkin = SweepFamily(
-    "a-atkin", "a", ("t", "ell"), ("t", "ell", "modulus", "n"), n=50,
-    modulus=lambda t, **_: t ** TC[t],
-    statement=lambda t, modulus, **_: "a(l^2 n - s) + chi12(l)((1-24n|l)-1-l) a(n)"
-    " + l a((n+s)/l^2) == 0 (mod %d) on (1-24n|%d) = -1" % (modulus, t),
-    class_filter=("t", -1),
-    guards=(_require_level, _require_ell),
-)
+
+def verify_mell_cong(ell, n):
+    """Every coefficient of the three-halves combo on a(n), from the
+    principal part -s on, vanishes mod l."""
+    s = s_ell(ell)
+    f = stream("a", ell * ell * n - s, ell)
+    params = {"ell": ell, "n": n, "modulus": ell, "statement":
+              "three-halves combo of a(n)=12spt(n)+(24n-1)p(n) == 0 (mod l)"}
+    m = np.arange(-s, n + 1)
+    return _sweep_report("mell-cong", params, f, m, _combo(ell, -s, n, m))
+
+
+def check_spt_hecke(ell, modulus, n, exact=False):
+    """spt(l^2 m - s) + chi12(l)((1-24m|l) - 1 - l) spt(m) + l spt((m+s)/l^2)
+    over 1 <= m <= n vanishes mod the requested modulus.  Valid moduli: 72 and
+    3 for any prime l >= 5; t in {5, 7, 13} when l != t; their product 32760
+    when l is coprime to it; so every divisor of 32760 coprime to l, and no
+    other."""
+    _require_ell(ell)
+    _require_hecke_modulus(ell, modulus)
+    f = stream("spt", ell * ell * n - s_ell(ell), 0 if exact else modulus)
+    params = {"ell": ell, "modulus": modulus, "n": n, "statement":
+              "spt(l^2 n - s) + chi12(l)((1-24n|l)-1-l) spt(n) + l spt((n+s)/l^2)"
+              " == 0 (mod %d)" % modulus}
+    m = np.arange(1, n + 1)
+    return _sweep_report("spt-hecke", params, f, m, _combo(ell, 1, n, m))
+
+
+def check_spt_ell_square(ell, n, exact=False):
+    """spt(l^2 m - s_l) == 0 (mod l) whenever legendre(1-24m|l) = 1."""
+    _require_ell(ell)
+    s = s_ell(ell)
+    f = stream("spt", ell * ell * n - s, 0 if exact else ell)
+    params = {"ell": ell, "modulus": ell, "n": n,
+              "statement": "spt(l^2 n - s_l) == 0 (mod l) on (1-24n|l) = 1"}
+    m = np.arange(1, n + 1)
+    m = m[legendre_class(m, ell) == 1]
+    return _sweep_report("spt-ell-square", params, f, m, lambda g: g.gather(ell * ell * m - s))
+
+
+def check_spt_prime_powers(t, a, n=None, exact=False):
+    """spt(t^a m + r_a) +/- t spt(t^(a-2) m + r_(a-2)) == 0 over 0 <= m <= n at
+    the prime-power modulus 5^(2a-3) / 7^((3a-2)//2) / 13^(a-1), where r_k =
+    inv24(t^k); a must be at least 3, and the 13 family carries the minus sign."""
+    _require_level(t)
+    _require_power(a)
+    n = n or {5: 30, 7: 20, 13: 8}[t]
+    mod = t ** {5: 2 * a - 3, 7: (3 * a - 2) // 2, 13: a - 1}[t]
+    hi, lo = t**a, t ** (a - 2)
+    r_hi, r_lo, w = inv24(hi), inv24(lo), -t if t == 13 else t
+    f = stream("spt", hi * n + r_hi, 0 if exact else mod)
+    params = {"t": t, "a": a, "modulus": mod, "n": n, "statement":
+              "spt(%d^%d n + %d) %s %d spt(%d^%d n + %d) == 0 (mod %d)"
+              % (t, a, r_hi, "-" if w < 0 else "+", t, t, a - 2, r_lo, mod)}
+    m = np.arange(0, n + 1)
+    return _sweep_report("spt-prime-powers", params, f, m,
+                         lambda g: g.gather(hi * m + r_hi) + w * g.gather(lo * m + r_lo))
+
+
+def check_a_atkin(t, ell, n, exact=False):
+    """On the class legendre(1-24m|t) = -1 the three-halves combination of
+    a(n) = 12 spt(n) + (24n-1) p(n) vanishes mod t^c, c = 6/4/2 for t = 5/7/13."""
+    _require_level(t)
+    _require_ell(ell, t)
+    mod = t ** TC[t]
+    f = stream("a", ell * ell * n - s_ell(ell), 0 if exact else mod)
+    params = {"t": t, "ell": ell, "modulus": mod, "n": n, "statement":
+              "a(l^2 n - s) + chi12(l)((1-24n|l)-1-l) a(n) + l a((n+s)/l^2)"
+              " == 0 (mod %d) on (1-24n|%d) = -1" % (mod, t)}
+    m = np.arange(1, n + 1)
+    m = m[legendre_class(m, t) == -1]
+    return _sweep_report("a-atkin", params, f, m, _combo(ell, 1, n, m))
 
 
 def a_atkin_worked_instance():
@@ -539,6 +573,9 @@ class Check:
         """The argument tuples of the row's tasks under opts."""
         ells = opts.ells if "ell" in self.reads else None
         t = opts.t if "t" in self.reads else None
+        # before any table is built: the master prewarm reads the largest l
+        for ell in ells or ():
+            _require_ell(ell)
         n = (opts.nmax or self.n,) if "nmax" in self.reads else ()
         if ells and t in ells:
             raise ValueError("ell = t = %d is excluded" % t)
@@ -580,15 +617,14 @@ REGISTRY = {
     "zell": Check(verify_zell, DESK_ELLS, n=50, reads=("ell", "nmax")),
     "xi": Check(verify_xi, (5, 7, 11), n=40, reads=("ell", "nmax")),
     # the sweep is mod l, so its table is mod l under --mod exact too
-    "mell": Check(verify_mell_cong, DESK_ELLS, n=verify_mell_cong.n, master=True,
-                  reads=("ell", "nmax")),
-    "spt-hecke": Check(check_spt_hecke, DESK_ELLS, n=check_spt_hecke.n, master=True,
+    "mell": Check(verify_mell_cong, DESK_ELLS, n=200, master=True, reads=("ell", "nmax")),
+    "spt-hecke": Check(check_spt_hecke, DESK_ELLS, n=200, master=True,
                        reads=("ell", "t", "nmax", "mod", "exact")),
-    "spt-ell-square": Check(check_spt_ell_square, (5, 7, 11), n=check_spt_ell_square.n,
-                            master=True, reads=("ell", "nmax", "exact")),
+    "spt-ell-square": Check(check_spt_ell_square, (5, 7, 11), n=300, master=True,
+                            reads=("ell", "nmax", "exact")),
     "spt-prime-powers": Check(check_spt_prime_powers, tuple((t, 3) for t in LEVELS),
                               reads=("t", "nmax", "exact")),
-    "a-atkin": Check(check_a_atkin, ATKIN_PAIRS, reads=("ell", "t", "nmax", "exact"),
+    "a-atkin": Check(check_a_atkin, ATKIN_PAIRS, n=50, reads=("ell", "t", "nmax", "exact"),
                      then=a_atkin_worked_instance),
     "a-atkin-beta": Check(a_atkin_beta_crosscheck, ATKIN_PAIRS, reads=("ell", "t", "nmax")),
     "level1": Check(check_level1_b, (5, 7, 11), reads=("ell",)),
@@ -602,7 +638,7 @@ REGISTRY = {
 
 
 def run_checks(names, opts=None):
-    """Expand the named checks into (check, l, t) tasks and run them in
+    """Expand the named checks into their rows' tasks, then run the tasks in
     order, returning their reports in that order."""
     opts = opts or CheckOptions()
     thunks = []

@@ -15,12 +15,12 @@ from sptlab.hecke import (
     ono_poly_A,
     poly_at_series,
     s_ell,
-    verify_mell_cong,
     verify_xi,
     verify_zell,
 )
 from sptlab.partitions import stream
 from sptlab.series import Series
+from sptlab.verifier import verify_mell_cong
 
 parametrize = mark.parametrize
 

@@ -74,3 +74,13 @@ def test_a_level_outside_the_theorem_is_an_error(name):
     error for any other level, not an empty grid."""
     with raises(ValueError, match="t must be one of"):
         run_checks([name], CheckOptions(t=11))
+
+
+@parametrize("name, ell", [("spt-hecke", 25), ("mell", 49)])
+def test_a_bad_ell_is_an_error_before_any_table_is_built(bank_guard, capsys, name, ell):
+    """The master prewarm reads the largest l^2 n of the grid, so a bad --ell
+    must be rejected before it: ell = 49 would build p, spt and a to 520,000."""
+    bank_guard.clear()
+    assert cli.main(["check", name, "--ell", str(ell)]) == 2
+    assert capsys.readouterr().err == "sptlab: ell must be a prime >= 5, got %d\n" % ell
+    assert not bank_guard

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 # local package
 from sptlab.gamma0 import atkin_gamma_constant
 from sptlab.reports import sweep, timed_report
+from sptlab.series import Series
 from sptlab.verifier import (
     ATKIN_PAIRS,
     CheckOptions,
@@ -71,9 +72,7 @@ GUARD_CASES = [
      "modulus 25 is outside the theorem: it must divide 32760 and be coprime to ell = 5"),
 ]
 # ids name the check and number the case
-GUARD_IDS = ["%s-args%d" % (name, i) for i, name in enumerate(
-    ["check_spt_hecke"] * 5 + ["check_spt_prime_powers"] * 2 + ["check_a_atkin"] * 2
-    + ["check_spt_ell_square", "check_spt_hecke"])]
+GUARD_IDS = ["%s-args%d" % (fn.__name__, i) for i, (fn, _, _) in enumerate(GUARD_CASES)]
 
 
 @parametrize('fn,args,message', GUARD_CASES, ids=GUARD_IDS)
@@ -89,6 +88,26 @@ def test_spt_hecke_mod72_with_companion():
     r = check_spt_hecke(5, 72, n=30)
     assert r.ok, r.summary_line()
     assert r.params["modulus"] == 72
+    assert r.n_verified == 30
+
+
+def test_spt_hecke_companion_sweep_can_fail(bank_guard, monkeypatch):
+    # +1 at spt(25 * 7 - 1) in the mod-3 reduction alone: the mod-72 sweep
+    # passes, and its companion fails at m = 7, the first m that reads it
+    real = Series.reduce_mod
+
+    def faulty(self, m):
+        out = real(self, m)
+        if m != 3:
+            return out
+        coeffs = out.coeffs.copy()
+        coeffs[174 - out.lo] = (coeffs[174 - out.lo] + 1) % 3
+        return Series._wrap(coeffs, out.lo, out.frac24, 3)
+
+    monkeypatch.setattr(Series, "reduce_mod", faulty)
+    r = check_spt_hecke(5, 72, n=30)
+    assert r.status == "fail"
+    assert r.first_failure == {"n": 7, "lhs": 1, "rhs": 0, "modulus": 3}
     assert r.n_verified == 30
 
 
@@ -240,19 +259,29 @@ FAMILY_PARAM_KEYS = {
 }
 
 
-def test_check_all_matches_the_golden_report():
-    reports = run_checks(list(REGISTRY))
+def _assert_golden(reports):
     got = [r.to_dict() for r in reports]
     for line in got:
         del line["elapsed_ms"]
     with open(GOLDEN_REPORT) as fh:
         assert json.loads(json.dumps(got)) == json.load(fh)
+
+
+def test_check_all_matches_the_golden_report():
+    reports = run_checks(list(REGISTRY))
+    _assert_golden(reports)
     seen = set()
     for r in reports:
         if r.check in FAMILY_PARAM_KEYS:
             assert list(r.params) == FAMILY_PARAM_KEYS[r.check], r.summary_line()
             seen.add(r.check)
     assert seen == set(FAMILY_PARAM_KEYS)
+
+
+def test_check_all_exact_matches_the_golden_report(bank_guard):
+    # the sweeps that read --mod exact build their tables exactly, not as
+    # reductions of the master table, and must report the same lines
+    _assert_golden(run_checks(list(REGISTRY), CheckOptions(exact=True)))
 
 
 def test_options_defaults():
