@@ -15,8 +15,10 @@ the sixth power of the bank's p, whose build the minimum leaves out; the
 (eta/eta(5z))^6 of the s-forms display to q^104, as a product of its two
 factors and as the inverse of its reciprocal eta(5z)^6/eta^6; and G_5^-3
 mod 5^6 at 110 terms, as the eta-quotient (eta(5z)/eta)^18 and as the cube
-of the inverted hauptmodul.  The last case is the polynomial family
-A_0..A_7 of hecke.ono_poly_A.
+of the inverted hauptmodul.  Then come the polynomial family A_0..A_7 of
+hecke.ono_poly_A and two Gamma0(t) solves: e46d_decompose(13), E4^2
+E6/Delta over E2,13 G_13^j for j = -13..1, and the a = 8 step of the epsilon
+ladder, (E4^2 E6/Delta) j^7 mod 5^6 to q^43 over E2,5 G_5^j for j = -40..8.
 
     python scripts/bench_kernels.py --side parent=../parent/src --side change=src
 
@@ -89,8 +91,9 @@ def case_table():
     """(name, build) of every case, from sptlab functions every checkout has;
     each build returns the coefficients as a flat list, or a tuple of them."""
     from sptlab import series
-    from sptlab.forms import _euler_power, eta_quotient, euler_product, inverse_euler
-    from sptlab.gamma0 import hauptmodul
+    from sptlab.forms import (_euler_power, e14_over_delta, eta_quotient, euler_product,
+                              inverse_euler, j_series)
+    from sptlab.gamma0 import e46d_decompose, hauptmodul, solve_in_e2t_basis
     from sptlab.hecke import ono_poly_A
     from sptlab.series import Series
 
@@ -115,6 +118,8 @@ def case_table():
     def g5_cubed():  # (1/G_5)^3 mod 5^6 on q^3..q^112
         return hauptmodul(5, 108, 5**6).invert() ** 3
 
+    ladder = e14_over_delta(60, 5**6).mul(j_series(60, 5**6) ** 7).truncate(43)
+
     return cases + [
         ("G5 factor (q)^-6 x %d: Miller recurrence" % g5,
          lambda: _euler_power(-6, g5 - 1)),
@@ -128,6 +133,9 @@ def case_table():
         ("G5^-3 mod 5^6 x 110: inverted hauptmodul cubed",
          lambda: g5_cubed().coeffs.tolist()),
         ("ono_poly_A(7)", lambda: ono_poly_A(7)),
+        ("e46d_decompose(13)", lambda: e46d_decompose(13).coeffs),
+        ("epsilon ladder a = 8: solve mod 5^6 to q^43",
+         lambda: solve_in_e2t_basis(ladder, 5, 8).coeffs),
     ]
 
 

@@ -6,7 +6,6 @@ basis decompositions of weight-2 objects over Gamma0(t)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,18 +53,15 @@ def phi_t(t, n, modulus=0):
 
 @dataclass(frozen=True)
 class GPoly:
-    """A Laurent polynomial in the hauptmodul G_t, with exact coefficients or
-    residues."""
+    """A Laurent polynomial in the hauptmodul G_t, with integer coefficients
+    or residues."""
 
     t: int
     coeffs: tuple  # tuple of (exponent, coefficient), sorted by exponent
 
     @classmethod
     def from_dict(cls, t, d):
-        items = tuple(
-            (int(j), _norm_coeff(c)) for j, c in sorted(d.items()) if c != 0
-        )
-        return cls(t, items)
+        return cls(t, tuple((int(j), c) for j, c in sorted(d.items()) if c != 0))
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -77,39 +73,52 @@ class GPoly:
     def support(self):
         return tuple(j for j, _ in self.coeffs)
 
-    def is_integral(self):
-        return all(not isinstance(c, Fraction) for _, c in self.coeffs)
-
     def fricke(self):
-        """Image under z -> -1/(tz): G^j picks up t^(12j/(t-1)) G^-j."""
+        """Image under z -> -1/(tz): G^j picks up t^(12j/(t-1)) G^-j.  For
+        j < 0 that factor divides; a ValueError if it does not."""
         e = 12 // (self.t - 1)
         d = {}
         for j, c in self.coeffs:
-            d[-j] = c * Fraction(self.t) ** (e * j)
+            scale = self.t ** (e * abs(j))
+            if j < 0 and c % scale:
+                raise ValueError("Fricke image of %d G^%d is not integral" % (c, j))
+            d[-j] = c * scale if j >= 0 else c // scale
         return GPoly.from_dict(self.t, d)
 
     def eval(self, g):
-        """Evaluate at the hauptmodul Series g: G^j is a power of g for j > 0,
-        and for j <= 0 the eta-quotient (eta(z)/eta(tz))^(e j), e = 24/(t-1),
-        through q^(g.valid_to - g.lo - j), the window of (1/g)^-j."""
+        """Evaluate at the hauptmodul Series g, each G^j read from one
+        _GPowers of g."""
         if not self.coeffs:
             return Series.zero(g.valid_to, 0, g.modulus)
-        e = _eta_exponent(self.t)
+        powers = _GPowers(self.t, g)
         acc = None
         for j, c in self.coeffs:
-            if j > 0:
-                term = g**j
-            else:
-                term = eta_quotient({1: e * j, self.t: -e * j}, g.valid_to - g.lo - j, g.modulus)
-            term = term.scale(c)
+            term = powers[j].scale(c)
             acc = term if acc is None else acc + term
         return acc
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+class _GPowers(dict):
+    """G_t^j for the hauptmodul Series g, each on g's relative window
+    q^-j..q^(g.valid_to - g.lo - j) and built on first use: G^-1 is the
+    eta-quotient (eta(tz)/eta(z))^(24/(t-1)), and every other power the
+    product of its neighbour towards G^0 with G or G^-1."""
+
+    def __init__(self, t, g):
+        super().__init__({1: g, 0: Series.one(g.valid_to - g.lo, g.modulus)})
+        self.t = t
+
+    def __missing__(self, j):
+        if j == -1:
+            g, e = self[1], _eta_exponent(self.t)
+            self[j] = eta_quotient({1: -e, self.t: e}, g.valid_to - g.lo + 1, g.modulus)
+            return self[j]
+        step = 1 if j > 0 else -1
+        # a loop, not recursion: a solve at t = 13, l = 37 reads G^-741
+        for i in range(2 * step, j + step, step):
+            if i not in self:
+                self[i] = self[i - step].mul(self[step])
+        return self[j]
 
 
 # -- beta series ----------------------------------------------------------------
@@ -117,8 +126,6 @@ def _norm_coeff(c):
 
 def beta_stream(t, k, n, modulus=0):
     """E2t * K(G_t) / eta through q^(n - 1/24): the Series of the beta(n)."""
-    if not k.is_integral() and modulus:
-        raise ValueError("modular beta stream needs an integral K")
     prec = n + max(0, max((j for j, _ in k.coeffs), default=0)) + 2
     body = e2t(t, prec, modulus)
     if any(j for j, _ in k.coeffs):
@@ -175,8 +182,6 @@ def s_form(t, k, n):
     if min(k.support, default=0) < 0:
         raise ValueError("S construction needs K supported in G^j, j >= 0")
     kstar = k.fricke()
-    if not kstar.is_integral():
-        raise ValueError("Fricke image has non-integral coefficients")
     prec = n + t * max((abs(j) for j in k.support), default=0) + s_ell(t) + 4
     g = hauptmodul(t, prec)
     inner = e2t(t, prec).mul(kstar.eval(g))
@@ -232,10 +237,10 @@ def solve_in_e2t_basis(h, t, s):
     if h.valid_to <= ts:
         raise ValueError("need validity beyond q^%d, have q^%d" % (ts, h.valid_to))
     prec = h.valid_to + s + 4
-    g = hauptmodul(t, prec, h.modulus)
+    powers = _GPowers(t, hauptmodul(t, prec, h.modulus))
     e2 = e2t(t, prec, h.modulus)
     leads = range(-s, ts + 1)  # E2t G^a leads at q^-a
-    coeffs = peel(h, leads, lambda e: e2.mul(GPoly(t, ((-e, 1),)).eval(g)))
+    coeffs = peel(h, leads, lambda e: e2.mul(powers[-e]))
     return GPoly.from_dict(t, {-e: c for e, c in zip(leads, coeffs)})
 
 
@@ -253,121 +258,56 @@ def e46d_decompose(t):
 
 # -- congruence lemmas for the weight-14 combination and powers of j --------------
 
-
-def _gpoly_reduction_report(name, lhs, t, kdict, modulus, n, statement):
-    """lhs == E2t * K(G_t) (mod modulus) through q^n."""
-    g = hauptmodul(t, n + 6, modulus)
-    rhs = e2t(t, n + 6, modulus).mul(GPoly.from_dict(t, kdict).eval(g))
-    return identity_report(
-        name,
-        lhs if lhs.modulus == modulus else lhs.reduce_mod(modulus),
-        rhs,
-        {"t": t, "modulus": modulus, "n": n, "statement": statement},
-        hi=n,
-    )
+# (line, t, modulus, K, statement): an "e46d" line compares E4^2 E6/Delta,
+# times j in "e46d-j2", with E2t K(G_t); a "j" line compares j with K(G_t).
+# The left sides are read mod 5^8, 7^4 or 13^2 and reduced to the modulus.
+_LEMMA_ROWS = (
+    ("e46d-mod-5^8", 5, 5**8, {1: 1, -1: 2 * 31 * 5**5},
+     "E4^2 E6/Delta == E2,5 (G5 + 2*31*5^5 G5^-1) (mod 5^8)"),
+    ("e46d-mod-7^4", 7, 7**4, {1: 1}, "E4^2 E6/Delta == E2,7 G7 (mod 7^4)"),
+    ("e46d-mod-13^2", 13, 13**2, {1: 1}, "E4^2 E6/Delta == E2,13 G13 (mod 13^2)"),
+    ("j-mod-5^8", 5, 5**8, {1: 1, 0: 750, -1: 3**2 * 7 * 5**5},
+     "j == G5 + 750 + 3^2*7*5^5 G5^-1 (mod 5^8)"),
+    ("j-mod-7^4", 7, 7**4, {1: 1, 0: 748}, "j == G7 + 748 (mod 7^4)"),
+    ("j-mod-13^2", 13, 13**2, {1: 1, 0: 70}, "j == G13 + 70 (mod 13^2)"),
+    ("e46d-mod-5^6", 5, 5**6, {1: 1, -1: 2 * 5**5},
+     "(E6/E4) j == E2,5 (G5 + 2*5^5 G5^-1) (mod 5^6)"),
+    ("e46d-j2-mod-5^6", 5, 5**6, {1: 2 * 3 * 5**3, 2: 1},
+     "(E6/E4) j^2 == E2,5 (2*3*5^3 G5 + G5^2) (mod 5^6)"),
+)
 
 
 def check_lemma_congruences(n=100):
     """The displayed mod 5^8 / 7^4 / 13^2 / 5^6 reductions of E4^2 E6/Delta,
-    of j, and of (E6/E4) j^a in the hauptmodul basis, each computed in its
-    modulus (5^6 reduced from 5^8)."""
-    reports = []
+    of j, and of (E6/E4) j^a = (E4^2 E6/Delta) j^(a-1) in the hauptmodul
+    basis, one line per _LEMMA_ROWS row, then the epsilon ladder."""
     prec = n + 8
-    e14 = {m: e14_over_delta(prec, m) for m in (5**8, 7**4, 13**2)}
-    reports.append(
-        _gpoly_reduction_report(
-            "e46d-mod-5^8",
-            e14[5**8],
-            5,
-            {1: 1, -1: 2 * 31 * 5**5},
-            5**8,
-            n,
-            "E4^2 E6/Delta == E2,5 (G5 + 2*31*5^5 G5^-1) (mod 5^8)",
-        )
-    )
-    reports.append(
-        _gpoly_reduction_report(
-            "e46d-mod-7^4",
-            e14[7**4],
-            7,
-            {1: 1},
-            7**4,
-            n,
-            "E4^2 E6/Delta == E2,7 G7 (mod 7^4)",
-        )
-    )
-    reports.append(
-        _gpoly_reduction_report(
-            "e46d-mod-13^2",
-            e14[13**2],
-            13,
-            {1: 1},
-            13**2,
-            n,
-            "E4^2 E6/Delta == E2,13 G13 (mod 13^2)",
-        )
-    )
-
-    # plain-j reductions: j == G + 750 + 3^2*7*5^5/G (mod 5^8) and friends
-    j = {m: j_series(prec, m) for m in (5**8, 7**4, 13**2)}
-    for t, mod, kdict, stmt in (
-        (5, 5**8, {1: 1, 0: 750, -1: 3**2 * 7 * 5**5}, "j == G5 + 750 + 3^2*7*5^5 G5^-1 (mod 5^8)"),
-        (7, 7**4, {1: 1, 0: 748}, "j == G7 + 748 (mod 7^4)"),
-        (13, 13**2, {1: 1, 0: 70}, "j == G13 + 70 (mod 13^2)"),
-    ):
-        g = hauptmodul(t, n + 6, mod)
-        rhs = GPoly.from_dict(t, kdict).eval(g)
-        reports.append(
-            identity_report(
-                "j-mod-%d^%d" % (t, {5: 8, 7: 4, 13: 2}[t]),
-                j[mod],
-                rhs,
-                {"t": t, "modulus": mod, "n": n, "statement": stmt},
-                hi=n,
-            )
-        )
-
-    # mod 5^6 ladder: (E6/E4) j^a for a = 1, 2, then the epsilon pattern a >= 3
-    reports.append(
-        _gpoly_reduction_report(
-            "e46d-mod-5^6",
-            e14[5**8],
-            5,
-            {1: 1, -1: 2 * 5**5},
-            5**6,
-            n,
-            "(E6/E4) j == E2,5 (G5 + 2*5^5 G5^-1) (mod 5^6)",
-        )
-    )
-    e4 = eisenstein(4, prec, 5**6)
-    e6 = eisenstein(6, prec, 5**6)
-    jj = j[5**8].reduce_mod(5**6)
-    base = e6.mul(e4.invert())
-    reports.append(
-        _gpoly_reduction_report(
-            "e46d-j2-mod-5^6",
-            base.mul(jj).mul(jj),
-            5,
-            {1: 2 * 3 * 5**3, 2: 1},
-            5**6,
-            n,
-            "(E6/E4) j^2 == E2,5 (2*3*5^3 G5 + G5^2) (mod 5^6)",
-        )
-    )
-    reports.extend(epsilon_ladder_reports(3, 8))
-    return reports
-
-
-def epsilon_ladder_reports(a_min=3, a_max=8, modulus=5**6):
-    """For a_min <= a <= a_max: (E6/E4) j^a mod 5^6 is supported on the top
-    three hauptmodul powers, with eps_1 = 0 mod 5^5 and eps_2 = 0 mod 5^3."""
+    table_mod = {5: 5**8, 7: 7**4, 13: 13**2}
+    e14 = {t: e14_over_delta(prec, m) for t, m in table_mod.items()}
+    j = {t: j_series(prec, m) for t, m in table_mod.items()}
     reports = []
+    for line, t, mod, k, statement in _LEMMA_ROWS:
+        rhs = GPoly.from_dict(t, k).eval(hauptmodul(t, n + 6, mod))
+        if line.startswith("j-"):
+            lhs = j[t]
+        else:
+            lhs = e14[t].mul(j[t]) if line.startswith("e46d-j2") else e14[t]
+            rhs = e2t(t, n + 6, mod).mul(rhs)
+        params = {"t": t, "modulus": mod, "n": n, "statement": statement}
+        reports.append(identity_report(line, lhs.reduce_mod(mod), rhs, params, hi=n))
+    return reports + epsilon_ladder_reports(3, 8)
+
+
+def epsilon_ladder_reports(a_min=3, a_max=8):
+    """For a_min <= a <= a_max: (E6/E4) j^a = (E4^2 E6/Delta) j^(a-1) mod 5^6
+    is supported on the top three hauptmodul powers, with eps_1 = 0 mod 5^5
+    and eps_2 = 0 mod 5^3."""
+    reports = []
+    modulus = 5**6
     prec = 5 * a_max + a_max + 12
-    e4 = eisenstein(4, prec, modulus)
-    e6 = eisenstein(6, prec, modulus)
     jj = j_series(prec, modulus)
-    f = e6.mul(e4.invert())
-    for _ in range(a_min):
+    f = e14_over_delta(prec, modulus)
+    for _ in range(a_min - 1):
         f = f.mul(jj)
     for a in range(a_min, a_max + 1):
         h = f.truncate(5 * a + 3)
@@ -382,7 +322,12 @@ def epsilon_ladder_reports(a_min=3, a_max=8, modulus=5**6):
                 "statement": "(E6/E4) j^a == E2,5 (eps1 G^(a-2) + eps2 G^(a-1) + G^a) (mod 5^6), eps1 == 0 mod 5^5, eps2 == 0 mod 5^3",
             },
         ) as rec:
-            k = solve_in_e2t_basis(h, 5, a)
+            try:
+                k = solve_in_e2t_basis(h, 5, a)
+            except ValueError as exc:
+                rec.fail(0, "decomposition: %s" % exc, "K(G5) mod 5^6")
+                reports.append(rec.report)
+                continue
             lead = k.coeff(a)
             eps2 = k.coeff(a - 1)
             eps1 = k.coeff(a - 2)

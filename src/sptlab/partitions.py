@@ -21,20 +21,6 @@ import numpy as np
 from .forms import _build_p, _divisor_power_sums, inverse_euler, memo
 from .series import Series
 
-EXACT_CAP = 5000
-MODULAR_CAP = 200000
-
-
-def _check_cap(n, modulus, cap):
-    default = MODULAR_CAP if modulus else EXACT_CAP
-    limit = cap if cap is not None else default
-    if n > limit:
-        raise ValueError(
-            "n=%d beyond the %s cap %d (pass cap= to override)"
-            % (n, "modular" if modulus else "exact", limit)
-        )
-
-
 def _andrews_rhs(n, modulus=0):
     """The right side of Andrews' identity through q^n (module docstring).
 
@@ -51,10 +37,9 @@ def _andrews_rhs(n, modulus=0):
     return sigma + Series(tail, 0, 0, modulus)
 
 
-def spt_stream(n, modulus=0, cap=None):
+def spt_stream(n, modulus=0):
     """spt(0..n) from Andrews' identity: one product of its right side with
     the bank's p table divides by the Euler product."""
-    _check_cap(n, modulus, cap)
     p = inverse_euler(n, modulus)
     return _andrews_rhs(n, modulus).mul(p)
 
@@ -93,7 +78,7 @@ def _build(kind, n, modulus):
         # the bank's own p table, so the memo stores it once
         return _build_p(n, modulus)
     if kind == "spt":
-        return spt_stream(n, modulus, cap=n)
+        return spt_stream(n, modulus)
     # d and a live on the q^(n - 1/24) grid; they are formed on the integer
     # grid and tagged 23 at the end
     if kind == "d":

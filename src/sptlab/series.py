@@ -7,9 +7,8 @@ frac24 - 24).  Coefficients below lo are known to vanish; coefficients
 above valid_to are unknown and reading them is a hard error.
 
 The coefficients are one 1-D numpy array in either of two domains: exact,
-an object array of Python ints (Fractions tolerated where linear algebra
-produces them), or residues modulo M >= 2, an int64 array with entries in
-[0, M).  Every operation is one array expression for both, reduced mod M
+an object array of Python ints, or residues modulo M >= 2, an int64 array
+with entries in [0, M).  Every operation is one array expression for both, reduced mod M
 when there is a modulus; only the products and inverses choose a kernel by
 domain.  A table of arithmetic-function values f(0..N), such as p(n) or
 spt(n), is a Series too.
@@ -59,7 +58,7 @@ def reduce(x, modulus):
 
 
 def _is_exact_value(c):
-    return isinstance(c, (int, np.integer, Fraction))
+    return isinstance(c, (int, np.integer))
 
 
 class Series:
@@ -210,8 +209,6 @@ class Series:
 
     def scale(self, c):
         m = self.modulus
-        if m and isinstance(c, Fraction):
-            raise ValueError("Fraction scalar on a modular series")
         return Series._wrap(reduce(self.coeffs * reduce(c, m), m), self.lo, self.frac24, m)
 
     # -- multiplication --------------------------------------------------
@@ -281,13 +278,9 @@ class Series:
             return Series._wrap(inv, lo, frac, m)
         coeffs = a.coeffs.tolist()
         c0 = coeffs[0]
-        if Fraction in set(map(type, coeffs)):
-            c0_inv = Fraction(1, 1) / c0
-        elif c0 == 1 or c0 == -1:
-            c0_inv = c0
-        else:
+        if c0 != 1 and c0 != -1:
             raise UnitError("exact inversion needs leading coefficient +-1, got %r" % (c0,))
-        inv = _invert_exact(coeffs, c0_inv, prefix)
+        inv = _invert_exact(coeffs, c0, prefix)
         return Series._wrap(inv, lo, frac, 0)
 
     # -- reindexing operations ---------------------------------------------
@@ -349,11 +342,8 @@ class Series:
             return self
         if self.modulus % m:
             raise GridError("cannot reduce mod %d from mod %d" % (m, self.modulus))
-        res = self.coeffs % m
-        # int64 would silently truncate a Fraction
-        if res.dtype == object and Fraction in set(map(type, res)):
-            raise ValueError("cannot reduce a series with Fraction coefficients")
-        return Series._wrap(res.astype(np.int64, copy=False), self.lo, self.frac24, m)
+        res = (self.coeffs % m).astype(np.int64, copy=False)
+        return Series._wrap(res, self.lo, self.frac24, m)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -388,7 +378,7 @@ class Series:
 _SCHOOLBOOK_CUTOFF = 64 * 64
 
 # The limb-sum bound k L 2^(2w) that _conv_fft proves exact (error below
-# 0.07), at k = 3 limbs of w = 11 bits and L = 200001 terms, one past the cap.
+# 0.07), at k = 3 limbs of w = 11 bits and L = 200001 terms.
 _LIMB_BUDGET = 3 * 200001 << 22
 
 
@@ -397,8 +387,8 @@ def _conv_exact(a, b, n_out):
 
     Python-int operands go to np.convolve on int64 when the shorter one has
     fewer than _FFT_CUTOFF terms and no partial sum can reach 2^63, else to
-    schoolbook when tiny, else to _conv_columns.  Everything else, Fractions
-    included, and a product whose column guard trips take schoolbook.
+    schoolbook when tiny, else to _conv_columns.  Everything else, and a
+    product whose column guard trips, take schoolbook.
     """
     square = a is b
     a = a[:n_out]
@@ -615,10 +605,10 @@ def _conv_fft(a, b, m, n_out):
     below k L 2^(2w), exact in float64 and int64.  Percival's bound for a
     float64 FFT product of length up to 2^19, about 230 ulp of
     ||x|| ||y|| < L 2^(2w), puts the error below k L 2^(2w) 2^-45: 0.07 for
-    k = 3 at w = 11 and L = MODULAR_CAP + 1, which is _LIMB_BUDGET.  _limbs
-    takes the fewest limbs whose bound stays within it: one for m = 169 up to
-    the cap, two for m = 360360 past 9 terms, three for m near 2^31 at the
-    cap.
+    k = 3 at w = 11 and L = 200001, which is _LIMB_BUDGET.  _limbs takes the
+    fewest limbs whose bound stays within it: one for m = 169 up to
+    L = 200001, two for m = 360360 past 9 terms, three for m near 2^31 at
+    L = 200001.
     That bound is for radix-2 transforms and these are mixed radix 2/3, so a
     guard measures the error instead: if any float lies 1/4 or more from its
     rounding, the result is None and the caller uses np.convolve.
@@ -637,9 +627,9 @@ _INV_BLOCK = 128
 
 
 def _invert_exact(a, c0_inv, prefix=None):
-    """Power-series inverse of an exact coefficient list (a[0] a unit), as an
-    object array; out[i] reads only out[:i], so a known prefix is kept and the
-    recurrence resumes.
+    """Power-series inverse of an exact coefficient list with a[0] = c0_inv =
+    +-1, as an object array; out[i] reads only out[:i], so a known prefix is
+    kept and the recurrence resumes.
 
     The recurrence runs in blocks of _INV_BLOCK indices.  A term a[k] with
     k >= _INV_BLOCK reads only finished blocks, so its share of a block is one
@@ -655,7 +645,6 @@ def _invert_exact(a, c0_inv, prefix=None):
     out.extend([0] * (n - start))
     done = np.array(out, dtype=object)  # out[:b0] for the block adds
     neg = c0_inv == -1
-    frac = isinstance(c0_inv, Fraction)
     for b0 in range(start, n, _INV_BLOCK):
         b1 = min(b0 + _INV_BLOCK, n)
         acc = np.zeros(b1 - b0, dtype=object)
@@ -677,10 +666,7 @@ def _invert_exact(a, c0_inv, prefix=None):
                 if k > i:
                     break
                 s += ak * out[i - k]
-            if frac:
-                out[i] = -s * c0_inv
-            else:
-                out[i] = s if neg else -s
+            out[i] = s if neg else -s
         done[b0:b1] = out[b0:b1]
     return done
 

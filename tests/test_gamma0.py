@@ -5,7 +5,7 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
-from sptlab import gamma0
+from sptlab import cli, gamma0
 from sptlab.forms import delta_series, eisenstein, eta_quotient, euler_product
 from sptlab.gamma0 import (
     GPoly,
@@ -140,12 +140,10 @@ def test_psi_form_matches_dilation_first(t):
 # -- Laurent polynomials in the hauptmodul ---------------------------------------
 
 def test_gpoly_roundtrip_and_coeff():
-    k = GPoly.from_dict(5, {2: 3, -1: Fraction(1, 5), 0: 0})
-    assert k.as_dict() == {2: 3, -1: Fraction(1, 5)}
+    k = GPoly.from_dict(5, {2: 3, -1: 7, 0: 0})
+    assert k.as_dict() == {2: 3, -1: 7}
     assert k.support == (-1, 2)
     assert k.coeff(0) == 0
-    assert not k.is_integral()
-    assert GPoly.from_dict(5, {1: 1}).is_integral()
 
 
 def test_gpoly_fricke_involution():
@@ -154,6 +152,13 @@ def test_gpoly_fricke_involution():
     assert k.fricke().fricke().as_dict() == k.as_dict()
     k7 = GPoly.from_dict(7, {2: 3, 0: -1})
     assert k7.fricke().as_dict() == {-2: 3 * 7**4, 0: -1}
+
+
+def test_gpoly_fricke_rejects_a_non_integral_image():
+    # G^-1 maps to 5^-3 G: only a coefficient divisible by 125 has an image
+    assert GPoly.from_dict(5, {-1: 250}).fricke().as_dict() == {1: 2}
+    with raises(ValueError, match="not integral"):
+        GPoly.from_dict(5, {-1: 1}).fricke()
 
 
 # (t, K, (lo, valid_to) of K(G_t) evaluated at G_t through q^12)
@@ -192,6 +197,17 @@ def test_gpoly_eval_matches_powers():
             assert (val.lo, val.valid_to) == (expect.lo, expect.valid_to) == window
             assert val.modulus == modulus
             assert val.first_difference(expect) is None, (t, kdict, modulus)
+
+
+def test_g_powers_reach_deep_powers_as_eta_quotients():
+    # G^-j is (eta(5z)/eta)^(6j), and G^1500 a power of g, far past the
+    # recursion limit of a memo that calls itself
+    g = hauptmodul(5, 20, 5**6)
+    powers = gamma0._GPowers(5, g)
+    deep = eta_quotient({1: -6 * 1500, 5: 6 * 1500}, 1521, 5**6)
+    assert (powers[-1500].lo, powers[-1500].valid_to) == (1500, 1521)
+    assert powers[-1500].first_difference(deep) is None
+    assert powers[1500].first_difference(g ** 1500) is None
 
 
 # -- beta streams and the Atkin solve ---------------------------------------------
@@ -236,8 +252,6 @@ def test_beta_stream_modular():
     exact = beta_stream(5, k, 30)
     modular = beta_stream(5, k, 30, modulus=5**6)
     assert exact.reduce_mod(5**6).first_difference(modular) is None
-    with raises(ValueError):
-        beta_stream(5, GPoly.from_dict(5, {1: Fraction(1, 5)}), 5, modulus=25)
 
 
 @parametrize('t,m,n', [(5, -2, 80), (7, -1, 60), (13, -1, 40)])
@@ -263,6 +277,21 @@ def test_e46d_pinned_level5():
     for a, v in expect.items():
         assert basis.coeff(a) == v, (a, basis.coeff(a), v)
     assert basis.coeff(2) == 0 and basis.coeff(-6) == 0
+
+
+@parametrize('t', LEVELS)
+def test_e46d_builds_two_eta_quotients(t, monkeypatch):
+    # the hauptmodul and G_t^-1; every other power of G_t is a product
+    calls = []
+    real = gamma0.eta_quotient
+
+    def spy(exps, n, modulus=0):
+        calls.append(exps)
+        return real(exps, n, modulus)
+
+    monkeypatch.setattr(gamma0, "eta_quotient", spy)
+    e46d_decompose(t)
+    assert len(calls) <= 2, calls
 
 
 @parametrize('t', [7, 13])
@@ -389,6 +418,48 @@ def test_epsilon_ladder_all_pass():
     reports = epsilon_ladder_reports(3, 5)
     assert [r.params["a"] for r in reports] == [3, 4, 5]
     for r in reports:
+        assert r.ok, r.summary_line()
+
+
+def _bump_j(monkeypatch, modulus, index):
+    """gamma0.j_series with +1 at q^index of every table mod modulus."""
+    real = gamma0.j_series
+
+    def bumped(n, m=0):
+        out = real(n, m)
+        if m == modulus:
+            out = Series(out.coeffs.copy(), out.lo, 0, m)
+            out.coeffs[index - out.lo] = (out.coeffs[index - out.lo] + 1) % m
+        return out
+
+    monkeypatch.setattr(gamma0, "j_series", bumped)
+
+
+def test_a_broken_ladder_solve_fails_its_lines(monkeypatch, capsys):
+    # +1 at q^44 of the ladder's j mod 5^6 leaves a residual in the a = 7
+    # solve; the line FAILs and the other lines still report
+    _bump_j(monkeypatch, 5**6, 44)
+    reports = check_lemma_congruences()
+    assert len(reports) == 14
+    failed = [r.check for r in reports if not r.ok]
+    assert failed and all(name.startswith("epsilon-ladder-") for name in failed)
+    broken = next(r for r in reports if r.check == "epsilon-ladder-a=7")
+    assert broken.first_failure["lhs"].startswith("decomposition: residual is nonzero")
+    assert cli.main(["check", "lemma-congruences"]) == 1
+    assert "FAIL epsilon-ladder-a=7" in capsys.readouterr().out
+
+
+def test_a_fault_in_j_mod_5_8_fails_only_its_readers(monkeypatch):
+    # the j-mod-5^8 line compares j mod 5^8 with G5 + 750 + 3^2*7*5^5 G5^-1
+    # from q^-1; the only other reader of that table is e46d-j2-mod-5^6
+    _bump_j(monkeypatch, 5**8, 2)
+    reports = {r.check: r for r in check_lemma_congruences()}
+    line = reports.pop("j-mod-5^8")
+    assert line.status == "fail" and line.n_verified == 3
+    assert line.first_failure["n"] == 2
+    assert reports.pop("e46d-j2-mod-5^6").status == "fail"
+    assert len(reports) == 12
+    for r in reports.values():
         assert r.ok, r.summary_line()
 
 

@@ -7,8 +7,6 @@ from sptlab import ValidityError, series
 from sptlab.forms import euler_product, inverse_euler
 from sptlab.series import Series
 from sptlab.partitions import (
-    EXACT_CAP,
-    MODULAR_CAP,
     prewarm,
     spt_bruteforce,
     spt_stream,
@@ -178,13 +176,6 @@ def test_reduce_to_needs_divisor():
         st.reduce_mod(3)
     exact = Series([10, 11])
     assert exact.reduce_mod(7).coeff(0) == 3
-
-
-def test_caps_guard_and_override():
-    with raises(ValueError):
-        spt_stream(EXACT_CAP + 1)
-    with raises(ValueError):
-        spt_stream(MODULAR_CAP + 1, modulus=5)
 
 
 # -- the shared bank --------------------------------------------------------------

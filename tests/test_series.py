@@ -137,14 +137,6 @@ def test_pow_zero_is_one():
 
 # -- scalar ops and reduction -------------------------------------------------
 
-def test_scale_fraction_exact_only():
-    s = Series([2, 4], lo=0)
-    assert s.scale(Fraction(1, 2)).coeff(1) == 2
-    with raises(ValueError):
-        s.reduce_mod(7).scale(Fraction(1, 2))
-
-
-
 @parametrize('modulus', [0, 97])
 def test_gather_reads_as_coeff_does(modulus):
     s = Series([3, -1, 4, 1, -5, 9], lo=-2, modulus=modulus)
@@ -171,8 +163,6 @@ def test_reduce_mod_of_a_long_exact_table_matches_python():
     assert got.coeffs.dtype == np.int64
     assert got.coeffs.tolist() == [c % 360360 for c in p.coeffs]
     assert got.reduce_mod(360360) is got
-    with raises(ValueError):
-        Series([*p.coeffs[:5], Fraction(7, 2)]).reduce_mod(5)
 
 
 def test_reduce_mod_guards():
@@ -183,9 +173,6 @@ def test_reduce_mod_guards():
         s.reduce_mod(6).reduce_mod(4)  # 4 does not divide 6
     r = s.reduce_mod(6).reduce_mod(3)
     assert r.coeff(0) == 0 and r.coeff(1) == 1
-    f = Series([Fraction(1, 2)], lo=0)
-    with raises(ValueError):
-        f.reduce_mod(5)
 
 
 def test_conv_bound_guard():
@@ -210,13 +197,6 @@ def test_invert_laurent_lo():
     inv = s.invert()
     assert inv.lo == 2
     assert inv.gather(range(2, 6)).tolist() == [1, 1, 1, 1]
-
-
-def test_invert_fraction_leading():
-    s = Series([Fraction(1, 2), 1], lo=0)
-    inv = s.invert()
-    assert inv.coeff(0) == 2
-    assert inv.coeff(1) == -4
 
 
 # -- dilate / sift / qderiv ---------------------------------------------------
@@ -395,7 +375,7 @@ def _is_inverse(a, inv):
 B = series._INV_BLOCK
 
 
-@parametrize('c0', [1, -1, Fraction(-1, 2)])
+@parametrize('c0', [1, -1])
 @parametrize('n', [1, B - 1, B, B + 1, 3 * B + 7])
 def test_blocked_inverse_matches_the_product_oracle(n, c0):
     # a term below the block length, one at it and one two blocks on
@@ -408,10 +388,10 @@ def test_blocked_inverse_matches_the_product_oracle(n, c0):
     full = Series(a).invert().coeffs
     assert len(full) == n and _is_inverse(a, full)
     # a resumed inverse keeps its prefix and recomputes the rest; the prefix
-    # ends around each block edge and, for integer coefficients at lengths
-    # up to B + 1, at every offset of the first block
+    # ends around each block edge and, at lengths up to B + 1, at every
+    # offset of the first block
     ends = {0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, n - 1, n}
-    if not isinstance(c0, Fraction) and n <= B + 1:
+    if n <= B + 1:
         ends |= set(range(n + 1))
     for k in sorted(e for e in ends if e <= n):
         got = Series(a).invert(full[:k]).coeffs
