@@ -8,10 +8,10 @@ above valid_to are unknown and reading them is a hard error.
 
 The coefficients are one 1-D numpy array in either of two domains: exact,
 an object array of Python ints, or residues modulo M >= 2, an int64 array
-with entries in [0, M).  Every operation is one array expression for both, reduced mod M
-when there is a modulus; only the products and inverses choose a kernel by
-domain.  A table of arithmetic-function values f(0..N), such as p(n) or
-spt(n), is a Series too.
+with entries in [0, M).  Every operation is one array expression for both,
+reduced mod M when there is a modulus; only the products and inverses
+choose a kernel by domain.  A table of arithmetic-function values f(0..N),
+such as p(n) or spt(n), is a Series too.
 """
 
 from __future__ import annotations
