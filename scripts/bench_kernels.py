@@ -19,6 +19,13 @@ of the inverted hauptmodul.  Then come the polynomial family A_0..A_7 of
 hecke.ono_poly_A and two Gamma0(t) solves: e46d_decompose(13), E4^2
 E6/Delta over E2,13 G_13^j for j = -13..1, and the a = 8 step of the epsilon
 ladder, (E4^2 E6/Delta) j^7 mod 5^6 to q^43 over E2,5 G_5^j for j = -40..8.
+The last case is a launch: a fresh `python -m sptlab.cli series p --n 0
+--out DIR`, timed by the child's CPU seconds (user plus system, from
+os.wait4) rather than by wall time.  It measures what every `series` export
+pays before its table: interpreter start-up, numpy and the sptlab modules
+the export imports.  The child writes no bytecode, so on a tree without
+__pycache__ directories, such as a fresh checkout, each launch compiles
+those modules from source.
 
     python scripts/bench_kernels.py --side parent=../parent/src --side change=src
 
@@ -42,6 +49,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,22 +82,47 @@ def operand(rng, terms, bits):
     return out
 
 
-def best_of(repeat, fn):
+LAUNCH = "launch: series p --n 0 --out DIR (child CPU)"
+
+
+def best_of(repeat, fn, self_timed=False):
+    """The least of repeat timings of fn, and its last result: wall time, or
+    the seconds a self-timed fn returns with its result as (seconds, result)."""
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn()
-        times.append(time.perf_counter() - t0)
+        dt = time.perf_counter() - t0
+        if self_timed:
+            dt, out = out
+        times.append(dt)
     return min(times), out
+
+
+def launch_cpu(src):
+    """(CPU seconds, lines of the file written) of one fresh `python -m
+    sptlab.cli series p --n 0 --out DIR` importing sptlab from src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sptlab.cli", "series", "p", "--n", "0", "--out", out],
+            cwd=out, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise SystemExit("the launch exited with %d" % proc.returncode)
+        with open(os.path.join(out, "p_n0_m0.qsc")) as fh:
+            return usage.ru_utime + usage.ru_stime, fh.read().splitlines()
 
 
 def digest(values):
     return hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()[:16]
 
 
-def case_table():
+def case_table(src):
     """(name, build) of every case, from sptlab functions every checkout has;
-    each build returns the coefficients as a flat list, or a tuple of them."""
+    each build returns the coefficients as a flat list, or a tuple of them,
+    except the launch, which returns (CPU seconds, lines)."""
     from sptlab import series
     from sptlab.forms import (_euler_power, e14_over_delta, eta_quotient, euler_product,
                               inverse_euler, j_series)
@@ -136,6 +169,7 @@ def case_table():
         ("e46d_decompose(13)", lambda: e46d_decompose(13).coeffs),
         ("epsilon ladder a = 8: solve mod 5^6 to q^43",
          lambda: solve_in_e2t_basis(ladder, 5, 8).coeffs),
+        (LAUNCH, lambda: launch_cpu(src)),
     ]
 
 
@@ -144,11 +178,11 @@ def worker(src):
     sptlab imported from src: first the case names, then one {ms, sha256}
     line per request."""
     sys.path.insert(0, os.path.abspath(src))
-    table = dict(case_table())
+    table = dict(case_table(src))
     print(json.dumps(list(table)), flush=True)
     for line in sys.stdin:
         name, repeat = json.loads(line)
-        dt, out = best_of(repeat, table[name])
+        dt, out = best_of(repeat, table[name], self_timed=name == LAUNCH)
         print(json.dumps({"ms": 1e3 * dt, "sha256": digest(out)}), flush=True)
 
 

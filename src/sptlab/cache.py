@@ -8,16 +8,20 @@ logged and treated as a miss."""
 
 from __future__ import annotations
 
-import logging
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger("sptlab.cache")
-
 MAGIC = "QSCACHE v1"
+
+
+def warn(msg, *args):
+    """Log on the sptlab.cache logger; logging loads only when a miss is logged."""
+    import logging
+
+    logging.getLogger("sptlab.cache").warning(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def load(cache_dir, kind):
             raise ValueError("rows end at %d, not at nmax %d" % (lo + rows - 1, kind.nmax))
         return values, lo
     except (ValueError, IndexError, OSError) as exc:
-        log.warning("treating corrupt cache file %s as a miss: %s", path, exc)
+        warn("treating corrupt cache file %s as a miss: %s", path, exc)
         return None
 
 

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from . import cache, partitions
-from .forms import form
-from .gamma0 import e2t, hauptmodul, phi_t
+from .forms import e2t, form, hauptmodul, phi_t
 from .series import ValidityError
-from .verifier import REGISTRY, CheckOptions, run_checks
+
+# `series` loads only forms, partitions and cache; the check modules
+# (verifier, hecke, gamma0, reports) load when a check runs or its help shows
 
 _FORM_KINDS = ("euler", "E2", "E4", "E6", "delta", "j", "e14_over_delta")
 _STREAM_KINDS = ("p", "spt", "d", "a")
@@ -37,10 +37,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     chk = sub.add_parser("check", help="run named congruence checks")
-    chk.add_argument(
-        "name",
-        help="registry name or 'all'; one of: %s" % ", ".join(REGISTRY),
-    )
+    chk.add_argument("name", help="registry name or 'all'; the names are listed below")
     chk.add_argument("--ell", type=_parse_ells, default=None, metavar="L1,L2,...")
     chk.add_argument("--t", type=int, choices=(5, 7, 13), default=None)
     chk.add_argument("--nmax", type=int, default=None, help="sweep bound override")
@@ -52,6 +49,14 @@ def build_parser():
     chk.add_argument("--cache-dir", default=None)
     chk.add_argument("--format", choices=("text", "json"), default="text")
 
+    def check_help(format_help=chk.format_help):
+        from .verifier import REGISTRY
+
+        chk.epilog = "check names: all, " + ", ".join(REGISTRY)
+        return format_help()
+
+    chk.format_help = check_help
+
     ser = sub.add_parser("series", help="print or store one coefficient stream")
     ser.add_argument("kind", choices=_STREAM_KINDS + _FORM_KINDS + _LEVEL_KINDS)
     ser.add_argument("--n", type=int, required=True)
@@ -62,6 +67,7 @@ def build_parser():
 
 
 def _check_options(args):
+    """The CheckOptions fields that the check flags set."""
     exact = False
     modulus = None
     if args.mod is not None:
@@ -74,18 +80,16 @@ def _check_options(args):
                 raise ValueError("--mod wants 'exact' or an integer, got %r" % args.mod)
             if modulus < 2:
                 raise ValueError("--mod must be at least 2")
-    return CheckOptions(
-        ells=args.ell,
-        t=args.t,
-        nmax=args.nmax,
-        modulus=modulus,
-        exact=exact,
-        cache_dir=args.cache_dir,
-    )
+    return dict(ells=args.ell, t=args.t, nmax=args.nmax, modulus=modulus, exact=exact,
+                cache_dir=args.cache_dir)
 
 
 def _run_check(args):
-    opts = _check_options(args)
+    import json
+
+    from .verifier import REGISTRY, CheckOptions, run_checks
+
+    opts = CheckOptions(**_check_options(args))
     names = list(REGISTRY) if args.name == "all" else [args.name]
     # a single check must not print a PASS for an override it never read
     given = {"ell": opts.ells, "t": opts.t, "nmax": opts.nmax, "mod": opts.modulus}

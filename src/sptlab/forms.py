@@ -1,7 +1,7 @@
-"""Classical level-one q-expansions: Euler product, Eisenstein series,
-discriminant, j-function, and the weight-14-over-discriminant combination,
-plus the small-modulus Eisenstein congruences used by the verifier, and the
-memo bank every module shares, with the one p = 1/(q)_inf per modulus."""
+"""Classical q-expansions: Euler product, Eisenstein series, discriminant,
+j-function, the weight-14-over-discriminant combination and, at level t in
+{5, 7, 13}, the hauptmodul G_t, E2,t and Phi_t; plus the memo bank every
+module shares, with the one p = 1/(q)_inf per modulus."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from .reports import identity_report
 from .series import Series, coeff_dtype, reduce, split_e24
 
 
@@ -125,6 +124,41 @@ def e14_over_delta(n, modulus=0):
     return (e4 * e4 * e6 * eta_quotient({1: -24}, n, modulus)).truncate(n)
 
 
+# -- the level-t forms, t in {5, 7, 13} ----------------------------------------
+
+LEVELS = (5, 7, 13)
+
+
+def _eta_exponent(t):
+    if t not in LEVELS:
+        raise ValueError("level must be one of %s, got %r" % (LEVELS, t))
+    return 24 // (t - 1)
+
+
+def hauptmodul(t, n, modulus=0):
+    """G_t = (eta(z)/eta(tz))^(24/(t-1)) = q^-1 (1 + ...) on Gamma0(t)."""
+    e = _eta_exponent(t)
+    return eta_quotient({1: e, t: -e}, n, modulus)
+
+
+def e2t(t, n, modulus=0):
+    """The weight-2 Eisenstein series (t E2(tz) - E2(z))/(t - 1) on Gamma0(t)."""
+    _eta_exponent(t)
+    e2 = eisenstein(2, n)
+    num = e2.dilate(t).scale(t) - e2
+    bad = np.flatnonzero(num.coeffs % (t - 1))
+    if len(bad):
+        raise ArithmeticError("E2 combination not divisible by %d at q^%d" % (t - 1, bad[0]))
+    out = Series._wrap(num.coeffs // (t - 1), 0, 0, 0)
+    return out.reduce_mod(modulus) if modulus else out
+
+
+def phi_t(t, n, modulus=0):
+    """Phi_t = eta(z)/eta(t^2 z) = q^(-s) (1 + ...), s = (t^2 - 1)/24."""
+    _eta_exponent(t)
+    return eta_quotient({1: 1, t * t: -1}, n, modulus)
+
+
 # -- the memo bank -----------------------------------------------------------
 
 # (tag, modulus) -> the longest Series built so far, for the forms below and
@@ -178,71 +212,3 @@ _BUILDERS = {
 def form(tag, n, modulus=0):
     """Cached access to a named classical expansion, valid to q^n."""
     return memo(tag, n, modulus, _BUILDERS[tag]).truncate(n)
-
-
-# -- classical congruence checks -----------------------------------------------
-
-
-def classical_congruence_reports(n=500):
-    """All displayed Eisenstein/discriminant/j identities and congruences; each
-    congruence is computed in its modulus (reduction is a ring map)."""
-    e2 = form("E2", n)
-    e4 = form("E4", n)
-    e6 = form("E6", n)
-    delta = form("delta", n)
-    j = form("j", n)
-    e4sq = e4 * e4
-    e4cube = e4sq * e4
-    reports = []
-
-    def identity(name, lhs, rhs, statement):
-        reports.append(
-            identity_report(name, lhs, rhs, {"n": n, "statement": statement})
-        )
-
-    identity(
-        "j-times-delta",
-        j * delta,
-        e4cube,
-        "j(z) * Delta(z) == E4(z)^3",
-    )
-    identity(
-        "qderiv-delta",
-        delta.qderiv(),
-        delta * e2,
-        "q d/dq Delta == Delta * E2",
-    )
-    identity(
-        "qderiv-j",
-        j.qderiv() * delta,
-        -e4sq * e6,
-        "(q d/dq j) * Delta == -E4^2 * E6",
-    )
-    identity(
-        "e4cube-e6square",
-        e4cube - e6 ** 2,
-        delta.scale(1728),
-        "E4^3 - E6^2 == 1728 * Delta",
-    )
-
-    def forms_mod(mod):
-        return [form(tag, n, mod) for tag in ("E2", "E4", "E6", "delta")] + [
-            Series.one(n, mod)
-        ]
-
-    e2m, e4m, e6m, dm, one = forms_mod(65520)
-    identity(
-        "e4cube-mod-65520",
-        e4m ** 3 - dm.scale(720),
-        one,
-        "E4^3 - 720 Delta == 1 (mod 65520)",
-    )
-    identity("e2-mod-65520", e2m, e4m * e4m * e6m, "E2 == E4^2 E6 (mod 65520)")
-    e2m, e4m, e6m, dm, one = forms_mod(32)
-    identity("e2-mod-32", e2m, e4m * e6m + dm.scale(16), "E2 == E4 E6 + 16 Delta (mod 32)")
-    identity("e4sq-mod-32", e4m * e4m, one, "E4^2 == 1 (mod 32)")
-    e2m, e4m, e6m, dm, one = forms_mod(27)
-    identity("e2-mod-27", e2m, e4m ** 5 + dm.scale(18), "E2 == E4^5 + 18 Delta (mod 27)")
-    identity("e6-mod-27", e6m, e4m ** 6, "E6 == E4^6 (mod 27)")
-    return reports
-

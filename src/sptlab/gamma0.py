@@ -1,7 +1,7 @@
-"""Level-t machinery for t in {5, 7, 13}: the eta-quotient hauptmodul, the
-weight-2 Eisenstein series, beta series with their vanishing
-patterns, Fricke-involution bookkeeping on hauptmodul polynomials, and
-basis decompositions of weight-2 objects over Gamma0(t)."""
+"""Level-t machinery for t in {5, 7, 13}, over the hauptmodul G_t, E2,t and
+Phi_t of `forms`: beta series with their vanishing patterns,
+Fricke-involution bookkeeping on hauptmodul polynomials, and basis
+decompositions of weight-2 objects over Gamma0(t)."""
 
 from __future__ import annotations
 
@@ -9,44 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import e14_over_delta, eisenstein, eta_quotient, j_series
+from .forms import (LEVELS, _eta_exponent, e2t, e14_over_delta, eta_quotient, hauptmodul,
+                    j_series, phi_t)
 from .hecke import HeckeParams, chi12, hecke_combo, legendre, legendre_class, peel, s_ell
 from .partitions import stream
 from .reports import identity_report, sweep, timed_report
 from .series import Series
-
-LEVELS = (5, 7, 13)
-
-
-def _eta_exponent(t):
-    if t not in LEVELS:
-        raise ValueError("level must be one of %s, got %r" % (LEVELS, t))
-    return 24 // (t - 1)
-
-
-def hauptmodul(t, n, modulus=0):
-    """G_t = (eta(z)/eta(tz))^(24/(t-1)) = q^-1 (1 + ...) on Gamma0(t)."""
-    e = _eta_exponent(t)
-    return eta_quotient({1: e, t: -e}, n, modulus)
-
-
-def e2t(t, n, modulus=0):
-    """The weight-2 Eisenstein series (t E2(tz) - E2(z))/(t - 1) on Gamma0(t)."""
-    _eta_exponent(t)
-    e2 = eisenstein(2, n)
-    num = e2.dilate(t).scale(t) - e2
-    bad = np.flatnonzero(num.coeffs % (t - 1))
-    if len(bad):
-        raise ArithmeticError("E2 combination not divisible by %d at q^%d" % (t - 1, bad[0]))
-    out = Series._wrap(num.coeffs // (t - 1), 0, 0, 0)
-    return out.reduce_mod(modulus) if modulus else out
-
-
-def phi_t(t, n, modulus=0):
-    """Phi_t = eta(z)/eta(t^2 z) = q^(-s) (1 + ...), s = (t^2 - 1)/24."""
-    _eta_exponent(t)
-    return eta_quotient({1: 1, t * t: -1}, n, modulus)
-
 
 # -- polynomials in the hauptmodul ---------------------------------------------
 

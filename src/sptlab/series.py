@@ -17,7 +17,6 @@ such as p(n) or spt(n), is a Series too.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,7 +73,11 @@ class Series:
         self.frac24 = int(frac24)
         self.lo = int(lo)
         self.modulus = int(modulus)
-        self.coeffs = reduce(np.asarray(coeffs, dtype=coeff_dtype(modulus)), modulus)
+        coeffs = np.asarray(coeffs, dtype=coeff_dtype(modulus))
+        # an exact entry outside the integers would be truncated by reduce_mod
+        if not modulus and not all(issubclass(t, (int, np.integer)) for t in set(map(type, coeffs))):
+            raise ValueError("an exact coefficient must be an integer")
+        self.coeffs = reduce(coeffs, modulus)
 
     # -- construction helpers ------------------------------------------------
 
@@ -107,6 +110,8 @@ class Series:
 
     def exponent(self, n):
         """True exponent of index n, as a Fraction."""
+        from fractions import Fraction
+
         return Fraction(24 * n + sgn24(self.frac24), 24)
 
     def coeff(self, n):
@@ -549,7 +554,7 @@ def _conv_mod(a, b, m, n_out):
     if conv is None:
         _check_conv_bound(m, short)
         conv = np.convolve(a, b)[:n_out] % m
-    return np.pad(conv, (0, n_out - len(conv)))
+    return conv if len(conv) == n_out else np.pad(conv, (0, n_out - len(conv)))
 
 
 def _fft_size(n):

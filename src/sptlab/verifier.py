@@ -10,14 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cache
-from .forms import (
-    _bank,
-    classical_congruence_reports,
-    delta_series,
-    eisenstein,
-    eta_quotient,
-    euler_product,
-)
+from .forms import _bank, delta_series, eisenstein, eta_quotient, euler_product, form
 from .gamma0 import (
     LEVELS,
     TC,
@@ -317,6 +310,37 @@ def check_level1_b(ell):
 # -- displayed q-expansions ----------------------------------------------------
 
 
+def classical_congruence_reports(n=500):
+    """All displayed Eisenstein/discriminant/j identities and congruences; each
+    congruence is computed in its modulus (reduction is a ring map)."""
+    e2, e4, e6, delta, j = (form(tag, n) for tag in ("E2", "E4", "E6", "delta", "j"))
+    e4sq = e4 * e4
+    e4cube = e4sq * e4
+    reports = []
+
+    def identity(name, lhs, rhs, statement):
+        reports.append(identity_report(name, lhs, rhs, {"n": n, "statement": statement}))
+
+    identity("j-times-delta", j * delta, e4cube, "j(z) * Delta(z) == E4(z)^3")
+    identity("qderiv-delta", delta.qderiv(), delta * e2, "q d/dq Delta == Delta * E2")
+    identity("qderiv-j", j.qderiv() * delta, -e4sq * e6, "(q d/dq j) * Delta == -E4^2 * E6")
+    identity("e4cube-e6square", e4cube - e6 ** 2, delta.scale(1728), "E4^3 - E6^2 == 1728 * Delta")
+
+    def forms_mod(mod):
+        return [form(tag, n, mod) for tag in ("E2", "E4", "E6", "delta")] + [Series.one(n, mod)]
+
+    e2m, e4m, e6m, dm, one = forms_mod(65520)
+    identity("e4cube-mod-65520", e4m ** 3 - dm.scale(720), one, "E4^3 - 720 Delta == 1 (mod 65520)")
+    identity("e2-mod-65520", e2m, e4m * e4m * e6m, "E2 == E4^2 E6 (mod 65520)")
+    e2m, e4m, e6m, dm, one = forms_mod(32)
+    identity("e2-mod-32", e2m, e4m * e6m + dm.scale(16), "E2 == E4 E6 + 16 Delta (mod 32)")
+    identity("e4sq-mod-32", e4m * e4m, one, "E4^2 == 1 (mod 32)")
+    e2m, e4m, e6m, dm, one = forms_mod(27)
+    identity("e2-mod-27", e2m, e4m ** 5 + dm.scale(18), "E2 == E4^5 + 18 Delta (mod 27)")
+    identity("e6-mod-27", e6m, e4m ** 6, "E6 == E4^6 (mod 27)")
+    return reports
+
+
 def s_psi_display_reports(n=100):
     """The six displayed weight-3/2 constructions at t in {5, 7} with K = 1:
     the direct S forms, the U_t images of beta, and the Psi forms."""
@@ -513,16 +537,16 @@ def _seed_from_cache(cache_dir):
     values, lo = got
     if lo != 0:
         # p starts at n = 0; the bank would read the missing rows as zeros
-        cache.log.warning("treating cache file %s as a miss: rows start at %d, not 0",
-                          best.filename(), lo)
+        cache.warn("treating cache file %s as a miss: rows start at %d, not 0",
+                   best.filename(), lo)
         return -1
     n = best.nmax
     p = Series(values, 0, 0, MASTER_MODULUS)
     bad = p.mul(euler_product(n, MASTER_MODULUS)).first_difference(
         Series.one(n, MASTER_MODULUS))
     if bad is not None:
-        cache.log.warning("treating cache file %s as a miss: its p table breaks its "
-                          "defining identity at n = %d", best.filename(), bad[0])
+        cache.warn("treating cache file %s as a miss: its p table breaks its "
+                   "defining identity at n = %d", best.filename(), bad[0])
         return -1
     _bank[("p", MASTER_MODULUS)] = p
     return n

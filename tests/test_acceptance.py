@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 from time import perf_counter
 # local package
-from sptlab.forms import classical_congruence_reports
 from sptlab.gamma0 import GPoly, e2t, hauptmodul, solve_in_e2t_basis
 from sptlab.hecke import decompose_level1, level1_basis, ono_poly_A
 from sptlab.partitions import (
@@ -17,7 +16,7 @@ from sptlab.partitions import (
     spt_stream,
 )
 from sptlab.series import Series
-from sptlab.verifier import CheckOptions, run_checks
+from sptlab.verifier import CheckOptions, classical_congruence_reports, run_checks
 
 _shared = {}
 

@@ -5,11 +5,10 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
-from sptlab import forms, series
+from sptlab import forms, series, verifier
 from sptlab.forms import (
     _divisor_power_sums,
     _euler_power,
-    classical_congruence_reports,
     delta_series,
     e14_over_delta,
     eisenstein,
@@ -21,6 +20,7 @@ from sptlab.forms import (
 )
 from sptlab.partitions import stream
 from sptlab.series import Series
+from sptlab.verifier import classical_congruence_reports
 
 parametrize = mark.parametrize
 
@@ -244,7 +244,7 @@ def test_classical_congruence_lines_are_the_exact_expressions_reduced(bank_guard
     # each congruence line is computed in its modulus; reduction is a ring map,
     # so it must equal the exact expression reduced
     n = 60
-    seen = identity_lines(forms)
+    seen = identity_lines(verifier)
     classical_congruence_reports(n)
     e2, e4, e6 = (eisenstein(k, n) for k in (2, 4, 6))
     d = delta_series(n)

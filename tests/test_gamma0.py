@@ -5,7 +5,7 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
-from sptlab import cli, gamma0
+from sptlab import cli, forms, gamma0
 from sptlab.forms import delta_series, eisenstein, eta_quotient, euler_product
 from sptlab.gamma0 import (
     GPoly,
@@ -68,14 +68,14 @@ def test_e2t_divisor_oracle(t):
 
 def test_e2t_rejects_a_combination_not_divisible_by_t_minus_one(monkeypatch):
     # E2 off by one at q^3: t E2(tz) - E2(z) there is 95, not divisible by 4
-    real = gamma0.eisenstein
+    real = forms.eisenstein
 
     def bumped(weight, n, modulus=0):
         e = real(weight, n, modulus)
         e.coeffs[3] += 1
         return e
 
-    monkeypatch.setattr(gamma0, "eisenstein", bumped)
+    monkeypatch.setattr(forms, "eisenstein", bumped)
     with raises(ArithmeticError, match=r"divisible by 4 at q\^3"):
         e2t(5, 10)
 
@@ -281,14 +281,17 @@ def test_e46d_pinned_level5():
 
 @parametrize('t', LEVELS)
 def test_e46d_builds_two_eta_quotients(t, monkeypatch):
-    # the hauptmodul and G_t^-1; every other power of G_t is a product
+    # the hauptmodul (built in forms) and G_t^-1; every other power of G_t is
+    # a product, and E4^2 E6/Delta's eta^-24 is no level-t quotient
     calls = []
-    real = gamma0.eta_quotient
+    real = forms.eta_quotient
 
     def spy(exps, n, modulus=0):
-        calls.append(exps)
+        if t in exps:
+            calls.append(exps)
         return real(exps, n, modulus)
 
+    monkeypatch.setattr(forms, "eta_quotient", spy)
     monkeypatch.setattr(gamma0, "eta_quotient", spy)
     e46d_decompose(t)
     assert len(calls) <= 2, calls

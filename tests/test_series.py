@@ -153,8 +153,17 @@ def test_gather_reads_as_coeff_does(modulus):
 
 def test_gather_keeps_exact_values():
     big = 3**90
-    got = Series([big, -big, Fraction(1, 3)], lo=1).gather([3, 2, 1, 0])
-    assert got.dtype == object and got.tolist() == [Fraction(1, 3), -big, big, 0]
+    got = Series([big, -big, 3], lo=1).gather([3, 2, 1, 0])
+    assert got.dtype == object and got.tolist() == [3, -big, big, 0]
+    assert type(got[0]) is int
+
+
+@parametrize('c', [Fraction(7, 2), 0.5, 2.0])
+def test_exact_series_rejects_a_non_integer_coefficient(c):
+    # reduce_mod would truncate it: Fraction(7, 2) would read as 3 mod 5
+    with raises(ValueError, match="integer"):
+        Series([c, 1])
+    assert Series([np.int64(7), 2**70]).coeffs.tolist() == [7, 2**70]
 
 
 def test_reduce_mod_of_a_long_exact_table_matches_python():
@@ -543,6 +552,19 @@ def test_conv_mod_extreme_residues():
         b = np.full(900, m - 1, dtype=np.int64)
         got = _conv_mod(a, b, m, 1599)
         assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), m, 1599)
+
+
+@parametrize('la, lb', [(3, 5), (_FFT_CUTOFF, _FFT_CUTOFF + 9)], ids=["convolve", "fft"])
+def test_conv_mod_pads_a_short_product_to_n_out(la, lb):
+    # the product has la + lb - 1 terms; asked for more, it comes back zero-padded
+    rng = np.random.default_rng(la)
+    a = rng.integers(0, 360360, la, dtype=np.int64)
+    b = rng.integers(0, 360360, lb, dtype=np.int64)
+    full = la + lb - 1
+    got = _conv_mod(a, b, 360360, full + 20)
+    assert got.dtype == np.int64 and len(got) == full + 20
+    assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), 360360, full + 20)
+    assert _conv_mod(a, b, 360360, full).tolist() == got[:full].tolist()
 
 
 @parametrize('noise', [0.3, 0.7])
