@@ -2,8 +2,10 @@
 
 The cases are the two Newton inversions behind the modular p tables (p mod
 360360 at 40,001 terms, the master table of `check all`, and p mod 169 at
-18,584 terms, for the 13^2 sweep) and ten exact products, all taken by the
-limb-column kernel: the eight largest shapes that `check all` and the ten
+18,584 terms, for the 13^2 sweep), the master spt product (the right side
+of Andrews' identity times p, both mod 360360 at 40,001 terms, as
+partitions.spt_stream multiplies them) and ten exact products, all taken
+by the limb-column kernel: the eight largest shapes that `check all` and the ten
 `series --out` exports of the benchmark multiply, a long operand of few bits
 (3,001 terms at 22 bits, from the delta export) and a short operand of many
 bits (111 terms at 155 and 192 bits, from `check all`).  Each is
@@ -58,6 +60,8 @@ ROUNDS = 7
 # (name, modulus, terms) of the Newton inversions of the Euler product
 INVERSIONS = [("invert_mod 360360 x 40001", 360360, 40001),
               ("invert_mod 169 x 18584", 169, 18584)]
+
+SPT_PRODUCT = "master spt product: Andrews rhs x p mod 360360 x 40001"
 
 # (name, terms of each operand, bits of a, bits of b); n_out is the length
 PRODUCTS = [
@@ -128,12 +132,15 @@ def case_table(src):
                               inverse_euler, j_series)
     from sptlab.gamma0 import e46d_decompose, hauptmodul, solve_in_e2t_basis
     from sptlab.hecke import ono_poly_A
+    from sptlab.partitions import _andrews_rhs
     from sptlab.series import Series
 
     cases = []
     for name, m, terms in INVERSIONS:
         a = euler_product(terms - 1, m).coeffs
         cases.append((name, lambda a=a, m=m: series._invert_mod(a, m, 1).tolist()))
+    rhs, p = _andrews_rhs(40000, 360360), inverse_euler(40000, 360360)
+    cases.append((SPT_PRODUCT, lambda: rhs.mul(p).coeffs))
     for seed, (name, terms, bits_a, bits_b) in enumerate(PRODUCTS):
         rng = random.Random(seed)
         a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)

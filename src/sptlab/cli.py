@@ -41,11 +41,8 @@ def build_parser():
     chk.add_argument("--ell", type=_parse_ells, default=None, metavar="L1,L2,...")
     chk.add_argument("--t", type=int, choices=(5, 7, 13), default=None)
     chk.add_argument("--nmax", type=int, default=None, help="sweep bound override")
-    chk.add_argument(
-        "--mod",
-        default=None,
-        help="'exact' to keep streams in exact arithmetic, or a modulus override",
-    )
+    chk.add_argument("--mod", default=None,
+                     help="'exact' to keep streams in exact arithmetic, or a modulus override")
     chk.add_argument("--cache-dir", default=None)
     chk.add_argument("--format", choices=("text", "json"), default="text")
 

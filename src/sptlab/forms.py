@@ -170,6 +170,8 @@ def memo(tag, n, modulus, build):
     """The bank's (tag, modulus) table, valid at least to q^n: the stored one,
     else one reduced from a table of the same tag that is exact or modulo a
     multiple of modulus (one master serves many sweeps), else build(n, modulus).
+    A reduction of a modular table is made per request (0.13 ms at 40,001
+    terms), not held for the run; one of an exact table is stored.
     """
     key = (tag, modulus)
     got = _bank.get(key)
@@ -179,8 +181,10 @@ def memo(tag, n, modulus, build):
         for (t, m), tab in _bank.items():
             refines = m == 0 or (m != modulus and m % modulus == 0)
             if t == tag and refines and tab.valid_to >= n:
-                _bank[key] = tab.reduce_mod(modulus)
-                return _bank[key]
+                got = tab.reduce_mod(modulus)
+                if not m:
+                    _bank[key] = got
+                return got
     _bank[key] = build(n, modulus)
     return _bank[key]
 

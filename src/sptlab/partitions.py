@@ -44,33 +44,6 @@ def spt_stream(n, modulus=0):
     return _andrews_rhs(n, modulus).mul(p)
 
 
-def spt_bruteforce(n):
-    """spt(n) by enumerating partitions; guarded to n <= 45."""
-    if not 0 <= n <= 45:
-        raise ValueError("brute-force spt is guarded to 0 <= n <= 45")
-    if n == 0:
-        return 0
-    total = 0
-    # ascending-composition enumeration: a[0] is the smallest part
-    a = [0] * (n + 1)
-    k = 1
-    a[0] = 0
-    a[1] = n
-    while k != 0:
-        x = a[k - 1] + 1
-        y = a[k] - 1
-        k -= 1
-        while x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        a[k] = x + y
-        part = a[: k + 1]
-        smallest = part[0]
-        total += part.count(smallest)
-    return total
-
-
 # -- the p/spt/d/a tables in the shared bank -----------------------------------
 
 def _build(kind, n, modulus):

@@ -602,7 +602,8 @@ def _mod_columns(fa, fb, w, m, size, lo, hi):
 
 
 def _conv_fft(a, b, m, n_out):
-    """Exact a*b mod m from float64 FFTs of the w-bit limbs of a and b.
+    """Exact a*b mod m truncated to n_out, from float64 FFTs of the w-bit
+    limbs of a and b.
 
     A residue below m < 2^31 splits into k limbs of w = ceil(bits(m-1)/k)
     bits, and each limb column sum_(i+j=s) A_i B_j is rounded after one
@@ -617,12 +618,36 @@ def _conv_fft(a, b, m, n_out):
     That bound is for radix-2 transforms and these are mixed radix 2/3, so a
     guard measures the error instead: if any float lies 1/4 or more from its
     rounding, the result is None and the caller uses np.convolve.
+
+    A product truncated to n terms is split once as a short product (Mulders,
+    AAECC 11, 2000): a b = a b[:h] + q^h a[:n-h] b[h:] through q^(n-1), for
+    b the shorter operand and h = ceil(n/2), unless b[h:] is shorter than
+    _FFT_CUTOFF.  The transforms shrink by about 1/4: 62,208 points, not
+    82,944, for the master spt product at 40,001 terms.
     """
+    if len(a) < len(b):
+        a, b = b, a
+    n = min(n_out, len(a) + len(b) - 1)
+    h = -(-n // 2)
+    if n == len(a) + len(b) - 1 or len(b) - h < _FFT_CUTOFF:
+        return _fft_product(a, b, m, n)
+    # a is longer than n/2, so both halves reach as far as they are read
+    low = _fft_product(a, b[:h], m, n)
+    high = None if low is None else _fft_product(a[: n - h], b[h:], m, n - h)
+    if high is None:
+        return None
+    low[h:] = (low[h:] + high) % m
+    return low
+
+
+def _fft_product(a, b, m, n):
+    """Coefficients 0..n-1 mod m of a*b (n at most its length) by _conv_fft's
+    limb transforms, unsplit; None if the rounding guard trips."""
     k, w = _limbs(m, max(len(a), len(b)))
     size = _fft_size(len(a) + len(b) - 1)
     fa = _residue_spectra(a, k, w, size)
     fb = fa if b is a else _residue_spectra(b, k, w, size)
-    return _mod_columns(fa, fb, w, m, size, 0, min(n_out, len(a) + len(b) - 1))
+    return _mod_columns(fa, fb, w, m, size, 0, n)
 
 
 # Block length of _invert_exact.  Measured on a 2-core x86-64 host with

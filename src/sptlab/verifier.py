@@ -185,15 +185,9 @@ def a_atkin_worked_instance():
     f = stream("a", 47)
     combo = hecke_combo(f, HeckeParams.weight_three_half(7), 1, lo=1)
     mod = 5**6
-    with timed_report(
-        "a-atkin-instance",
-        {
-            "t": 5,
-            "ell": 7,
-            "modulus": mod,
-            "statement": "a(47) + a(1) == 149077845 == -8 a(1) (mod 5^6)",
-        },
-    ) as rec:
+    params = {"t": 5, "ell": 7, "modulus": mod,
+              "statement": "a(47) + a(1) == 149077845 == -8 a(1) (mod 5^6)"}
+    with timed_report("a-atkin-instance", params) as rec:
         total = f.coeff(47) + f.coeff(1)
         if total != 149077845:
             rec.fail(1, total, 149077845)
@@ -541,14 +535,20 @@ def _seed_from_cache(cache_dir):
                    best.filename(), lo)
         return -1
     n = best.nmax
-    p = Series(values, 0, 0, MASTER_MODULUS)
-    bad = p.mul(euler_product(n, MASTER_MODULUS)).first_difference(
-        Series.one(n, MASTER_MODULUS))
-    if bad is not None:
+    # p (q)_inf by Euler's pentagonal theorem: p shifted by each generalised
+    # pentagonal g <= n (327 to 40000), added or subtracted as e_g is 1 or -1
+    e = euler_product(n, MASTER_MODULUS).coeffs
+    prod = np.zeros(n + 1, dtype=np.int64)
+    for g in np.flatnonzero(e):
+        step = np.add if e[g] == 1 else np.subtract
+        step(prod[g:], values[: n + 1 - g], out=prod[g:])
+    prod[0] -= 1
+    bad = np.flatnonzero(prod % MASTER_MODULUS)
+    if len(bad):
         cache.warn("treating cache file %s as a miss: its p table breaks its "
                    "defining identity at n = %d", best.filename(), bad[0])
         return -1
-    _bank[("p", MASTER_MODULUS)] = p
+    _bank[("p", MASTER_MODULUS)] = Series(values, 0, 0, MASTER_MODULUS)
     return n
 
 

@@ -11,12 +11,11 @@ from time import perf_counter
 # local package
 from sptlab.gamma0 import GPoly, e2t, hauptmodul, solve_in_e2t_basis
 from sptlab.hecke import decompose_level1, level1_basis, ono_poly_A
-from sptlab.partitions import (
-    spt_bruteforce,
-    spt_stream,
-)
+from sptlab.partitions import spt_stream
 from sptlab.series import Series
 from sptlab.verifier import CheckOptions, classical_congruence_reports, run_checks
+# test helpers
+from oracles import spt_bruteforce
 
 _shared = {}
 

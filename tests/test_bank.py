@@ -257,18 +257,34 @@ def master_bank():
 @mark.parametrize("key,index,check,pick,failure,n_verified", _fault_cases(),
                   ids=[c[2] for c in _fault_cases()])
 def test_one_fault_fails_its_reader_at_the_predicted_index(
-        bank_guard, master_bank, key, index, check, pick, failure, n_verified):
+        bank_guard, master_bank, monkeypatch, key, index, check, pick, failure, n_verified):
     opts = CheckOptions(ells=(11,), t=5)
     bank_guard.clear()
     bank_guard.update(master_bank)
     clean = run_checks(TABLE_SWEEPS, opts)
     assert len(clean) == 9 and all(r.ok for r in clean)
-    # the clean run stored the table the check reads, at its full length
-    tab = bank_guard[key]
-    modulus = tab.modulus
-    values = tab.coeffs.copy()
-    values[index] = (values[index] + 1) % modulus
-    bank_guard[key] = Series(values, 0, tab.frac24, modulus)
+    tag, modulus = key
+    if MASTER_MODULUS % modulus:
+        # the clean run stored the table the check reads, at its full length
+        tab = bank_guard[key]
+        values = tab.coeffs.copy()
+        values[index] = (values[index] + 1) % modulus
+        bank_guard[key] = Series(values, 0, tab.frac24, modulus)
+    else:
+        # the bank reduces the master for each request and stores no
+        # reduction, so the fault goes into every reduction of the master
+        assert key not in bank_guard
+        master, real = bank_guard[(tag, MASTER_MODULUS)], Series.reduce_mod
+
+        def faulty(self, m):
+            out = real(self, m)
+            if self is not master or m != modulus:
+                return out
+            values = out.coeffs.copy()
+            values[index] = (values[index] + 1) % modulus
+            return Series._wrap(values, out.lo, out.frac24, modulus)
+
+        monkeypatch.setattr(Series, "reduce_mod", faulty)
     failure = dict(failure)
     if check == "atkin-gamma":
         gamma = next(r for r in clean if r.check == check).params["gamma"]
@@ -324,6 +340,14 @@ def registry_bank():
     forms._bank.clear()
     forms._bank.update(saved)
     return snap
+
+
+def test_cold_check_all_stores_no_reduction_of_the_master(registry_bank):
+    # every sweep modulus that divides the master is reduced from it per
+    # request; the bank keeps only the master and tables of other moduli
+    divisors = {m for _, m in registry_bank if m and m != MASTER_MODULUS and MASTER_MODULUS % m == 0}
+    assert divisors == set()
+    assert {("p", MASTER_MODULUS), ("spt", MASTER_MODULUS), ("a", MASTER_MODULUS)} <= set(registry_bank)
 
 
 @mark.parametrize("key,k,failing", OUTSIDE_CASES, ids=[c[0][0] for c in OUTSIDE_CASES])

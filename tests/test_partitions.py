@@ -6,12 +6,9 @@ from pytest import raises, mark
 from sptlab import ValidityError, series
 from sptlab.forms import euler_product, inverse_euler
 from sptlab.series import Series
-from sptlab.partitions import (
-    prewarm,
-    spt_bruteforce,
-    spt_stream,
-    stream,
-)
+from sptlab.partitions import prewarm, spt_stream, stream
+# test helpers
+from oracles import spt_bruteforce
 
 parametrize = mark.parametrize
 

@@ -583,6 +583,84 @@ def test_conv_mod_rounding_guard(monkeypatch, noise):
     assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), 360360, 1099)
 
 
+# (length of a, length of b, n_out, whether _conv_fft splits b): a product
+# truncated to n splits its shorter operand at h = ceil(n/2) when the part
+# past h has at least _FFT_CUTOFF terms, whichever operand comes first
+C = _FFT_CUTOFF
+SPLIT_SHAPES = [
+    (2 * C, 2 * C, 2 * C, True),  # even n, b[h:] exactly at the cutoff
+    (2 * C - 1, 2 * C - 1, 2 * C - 1, False),  # odd n, b[h:] one short of it
+    (2 * C + 1, 2 * C + 1, 2 * C + 1, True),  # odd n, b[h:] at the cutoff
+    (4 * C, 3 * C, 4 * C, True),  # unequal operands, the longer first
+    (3 * C, 4 * C - 1, 4 * C - 1, True),  # the longer second, odd n
+    (4 * C, 3 * C, 5 * C, False),  # b[h:] too short to split off
+    (3 * C, 2 * C, 5 * C - 1, False),  # the whole product: nothing truncated
+]
+
+
+@parametrize('m', [169, 360360, 2**31 - 1])
+@parametrize('la, lb, n_out, split', SPLIT_SHAPES)
+def test_split_conv_mod_matches_schoolbook(monkeypatch, m, la, lb, n_out, split):
+    calls, product = [], series._fft_product
+    monkeypatch.setattr(series, "_fft_product",
+                        lambda a, b, m, n: calls.append((len(a), len(b), n)) or product(a, b, m, n))
+    rng = np.random.default_rng(la * lb + n_out)
+    a = rng.integers(0, m, la, dtype=np.int64)
+    b = rng.integers(0, m, lb, dtype=np.int64)
+    a[:5] = m - 1  # residues at their maximum as well
+    got = _conv_mod(a, b, m, n_out)
+    assert got.dtype == np.int64 and len(got) == n_out
+    assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), m, n_out)
+    h = -(-n_out // 2)
+    short = min(la, lb)
+    if split:
+        assert calls == [(max(la, lb), h, n_out), (n_out - h, short - h, n_out - h)]
+    else:
+        assert calls == [(max(la, lb), short, min(n_out, la + lb - 1))]
+
+
+@parametrize('half', [0, 1], ids=["low", "high"])
+def test_split_conv_mod_falls_back_when_one_half_trips(monkeypatch, half):
+    # a tripped rounding guard in either half sends the whole product on to
+    # np.convolve, which still returns it exactly
+    limb_columns, convolve = series._limb_columns, np.convolve
+    calls, fallbacks = [], []
+
+    def spy(*args):
+        calls.append(args[2])
+        if len(calls) - 1 == half:
+            yield None
+            return
+        yield from limb_columns(*args)
+
+    monkeypatch.setattr(series, "_limb_columns", spy)
+    monkeypatch.setattr(np, "convolve", lambda *args: fallbacks.append(1) or convolve(*args))
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 360360, 4 * C, dtype=np.int64)
+    b = rng.integers(0, 360360, 4 * C, dtype=np.int64)
+    got = _conv_mod(a, b, 360360, 4 * C)
+    # the high half is not computed once the low half has tripped
+    assert len(calls) == half + 1 and fallbacks == [1]
+    assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), 360360, 4 * C)
+
+
+def test_master_spt_product_transforms_at_most_62208_points(bank_guard, monkeypatch):
+    # the spt product of the master build: 40,001 terms of Andrews' right side
+    # times p, both mod 360360; unsplit it would transform at 82,944 points
+    from sptlab.forms import inverse_euler
+    from sptlab.partitions import _andrews_rhs
+
+    p = inverse_euler(40000, 360360)
+    rhs = _andrews_rhs(40000, 360360)
+    rfft, sizes = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda x, n=None, *args, **kw: sizes.append(n)
+                        or rfft(x, n, *args, **kw))
+    spt = rhs.mul(p)
+    assert max(sizes) == series._fft_size(60001) == 62208
+    assert series._fft_size(80001) == 82944
+    assert spt.valid_to == 40000 and spt.coeffs[:8].tolist() == [0, 1, 3, 5, 10, 14, 26, 35]
+
+
 def test_master_inverse_is_exact():
     e = euler_product(40000, 360360)
     prod = e.invert().mul(e)
