@@ -7,15 +7,19 @@ import sys
 import time
 
 from . import cache, partitions
-from .forms import e2t, form, hauptmodul, phi_t
+from .forms import (delta_series, e2t, e14_over_delta, eisenstein, euler_product, hauptmodul,
+                    j_series, phi_t)
 from .series import ValidityError
 
 # `series` loads only forms, partitions and cache; the check modules
 # (verifier, hecke, gamma0, reports) load when a check runs or its help shows
 
-_FORM_KINDS = ("euler", "E2", "E4", "E6", "delta", "j", "e14_over_delta")
 _STREAM_KINDS = ("p", "spt", "d", "a")
-_LEVEL_KINDS = ("G", "E2t", "phi")
+# kind -> builder(n, modulus), or builder(t, n, modulus) at a level
+_FORM_KINDS = {"euler": euler_product, "E2": lambda n, m: eisenstein(2, n, m),
+               "E4": lambda n, m: eisenstein(4, n, m), "E6": lambda n, m: eisenstein(6, n, m),
+               "delta": delta_series, "j": j_series, "e14_over_delta": e14_over_delta}
+_LEVEL_KINDS = {"G": hauptmodul, "E2t": e2t, "phi": phi_t}
 
 
 def _parse_ells(text):
@@ -55,7 +59,7 @@ def build_parser():
     chk.format_help = check_help
 
     ser = sub.add_parser("series", help="print or store one coefficient stream")
-    ser.add_argument("kind", choices=_STREAM_KINDS + _FORM_KINDS + _LEVEL_KINDS)
+    ser.add_argument("kind", choices=[*_STREAM_KINDS, *_FORM_KINDS, *_LEVEL_KINDS])
     ser.add_argument("--n", type=int, required=True)
     ser.add_argument("--mod", type=int, default=0)
     ser.add_argument("--t", type=int, choices=(5, 7, 13), default=None)
@@ -118,10 +122,11 @@ def _series_values(args):
     if kind in _LEVEL_KINDS:
         if t is None:
             raise ValueError("kind %r needs --t" % kind)
-        ser = {"G": hauptmodul, "E2t": e2t, "phi": phi_t}[kind](t, n, mod)
+        ser = _LEVEL_KINDS[kind](t, n, mod)
     else:
         t = 0
-        ser = partitions.stream(kind, n, mod) if kind in _STREAM_KINDS else form(kind, n, mod)
+        ser = (partitions.stream(kind, n, mod) if kind in _STREAM_KINDS
+               else _FORM_KINDS[kind](n, mod))
     if ser.valid_to < n:
         raise ValidityError("%s valid to q^%d, short of --n %d" % (kind, ser.valid_to, n))
     return ser.coeffs[: n - ser.lo + 1], ser.lo, ser.frac24, t

@@ -1,7 +1,7 @@
 """Classical q-expansions: Euler product, Eisenstein series, discriminant,
 j-function, the weight-14-over-discriminant combination and, at level t in
-{5, 7, 13}, the hauptmodul G_t, E2,t and Phi_t; plus the memo bank every
-module shares, with the one p = 1/(q)_inf per modulus."""
+{5, 7, 13}, the hauptmodul G_t, E2,t and Phi_t; plus the memo bank of the
+p/spt/d/a tables, with the one p = 1/(q)_inf per modulus."""
 
 from __future__ import annotations
 
@@ -161,8 +161,8 @@ def phi_t(t, n, modulus=0):
 
 # -- the memo bank -----------------------------------------------------------
 
-# (tag, modulus) -> the longest Series built so far, for the forms below and
-# the p/spt/d/a tables (partitions.stream)
+# (tag, modulus) -> the longest Series built so far, for the p/spt/d/a
+# tables (partitions.stream); the forms above are built per request
 _bank: dict = {}
 
 
@@ -200,19 +200,3 @@ def inverse_euler(n, modulus=0):
     Euler-product inverse reads it, so each p(k) is computed once per modulus."""
     tab = memo("p", n, modulus, _build_p)
     return Series._wrap(tab.coeffs[: n + 1], 0, 0, modulus)
-
-
-_BUILDERS = {
-    "euler": euler_product,
-    "E2": lambda n, m=0: eisenstein(2, n, m),
-    "E4": lambda n, m=0: eisenstein(4, n, m),
-    "E6": lambda n, m=0: eisenstein(6, n, m),
-    "delta": delta_series,
-    "j": j_series,
-    "e14_over_delta": e14_over_delta,
-}
-
-
-def form(tag, n, modulus=0):
-    """Cached access to a named classical expansion, valid to q^n."""
-    return memo(tag, n, modulus, _BUILDERS[tag]).truncate(n)

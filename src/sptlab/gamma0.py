@@ -31,9 +31,6 @@ class GPoly:
     def from_dict(cls, t, d):
         return cls(t, tuple((int(j), c) for j, c in sorted(d.items()) if c != 0))
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
     def coeff(self, j):
         return dict(self.coeffs).get(j, 0)
 

@@ -52,19 +52,16 @@ def _build(kind, n, modulus):
         return _build_p(n, modulus)
     if kind == "spt":
         return spt_stream(n, modulus)
-    # d and a live on the q^(n - 1/24) grid; they are formed on the integer
-    # grid and tagged 23 at the end
-    if kind == "d":
-        # d(n) = (24n - 1) p(n), i.e. D = 24 q dP/dq - P
-        p = inverse_euler(n, modulus)
-        out = p.qderiv().lincomb(p, 24, -1)
-    elif kind == "a":
-        # a(n) = 12 spt(n) + d(n), i.e. A = 12 SPT + D
-        d = stream("d", n, modulus)
-        spt = stream("spt", n, modulus).truncate(n)
-        out = spt.lincomb(Series._wrap(d.coeffs, 0, 0, modulus), 12, 1)
-    else:
+    if kind not in ("d", "a"):
         raise KeyError(kind)
+    # d and a live on the q^(n - 1/24) grid; they are formed on the integer
+    # grid from the bank's p and tagged 23 at the end, and a stores no d.
+    # d(n) = (24n - 1) p(n), i.e. D = 24 q dP/dq - P
+    p = stream("p", n, modulus).truncate(n)
+    out = p.qderiv().lincomb(p, 24, -1)
+    if kind == "a":
+        # a(n) = 12 spt(n) + d(n), i.e. A = 12 SPT + D
+        out = stream("spt", n, modulus).truncate(n).lincomb(out, 12, 1)
     return Series._wrap(out.coeffs, 0, 23, modulus)
 
 
@@ -72,10 +69,3 @@ def stream(kind, n, modulus=0):
     """Cached access to p/spt/d/a tables through the shared bank (forms.memo),
     which also serves a modulus from a stored table modulo a multiple of it."""
     return memo(kind, n, modulus, lambda n, modulus: _build(kind, n, modulus))
-
-
-def prewarm(n, modulus):
-    """Force one master build of p/spt/d/a at (n, modulus)."""
-    stream("p", n, modulus)
-    stream("spt", n, modulus)
-    stream("a", n, modulus)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cache
-from .forms import _bank, delta_series, eisenstein, eta_quotient, euler_product, form
+from .forms import _bank, delta_series, eisenstein, eta_quotient, euler_product, j_series
 from .gamma0 import (
     LEVELS,
     TC,
@@ -36,7 +36,7 @@ from .hecke import (
     verify_xi,
     verify_zell,
 )
-from .partitions import prewarm, stream
+from .partitions import stream
 from .reports import identity_report, sweep, timed_report
 from .series import Series
 
@@ -306,8 +306,10 @@ def check_level1_b(ell):
 
 def classical_congruence_reports(n=500):
     """All displayed Eisenstein/discriminant/j identities and congruences; each
-    congruence is computed in its modulus (reduction is a ring map)."""
-    e2, e4, e6, delta, j = (form(tag, n) for tag in ("E2", "E4", "E6", "delta", "j"))
+    congruence is computed in its modulus, as a reduction of the exact forms
+    (reduction is a ring map)."""
+    e2, e4, e6 = (eisenstein(w, n) for w in (2, 4, 6))
+    delta, j = delta_series(n), j_series(n)
     e4sq = e4 * e4
     e4cube = e4sq * e4
     reports = []
@@ -321,7 +323,7 @@ def classical_congruence_reports(n=500):
     identity("e4cube-e6square", e4cube - e6 ** 2, delta.scale(1728), "E4^3 - E6^2 == 1728 * Delta")
 
     def forms_mod(mod):
-        return [form(tag, n, mod) for tag in ("E2", "E4", "E6", "delta")] + [Series.one(n, mod)]
+        return [f.reduce_mod(mod) for f in (e2, e4, e6, delta)] + [Series.one(n, mod)]
 
     e2m, e4m, e6m, dm, one = forms_mod(65520)
     identity("e4cube-mod-65520", e4m ** 3 - dm.scale(720), one, "E4^3 - 720 Delta == 1 (mod 65520)")
@@ -553,7 +555,8 @@ def _seed_from_cache(cache_dir):
 
 
 def _prewarm(n_need, opts):
-    """Build one master table that every divisor-modulus sweep can reuse.
+    """Build the master p, spt and a tables that every divisor-modulus sweep
+    can reuse.
 
     The size is rounded up so different checks agree on a single build.
     With a cache dir, the run's first master build starts from the cached
@@ -565,8 +568,10 @@ def _prewarm(n_need, opts):
     if opts.cache_dir and key not in _bank:
         _seed_from_cache(opts.cache_dir)
     before = _bank.get(key)
-    prewarm(-(-n_need // 40000) * 40000, MASTER_MODULUS)
-    p = _bank[key]
+    n = -(-n_need // 40000) * 40000
+    p = stream("p", n, MASTER_MODULUS)
+    stream("spt", n, MASTER_MODULUS)
+    stream("a", n, MASTER_MODULUS)
     if opts.cache_dir and p is not before:
         cache.store(opts.cache_dir, cache.SeriesKind("p", p.valid_to, modulus=MASTER_MODULUS),
                     p.coeffs)

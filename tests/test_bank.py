@@ -9,14 +9,15 @@ import numpy as np
 # test framework
 from pytest import MonkeyPatch, fixture, mark
 # local package
-from sptlab import cli, forms, series
+from sptlab import cli, forms, series, verifier
 from sptlab.forms import euler_product
 from sptlab.hecke import legendre
-from sptlab.partitions import prewarm, stream
+from sptlab.partitions import stream
 from sptlab.series import Series
-from sptlab.verifier import MASTER_MODULUS, REGISTRY, CheckOptions, inv24, run_checks
+from sptlab.verifier import MASTER_MODULUS, REGISTRY, CheckOptions, _prewarm, inv24, run_checks
 
-STREAM_KEYS = [(kind, m) for kind in ("p", "spt", "d", "a") for m in (0, MASTER_MODULUS)]
+# d is banked only exact: xi reads it, and a is formed without storing one
+STREAM_KEYS = [(kind, m) for kind in ("p", "spt", "a") for m in (0, MASTER_MODULUS)] + [("d", 0)]
 
 
 def _digest(tab):
@@ -178,7 +179,7 @@ def test_one_wrong_master_spt_fails_exactly_its_readers(bank_guard):
     # master build: every spt-hecke l = 11 line fails at n = 17, and the a
     # table, built before the fault, keeps mell and a-atkin passing
     bank_guard.clear()
-    prewarm(40000, MASTER_MODULUS)
+    _prewarm(40000, CheckOptions())
     key = ("spt", MASTER_MODULUS)
     values = bank_guard[key].coeffs.copy()
     values[11 * 11 * 17 - 5] = (values[11 * 11 * 17 - 5] + 1) % MASTER_MODULUS
@@ -244,10 +245,10 @@ def _fault_cases():
 
 @fixture(scope="module")
 def master_bank():
-    """The bank holding just the master p/spt/d/a mod MASTER_MODULUS."""
+    """The bank holding just the master p/spt/a mod MASTER_MODULUS."""
     saved = dict(forms._bank)
     forms._bank.clear()
-    prewarm(40000, MASTER_MODULUS)
+    _prewarm(40000, CheckOptions())
     snap = dict(forms._bank)
     forms._bank.clear()
     forms._bank.update(saved)
@@ -302,8 +303,10 @@ def test_one_fault_fails_its_reader_at_the_predicted_index(
 # -- faults in tables that no sweep reads --------------------------------------
 
 # (bank key, exponent q^k faulted, the lines that must fail as (check, ell
-# or None, first_failure, n_verified)); the exact d feeds only xi, and the
-# bank's exact E4, Delta, j and E2 mod 65520 only the classical lines
+# or None, first_failure, n_verified)); the exact d feeds only xi.  The
+# forms are not banked: classical builds E2, E4, Delta and j once, exactly,
+# and reduces them for its congruences, and the psi displays build E4 and
+# Delta, so a fault in what a builder returns fails all of these readers
 OUTSIDE_CASES = [
     (("d", 0), 99, [
         ("xi", 5, dict(n=5, lhs=709274970005, rhs=709274970000, modulus=0), 5),
@@ -312,21 +315,46 @@ OUTSIDE_CASES = [
         ("j-times-delta", None, dict(n=7, lhs=187477879680, rhs=187477879683, modulus=0), 7),
         ("qderiv-j", None, dict(n=7, lhs=2325336249792, rhs=2325336249790, modulus=0), 7),
         ("e4cube-e6square", None, dict(n=7, lhs=-28933629, rhs=-28933632, modulus=0), 6),
+        ("e4cube-mod-65520", None, dict(n=7, lhs=3, rhs=0, modulus=65520), 7),
+        ("e2-mod-65520", None, dict(n=7, lhs=65328, rhs=65330, modulus=65520), 7),
+        ("e2-mod-32", None, dict(n=7, lhs=0, rhs=1, modulus=32), 7),
+        ("e4sq-mod-32", None, dict(n=7, lhs=2, rhs=0, modulus=32), 7),
+        ("e2-mod-27", None, dict(n=7, lhs=24, rhs=2, modulus=27), 7),
+        ("e6-mod-27", None, dict(n=7, lhs=18, rhs=24, modulus=27), 7),
+        ("psi-display-5", None,
+         dict(n=6, lhs=-27348114869127, rhs=-27348114869125, modulus=0), 7),
+        ("psi-display-7", None,
+         dict(n=5, lhs=-114466811548202256, rhs=-114466811548202251, modulus=0), 7),
     ]),
     (("delta", 0), 7, [
         ("j-times-delta", None, dict(n=6, lhs=34413301441, rhs=34413301440, modulus=0), 6),
         ("qderiv-delta", None, dict(n=7, lhs=-117201, rhs=-117207, modulus=0), 6),
         ("qderiv-j", None, dict(n=6, lhs=313495116767, rhs=313495116768, modulus=0), 6),
         ("e4cube-e6square", None, dict(n=7, lhs=-28933632, rhs=-28931904, modulus=0), 6),
+        ("e4cube-mod-65520", None, dict(n=7, lhs=64800, rhs=0, modulus=65520), 7),
+        ("e2-mod-32", None, dict(n=7, lhs=0, rhs=16, modulus=32), 7),
+        ("e2-mod-27", None, dict(n=7, lhs=24, rhs=15, modulus=27), 7),
+        ("psi-display-7", None,
+         dict(n=5, lhs=-114466811548202256, rhs=-114466811548203001, modulus=0), 7),
     ]),
     (("j", 0), 7, [
         ("j-times-delta", None, dict(n=8, lhs=814940600401, rhs=814940600400, modulus=0), 8),
         ("qderiv-j", None, dict(n=8, lhs=13195750342687, rhs=13195750342680, modulus=0), 8),
     ]),
-    (("E2", 65520), 7, [
+    (("E2", 0), 7, [
+        ("qderiv-delta", None, dict(n=8, lhs=675840, rhs=675841, modulus=0), 7),
         ("e2-mod-65520", None, dict(n=7, lhs=65329, rhs=65328, modulus=65520), 7),
+        ("e2-mod-32", None, dict(n=7, lhs=1, rhs=0, modulus=32), 7),
+        ("e2-mod-27", None, dict(n=7, lhs=25, rhs=24, modulus=27), 7),
     ]),
 ]
+
+
+def _plus_one(tab, k):
+    """The exact Series tab with its q^k coefficient raised by 1."""
+    values = [int(v) for v in tab.coeffs]
+    values[k - tab.lo] += 1
+    return Series(values, tab.lo, tab.frac24, tab.modulus)
 
 
 @fixture(scope="module")
@@ -342,6 +370,13 @@ def registry_bank():
     return snap
 
 
+def test_cold_check_all_banks_only_the_partition_tables(registry_bank):
+    # no form table: each is built once by its one reader; and d only
+    # exact, for xi, since a is formed from p and spt without storing a d
+    assert {tag for tag, _ in registry_bank} == {"p", "spt", "d", "a"}
+    assert {m for tag, m in registry_bank if tag == "d"} == {0}
+
+
 def test_cold_check_all_stores_no_reduction_of_the_master(registry_bank):
     # every sweep modulus that divides the master is reduced from it per
     # request; the bank keeps only the master and tables of other moduli
@@ -352,13 +387,23 @@ def test_cold_check_all_stores_no_reduction_of_the_master(registry_bank):
 
 @mark.parametrize("key,k,failing", OUTSIDE_CASES, ids=[c[0][0] for c in OUTSIDE_CASES])
 def test_one_fault_outside_the_sweeps_fails_exactly_its_readers(
-        bank_guard, registry_bank, key, k, failing):
+        bank_guard, registry_bank, monkeypatch, key, k, failing):
     bank_guard.clear()
     bank_guard.update(registry_bank)
-    tab, modulus = bank_guard[key], key[1]
-    values = [int(v) for v in tab.coeffs]
-    values[k - tab.lo] += 1
-    bank_guard[key] = Series(values, tab.lo, tab.frac24, modulus)
+    tag = key[0]
+    if key in bank_guard:
+        bank_guard[key] = _plus_one(bank_guard[key], k)
+    else:
+        # a form is built per call, so the fault goes into what its builder returns
+        name = {"delta": "delta_series", "j": "j_series"}.get(tag, "eisenstein")
+        real = getattr(verifier, name)
+
+        def faulty(*args):
+            out = real(*args)
+            # eisenstein(weight, n) is faulted at the tag's weight only
+            return _plus_one(out, k) if name != "eisenstein" or "E%d" % args[0] == tag else out
+
+        monkeypatch.setattr(verifier, name, faulty)
     reports = run_checks(list(REGISTRY))
     assert len(reports) == 81
     got = [(r.check, r.params.get("ell"), r.first_failure, r.n_verified)

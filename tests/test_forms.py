@@ -14,7 +14,6 @@ from sptlab.forms import (
     eisenstein,
     eta_quotient,
     euler_product,
-    form,
     inverse_euler,
     j_series,
 )
@@ -219,17 +218,6 @@ def test_eta_quotient_matches_an_integer_oracle(exps, n):
         assert (got.lo, got.frac24, got.valid_to) == (lo, frac, max(n, lo - 1))
         assert [int(x) for x in got.coeffs] == [
             x % modulus if modulus else x for x in want]
-
-
-def test_form_bank_grows_and_truncates():
-    a = form("E6", 50)
-    b = form("E6", 20)
-    assert b.valid_to == 20
-    assert a.first_difference(b, hi=20) is None
-    c = form("E6", 80)
-    assert c.valid_to >= 80
-    with raises(KeyError):
-        form("nonsense", 10)
 
 
 def test_classical_reports_all_pass():

@@ -6,7 +6,7 @@ from pytest import raises, mark
 from sptlab import ValidityError, series
 from sptlab.forms import euler_product, inverse_euler
 from sptlab.series import Series
-from sptlab.partitions import prewarm, spt_stream, stream
+from sptlab.partitions import spt_stream, stream
 # test helpers
 from oracles import spt_bruteforce
 
@@ -195,12 +195,12 @@ def test_bank_divisor_modulus_reuse(bank_guard):
     assert all(small.coeff(n) == master.coeff(n) % 72 for n in range(41))
 
 
-def test_bank_builds_d_and_a_together(bank_guard):
+def test_bank_builds_a_without_d(bank_guard):
     bank_guard.clear()  # force the build path under the guard
     stream("a", 30, modulus=97)
-    assert ("d", 97) in bank_guard
-    assert ("a", 97) in bank_guard
-    prewarm(25, 97)  # already warm; must not shrink anything
+    assert set(bank_guard) == {("p", 97), ("spt", 97), ("a", 97)}
+    for kind in ("p", "spt", "a"):
+        stream(kind, 25, modulus=97)  # already warm; must not shrink anything
     assert bank_guard[("a", 97)].valid_to >= 30
 
 

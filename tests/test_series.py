@@ -84,13 +84,6 @@ def test_truncate_and_strip():
     assert s.truncate(99) is s
 
 
-def test_shift():
-    m = Series([-2, 0, 0, 0, 0, 0], lo=3)
-    assert m.shift(2).coeff(5) == -2
-    assert m.shift(2).coeff(4) == 0
-    assert m.shift(2).valid_to == 10
-
-
 def test_add_requires_matching_grid():
     a = Series([1, 1], frac24=0)
     b = Series([1, 1], frac24=23)
@@ -164,6 +157,19 @@ def test_exact_series_rejects_a_non_integer_coefficient(c):
     with raises(ValueError, match="integer"):
         Series([c, 1])
     assert Series([np.int64(7), 2**70]).coeffs.tolist() == [7, 2**70]
+
+
+def test_exact_numpy_integers_multiply_as_python_ints():
+    # in int64 the square's leading 2^80 would wrap to 0
+    s = Series([np.int64(2**40), np.int64(3)])
+    assert s.mul(s).coeffs.tolist() == [2**80, 6 * 2**40]
+    assert {type(c) for c in Series([True, np.uint8(2), np.int32(-1)]).coeffs} == {int}
+
+
+def test_exact_inverse_of_numpy_integers():
+    # 1/(1 - 2^40 q) = sum 2^(40 k) q^k passes int64 at k = 2
+    s = Series([np.int64(1), np.int64(-2**40)] + [np.int64(0)] * 3)
+    assert s.invert().coeffs.tolist() == [2 ** (40 * k) for k in range(5)]
 
 
 def test_reduce_mod_of_a_long_exact_table_matches_python():
