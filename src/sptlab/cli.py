@@ -123,6 +123,8 @@ def _series_values(args):
         if t is None:
             raise ValueError("kind %r needs --t" % kind)
         ser = _LEVEL_KINDS[kind](t, n, mod)
+    elif t is not None:
+        raise ValueError("kind %s takes no --t" % kind)
     else:
         t = 0
         ser = (partitions.stream(kind, n, mod) if kind in _STREAM_KINDS

@@ -13,7 +13,7 @@ from .forms import (LEVELS, _eta_exponent, e2t, e14_over_delta, eta_quotient, ha
                     j_series, phi_t)
 from .hecke import HeckeParams, chi12, hecke_combo, legendre, legendre_class, peel, s_ell
 from .partitions import stream
-from .reports import identity_report, sweep, timed_report
+from .reports import decomposed, identity_report, sweep, timed_report
 from .series import Series
 
 # -- polynomials in the hauptmodul ---------------------------------------------
@@ -140,17 +140,19 @@ def verify_beta_vanish(t, m, n):
 # -- the S and Psi constructions ------------------------------------------------
 
 
-def s_form(t, k, n):
-    """S = E2t(tz) K*(G)(tz) Phi_t(z) - chi12(t) eta(z) sum_n (1-24n|t) beta(n) q^(n-1/24).
-
-    K must be supported in nonnegative powers so K* has integral coefficients."""
+def _fricke_side(name, t, k, prec):
+    """E2t(tz) K*(G)(tz), the Fricke side of the S or Psi form called name,
+    from E2t K*(G) through q^prec.  K must be supported in nonnegative powers
+    so K* has integral coefficients."""
     if min(k.support, default=0) < 0:
-        raise ValueError("S construction needs K supported in G^j, j >= 0")
-    kstar = k.fricke()
+        raise ValueError("%s construction needs K supported in G^j, j >= 0" % name)
+    return e2t(t, prec).mul(k.fricke().eval(hauptmodul(t, prec))).dilate(t)
+
+
+def s_form(t, k, n):
+    """S = E2t(tz) K*(G)(tz) Phi_t(z) - chi12(t) eta(z) sum_n (1-24n|t) beta(n) q^(n-1/24)."""
     prec = n + t * max((abs(j) for j in k.support), default=0) + s_ell(t) + 4
-    g = hauptmodul(t, prec)
-    inner = e2t(t, prec).mul(kstar.eval(g))
-    term1 = inner.dilate(t).truncate(prec).mul(phi_t(t, prec))
+    term1 = _fricke_side("S", t, k, prec).truncate(prec).mul(phi_t(t, prec))
     beta = beta_stream(t, k, prec)
     twisted = _legendre_twist(beta, t)
     term2 = eta_quotient({1: 1}, prec).mul(twisted).scale(chi12(t))
@@ -166,19 +168,13 @@ def psi_form(t, k, n):
     """Psi = E2t(tz) K*(G)(tz)/eta(t^2 z)
           - chi12(t) sum (1-24n|t) beta(n) q^(n-1/24)
           - sum beta(t^2 n - s) q^(n-1/24),  s = (t^2 - 1)/24."""
-    if min(k.support, default=0) < 0:
-        raise ValueError("Psi construction needs K supported in G^j, j >= 0")
-    kstar = k.fricke()
     s = s_ell(t)
     jmax = max((abs(j) for j in k.support), default=0)
     # only the sifted third term needs coefficients near t^2 n; the direct
     # terms are assembled at a precision just past n
     need = n + s + 6
     prec1 = need // t + jmax + 4
-    g = hauptmodul(t, prec1)
-    inner = e2t(t, prec1).mul(kstar.eval(g))
-    inv_eta_t2 = eta_quotient({t * t: -1}, need)
-    term1 = inner.dilate(t).mul(inv_eta_t2).truncate(need)
+    term1 = _fricke_side("Psi", t, k, prec1).mul(eta_quotient({t * t: -1}, need)).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
     term2 = _legendre_twist(beta, t).scale(chi12(t))
     term3 = beta.sift(t * t, -s)
@@ -287,29 +283,13 @@ def epsilon_ladder_reports(a_min=3, a_max=8):
                 "statement": "(E6/E4) j^a == E2,5 (eps1 G^(a-2) + eps2 G^(a-1) + G^a) (mod 5^6), eps1 == 0 mod 5^5, eps2 == 0 mod 5^3",
             },
         ) as rec:
-            try:
-                k = solve_in_e2t_basis(h, 5, a)
-            except ValueError as exc:
-                rec.fail(0, "decomposition: %s" % exc, "K(G5) mod 5^6")
-                reports.append(rec.report)
-                continue
-            lead = k.coeff(a)
-            eps2 = k.coeff(a - 1)
-            eps1 = k.coeff(a - 2)
-            low = [j for j in k.support if j < a - 2]
-            bad = None
-            if lead != 1 % modulus:
-                bad = (a, lead, 1)
-            if bad is None and eps1 % 5**5:
-                bad = (a - 2, eps1 % 5**5, 0)
-            if bad is None and eps2 % 5**3:
-                bad = (a - 1, eps2 % 5**3, 0)
-            if bad is None and low:
-                bad = (low[0], k.coeff(low[0]), 0)
-            if bad is None:
-                rec.ok(6 * a + 1)  # the powers G^-5a .. G^a
-            else:
-                rec.fail(*bad)
+            k = decomposed(rec, "K(G5) mod 5^6", solve_in_e2t_basis, h, 5, a)
+            if k is not None:
+                # the lead G^a, eps1 and eps2, then each lower power G^-5a .. G^(a-3)
+                idx = [a, a - 2, a - 1, *range(-5 * a, a - 2)]
+                lhs = [k.coeff(j) for j in idx]
+                lhs[1:3] = lhs[1] % 5**5, lhs[2] % 5**3
+                sweep(rec, idx, lhs, [1] + [0] * (len(idx) - 1), modulus)
         reports.append(rec.report)
     return reports
 
@@ -325,7 +305,7 @@ def atkin_gamma_constant(t, ell, n):
     it should equal a single constant gamma times p(n) mod t^c.
 
     Returns (gamma, report); gamma is None when the sweep fails."""
-    if ell == t or ell in (2, 3):
+    if ell == t:
         raise ValueError("need a prime ell >= 5 different from t")
     mod = t ** TC[t]
     s = s_ell(ell)

@@ -49,7 +49,7 @@ def legendre_class(m, p):
 
 def s_ell(ell):
     """(ell^2 - 1)/24, integral for every prime ell >= 5."""
-    if ell < 5 or not is_odd_prime(ell) or ell % 2 == 0 or ell % 3 == 0:
+    if ell < 5 or not is_odd_prime(ell):
         raise ValueError("need a prime ell >= 5 coprime to 6, got %d" % ell)
     return (ell * ell - 1) // 24
 

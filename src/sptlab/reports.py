@@ -103,6 +103,16 @@ def sweep(rec, idx, lhs, rhs=0, modulus=0, n_verified=None):
     return False
 
 
+def decomposed(rec, expect, solve, *args):
+    """solve(*args), or None once rec fails at n = 0 with the ValueError of
+    the solve against expect, the solution the line asked for."""
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        rec.fail(0, "decomposition: %s" % exc, expect)
+        return None
+
+
 def identity_report(check, lhs, rhs, params=None, lo=None, hi=None):
     """Compare two Series over their shared window and report."""
     params = dict(params or {})

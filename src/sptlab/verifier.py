@@ -37,7 +37,7 @@ from .hecke import (
     verify_zell,
 )
 from .partitions import stream
-from .reports import identity_report, sweep, timed_report
+from .reports import decomposed, identity_report, sweep, timed_report
 from .series import Series
 
 DESK_ELLS = (5, 7, 11, 13)
@@ -189,14 +189,9 @@ def a_atkin_worked_instance():
               "statement": "a(47) + a(1) == 149077845 == -8 a(1) (mod 5^6)"}
     with timed_report("a-atkin-instance", params) as rec:
         total = f.coeff(47) + f.coeff(1)
-        if total != 149077845:
-            rec.fail(1, total, 149077845)
-        elif total % mod != (-8 * f.coeff(1)) % mod:
-            rec.fail(1, total % mod, (-8 * f.coeff(1)) % mod)
-        elif combo.coeff(1) % mod:
-            rec.fail(1, combo.coeff(1) % mod, 0)
-        else:
-            rec.ok(3)
+        # the sum exactly, then its residue and the combination's mod 5^6
+        sweep(rec, [1, 1, 1], [total, total % mod, combo.coeff(1) % mod],
+              [149077845, -8 * f.coeff(1) % mod, 0])
     return rec.report
 
 
@@ -232,13 +227,9 @@ def a_atkin_beta_crosscheck(t, ell, n=None):
             " combo == beta mod t^c with beta == 0 on (1-24n|t) = -1",
         },
     ) as rec:
-        try:
-            d = decompose_gamma0(combo, t, s)
-        except ValueError as exc:
-            rec.fail(0, "decomposition: %s" % exc, "integer d_a")
-            return rec.report
+        d = decomposed(rec, "integer d_a", decompose_gamma0, combo, t, s)
         low = range(-t * s, 1)
-        if not sweep(rec, low, [d.coeff(a) for a in low], modulus=mod):
+        if d is None or not sweep(rec, low, [d.coeff(a) for a in low], modulus=mod):
             return rec.report
         count = len(low)
         kpoly = GPoly(t, tuple((a, c) for a, c in d.coeffs if a > 0))
@@ -286,18 +277,12 @@ def check_level1_b(ell):
             " b_s = -l, b_1 == 0 (mod 5) for l != 5",
         },
     ) as rec:
-        try:
-            b = decompose_level1(f.truncate(n), s)
-        except ValueError as exc:
-            rec.fail(0, "decomposition: %s" % exc, "integer b_k")
-            return rec.report
-        if b[s - 1] != -ell:
-            rec.fail(s, b[s - 1], -ell)
-        elif ell != 5 and b[0] % 5:
-            rec.fail(1, b[0] % 5, 0, n_verified=1)
-        else:
-            rec.ok(s + 1)
-        rec.report.params["b"] = b
+        b = decomposed(rec, "integer b_k", decompose_level1, f.truncate(n), s)
+        if b is not None:
+            # at l = 5, b_1 is b_s, which the first entry pins to -5
+            if sweep(rec, [s, 1], [b[s - 1], b[0] % 5], [-ell, 0]):
+                rec.ok(s + 1)
+            rec.report.params["b"] = b
     return rec.report
 
 
@@ -337,99 +322,47 @@ def classical_congruence_reports(n=500):
     return reports
 
 
-def s_psi_display_reports(n=100):
-    """The six displayed weight-3/2 constructions at t in {5, 7} with K = 1:
-    the direct S forms, the U_t images of beta, and the Psi forms."""
-    reps = []
-    k5 = GPoly.from_dict(5, {0: 1})
-    k7 = GPoly.from_dict(7, {0: 1})
+_K1 = {t: GPoly.from_dict(t, {0: 1}) for t in (5, 7)}
 
-    lhs = s_form(5, k5, n)
-    rhs = e2t(5, n + 4).mul(eta_quotient({1: 6, 5: -6}, n + 4))
-    reps.append(
-        identity_report(
-            "s-display-5",
-            lhs,
-            rhs,
-            {"t": 5, "statement": "S (K=1) == E2t(5) (eta/eta(5z))^6"},
-            hi=n,
-        )
-    )
 
-    lhs = s_form(7, k7, n)
-    r8 = eta_quotient({1: 8, 7: -8}, n + 4)
-    r4 = eta_quotient({1: 4, 7: -4}, n + 4)
-    rhs = e2t(7, n + 4).mul(r8 + r4.scale(3))
-    reps.append(
-        identity_report(
-            "s-display-7",
-            lhs,
-            rhs,
-            {"t": 7, "statement": "S (K=1) == E2t(7) ((eta/eta(7z))^8 + 3 (eta/eta(7z))^4)"},
-            hi=n,
-        )
-    )
-
-    beta5 = beta_stream(5, k5, 5 * n + 6)
-    lhs = beta5.sift(5, -1)
-    rhs = e2t(5, n + 6).mul(eta_quotient({1: -6, 5: 5}, n + 6)).scale(125)
-    reps.append(
-        identity_report(
-            "s-sift-display-5",
-            lhs,
-            rhs,
-            {"t": 5, "statement": "sum beta(5n-1) q^(n-5/24) == 5^3 E2t(5) eta(5z)^5/eta^6"},
-            lo=1,
-            hi=n,
-        )
-    )
-
-    beta7 = beta_stream(7, k7, 7 * n + 8)
-    lhs = beta7.sift(7, -2)
-    r3, r7 = eta_quotient({1: -4, 7: 3}, n + 6), eta_quotient({1: -8, 7: 7}, n + 6)
-    rhs = e2t(7, n + 6).mul(r3.scale(3) + r7.scale(49)).scale(49)
-    reps.append(
-        identity_report(
-            "s-sift-display-7",
-            lhs,
-            rhs,
-            {
-                "t": 7,
-                "statement": "sum beta(7n-2) q^(n-7/24) == 7^2 E2t(7)"
-                " (3 eta(7z)^3/eta^4 + 49 eta(7z)^7/eta^8)",
-            },
-            lo=1,
-            hi=n,
-        )
-    )
-
+def _psi_display(t, n):
+    """The displayed Psi (K=1) at t = 5 or 7, valid to q^(n + 10)."""
     hi = n + 10
     e4, e6 = eisenstein(4, hi), eisenstein(6, hi)
-    lhs = psi_form(5, k5, n)
-    rhs = e4**2 * e6 * eta_quotient({1: -25}, hi)
-    reps.append(
-        identity_report(
-            "psi-display-5",
-            lhs,
-            rhs,
-            {"t": 5, "statement": "Psi (K=1) == E4^2 E6 / eta^25"},
-            hi=n,
-        )
-    )
+    num = e4**2 * e6 if t == 5 else e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)
+    return num * eta_quotient({1: -t * t}, hi)
 
-    lhs = psi_form(7, k7, n)
-    num = e4**5 * e6 - (e4**2 * e6 * delta_series(hi)).scale(745)
-    rhs = num * eta_quotient({1: -49}, hi)
-    reps.append(
-        identity_report(
-            "psi-display-7",
-            lhs,
-            rhs,
-            {"t": 7, "statement": "Psi (K=1) == (E4^5 E6 - 745 E4^2 E6 Delta) / eta^49"},
-            hi=n,
-        )
-    )
-    return reps
+
+# (line, t, lo, lhs(n), rhs(n), statement): the six displayed weight-3/2
+# constructions at t in {5, 7} with K = 1, each compared through q^n from lo,
+# or from where both sides start when lo is None
+_DISPLAY_ROWS = (
+    ("s-display-5", 5, None, lambda n: s_form(5, _K1[5], n),
+     lambda n: e2t(5, n + 4).mul(eta_quotient({1: 6, 5: -6}, n + 4)),
+     "S (K=1) == E2t(5) (eta/eta(5z))^6"),
+    ("s-display-7", 7, None, lambda n: s_form(7, _K1[7], n),
+     lambda n: e2t(7, n + 4).mul(eta_quotient({1: 8, 7: -8}, n + 4)
+                                 + eta_quotient({1: 4, 7: -4}, n + 4).scale(3)),
+     "S (K=1) == E2t(7) ((eta/eta(7z))^8 + 3 (eta/eta(7z))^4)"),
+    ("s-sift-display-5", 5, 1, lambda n: beta_stream(5, _K1[5], 5 * n + 6).sift(5, -1),
+     lambda n: e2t(5, n + 6).mul(eta_quotient({1: -6, 5: 5}, n + 6)).scale(125),
+     "sum beta(5n-1) q^(n-5/24) == 5^3 E2t(5) eta(5z)^5/eta^6"),
+    ("s-sift-display-7", 7, 1, lambda n: beta_stream(7, _K1[7], 7 * n + 8).sift(7, -2),
+     lambda n: e2t(7, n + 6).mul(eta_quotient({1: -4, 7: 3}, n + 6).scale(3)
+                                 + eta_quotient({1: -8, 7: 7}, n + 6).scale(49)).scale(49),
+     "sum beta(7n-2) q^(n-7/24) == 7^2 E2t(7) (3 eta(7z)^3/eta^4 + 49 eta(7z)^7/eta^8)"),
+    ("psi-display-5", 5, None, lambda n: psi_form(5, _K1[5], n), lambda n: _psi_display(5, n),
+     "Psi (K=1) == E4^2 E6 / eta^25"),
+    ("psi-display-7", 7, None, lambda n: psi_form(7, _K1[7], n), lambda n: _psi_display(7, n),
+     "Psi (K=1) == (E4^5 E6 - 745 E4^2 E6 Delta) / eta^49"),
+)
+
+
+def s_psi_display_reports(n=100):
+    """The direct S forms, the U_t images of beta and the Psi forms: one
+    line per _DISPLAY_ROWS row."""
+    return [identity_report(line, lhs(n), rhs(n), {"t": t, "statement": statement}, lo=lo, hi=n)
+            for line, t, lo, lhs, rhs, statement in _DISPLAY_ROWS]
 
 
 _BETA5_TABLE = {
@@ -487,17 +420,12 @@ def e46d_reports():
                 "statement": "E4^2 E6/Delta == E2t sum_{j=-t..1} a_j G_t^j",
             },
         ) as rec:
-            try:
-                k = e46d_decompose(t)
-            except ValueError as exc:
-                rec.fail(0, "decomposition: %s" % exc, "integer a_j")
-                reps.append(rec.report)
-                continue
-            if t == 5:
-                idx = sorted(_E46D5_VALUES)
-                sweep(rec, idx, [k.coeff(a) for a in idx], [_E46D5_VALUES[a] for a in idx])
-            else:
-                rec.ok(t + 2)
+            k = decomposed(rec, "integer a_j", e46d_decompose, t)
+            table = _E46D5_VALUES if t == 5 else {}
+            idx = sorted(table)
+            if k is not None and sweep(rec, idx, [k.coeff(a) for a in idx],
+                                       [table[a] for a in idx]):
+                rec.ok(t + 2)  # the powers G^-t .. G^1
         reps.append(rec.report)
     return reps
 

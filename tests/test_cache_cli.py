@@ -237,6 +237,16 @@ def test_series_level_kind_needs_t(capsys):
     assert lines[0].startswith("-1 1")
 
 
+@mark.parametrize('kind', ["p", "j", "E4", "euler"])
+def test_series_rejects_t_for_a_kind_that_does_not_read_it(capsys, kind):
+    # only G, E2t and phi are built at a level; any other kind given --t is
+    # a usage error, not a table printed with --t unread
+    assert main(["series", kind, "--n", "3", "--t", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sptlab: kind %s takes no --t\n" % kind
+
+
 def test_series_out_roundtrip(tmp_path, capsys):
     assert main(["series", "j", "--n", "3", "--out", str(tmp_path)]) == 0
     path = capsys.readouterr().out.strip()

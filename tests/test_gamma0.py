@@ -454,6 +454,27 @@ def test_a_broken_ladder_solve_fails_its_lines(monkeypatch, capsys):
     assert "FAIL epsilon-ladder-a=7" in capsys.readouterr().out
 
 
+# n_verified counts the entries checked before the failing one: the lead
+# G^a, eps1, eps2, then the powers G^-5a .. G^(a-3) in order
+@parametrize('a,j,failure,n_verified', [
+    (3, 3, dict(n=3, lhs=2, rhs=1, modulus=5**6), 0),  # the lead G^a, 1 + 1
+    (4, 2, dict(n=2, lhs=1, rhs=0, modulus=5**6), 1),  # eps1 + 1, not 0 mod 5^5
+    (5, 4, dict(n=4, lhs=1, rhs=0, modulus=5**6), 2),  # eps2 + 1, not 0 mod 5^3
+    (6, 0, dict(n=0, lhs=1, rhs=0, modulus=5**6), 33),  # G^0, below the top three
+], ids=["lead", "eps1", "eps2", "lower-power"])
+def test_a_ladder_solve_off_its_shape_fails_its_line(monkeypatch, a, j, failure, n_verified):
+    real = gamma0.solve_in_e2t_basis
+
+    def faulty(h, t, s):
+        k = real(h, t, s)
+        return GPoly.from_dict(t, {**dict(k.coeffs), j: k.coeff(j) + 1}) if s == a else k
+
+    monkeypatch.setattr(gamma0, "solve_in_e2t_basis", faulty)
+    got = [(r.params["a"], r.first_failure, r.n_verified)
+           for r in epsilon_ladder_reports(3, 6) if not r.ok]
+    assert got == [(a, failure, n_verified)]
+
+
 def test_a_fault_in_j_mod_5_8_fails_only_its_readers(monkeypatch):
     # the j-mod-5^8 line compares j mod 5^8 with G5 + 750 + 3^2*7*5^5 G5^-1
     # from q^-1; the only other reader of that table is e46d-j2-mod-5^6

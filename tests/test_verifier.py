@@ -9,7 +9,8 @@ from pytest import raises, mark
 from hypothesis import given, settings
 import hypothesis.strategies as st
 # local package
-from sptlab.gamma0 import atkin_gamma_constant
+from sptlab import verifier
+from sptlab.gamma0 import GPoly, atkin_gamma_constant
 from sptlab.reports import sweep, timed_report
 from sptlab.series import Series
 from sptlab.verifier import (
@@ -205,6 +206,114 @@ def test_display_reports_small():
         assert r.ok, r.summary_line()
     for r in e46d_reports():
         assert r.ok, r.summary_line()
+
+
+# -- one fault per hand-built line -------------------------------------------------
+
+def _plus_one_at(real, index):
+    """real with +1 at q^index(*args) of the exact Series it returns, or
+    unchanged where index(*args) is None."""
+
+    def faulty(*args):
+        out = real(*args)
+        k = index(*args)
+        if k is None:
+            return out
+        values = [int(v) for v in out.coeffs]
+        values[k - out.lo] += 1
+        return Series(values, out.lo, out.frac24, out.modulus)
+
+    return faulty
+
+
+# (name in verifier, the q^k it is faulted at as a function of its
+# arguments, the s-forms lines that must fail as (check, first_failure,
+# n_verified))
+DISPLAY_FAULTS = [
+    ("s_form", lambda t, k, n: 3, [
+        ("s-display-5", dict(n=3, lhs=91, rhs=90, modulus=0), 4),
+        ("s-display-7", dict(n=3, lhs=-50, rhs=-51, modulus=0), 5),
+    ]),
+    # beta(5 * 3 - 1) and beta(7 * 3 - 2) are the sifted q^3 coefficients
+    ("beta_stream", lambda t, k, n: 3 * t - {5: 1, 7: 2}[t], [
+        ("s-sift-display-5", dict(n=3, lhs=10126, rhs=10125, modulus=0), 2),
+        ("s-sift-display-7", dict(n=3, lhs=34987, rhs=34986, modulus=0), 2),
+    ]),
+    ("psi_form", lambda t, k, n: 3, [
+        ("psi-display-5", dict(n=3, lhs=-2636281192, rhs=-2636281193, modulus=0), 4),
+        ("psi-display-7",
+         dict(n=3, lhs=-12793968516003, rhs=-12793968516004, modulus=0), 5),
+    ]),
+]
+
+
+@parametrize('name,index,failing', DISPLAY_FAULTS, ids=[c[0] for c in DISPLAY_FAULTS])
+def test_one_display_fault_fails_exactly_its_lines(monkeypatch, name, index, failing):
+    monkeypatch.setattr(verifier, name, _plus_one_at(getattr(verifier, name), index))
+    reports = run_checks(["s-forms"])
+    assert len(reports) == 6
+    got = [(r.check, r.first_failure, r.n_verified) for r in reports if not r.ok]
+    assert got == failing, [r.summary_line() for r in reports if not r.ok]
+
+
+@parametrize('entry,failure,n_verified', [
+    (-1, dict(n=2, lhs=-6, rhs=-7, modulus=0), 0),  # b_s = -l + 1
+    (0, dict(n=1, lhs=1, rhs=0, modulus=0), 1),  # b_1 = 5215 + 1, not 0 mod 5
+], ids=["b_s", "b_1"])
+def test_a_level1_b_off_its_shape_fails_its_line(monkeypatch, entry, failure, n_verified):
+    real = verifier.decompose_level1
+
+    def faulty(f, s):
+        b = list(real(f, s))
+        b[entry] += 1
+        return b
+
+    monkeypatch.setattr(verifier, "decompose_level1", faulty)
+    r = check_level1_b(7)
+    assert r.status == "fail", r.summary_line()
+    assert r.first_failure == failure and r.n_verified == n_verified, r.summary_line()
+
+
+def test_a_fault_in_a47_fails_the_worked_instance(monkeypatch):
+    at47 = lambda kind, n, *modulus: 47 if (kind, n) == ("a", 47) else None
+    monkeypatch.setattr(verifier, "stream", _plus_one_at(verifier.stream, at47))
+    r = a_atkin_worked_instance()
+    assert r.status == "fail", r.summary_line()
+    # the sum is compared exactly, so its failure carries no modulus
+    assert r.first_failure == dict(n=1, lhs=149077846, rhs=149077845, modulus=0)
+    assert r.n_verified == 0
+
+
+def test_a_fault_in_the_e46d_table_fails_only_t5(monkeypatch):
+    real = verifier.e46d_decompose
+
+    def faulty(t):
+        k = real(t)
+        return GPoly.from_dict(t, {**dict(k.coeffs), -3: k.coeff(-3) + 1}) if t == 5 else k
+
+    monkeypatch.setattr(verifier, "e46d_decompose", faulty)
+    got = [(r.params["t"], r.first_failure, r.n_verified) for r in e46d_reports() if not r.ok]
+    a3 = -(3**3 * 5**10 * 7)
+    assert got == [(5, dict(n=-3, lhs=a3 + 1, rhs=a3, modulus=0), 2)]
+
+
+@parametrize('run,name,expect,modulus', [
+    (lambda: [check_level1_b(7)], "decompose_level1", "integer b_k", 0),
+    (e46d_reports, "e46d_decompose", "integer a_j", 0),
+    (lambda: [a_atkin_beta_crosscheck(13, 5)], "decompose_gamma0", "integer d_a", 13**2),
+], ids=["level1-b", "e46d", "a-atkin-beta"])
+def test_a_failed_decomposition_fails_its_lines(monkeypatch, run, name, expect, modulus):
+    def broken(*args):
+        raise ValueError("residual is nonzero: input outside the basis span")
+
+    monkeypatch.setattr(verifier, name, broken)
+    reports = run()
+    assert reports
+    for r in reports:
+        assert r.status == "fail" and r.n_verified == 0, r.summary_line()
+        assert r.first_failure == dict(
+            n=0, lhs="decomposition: residual is nonzero: input outside the basis span",
+            rhs=expect, modulus=modulus)
 
 
 # -- the registry -----------------------------------------------------------------------
