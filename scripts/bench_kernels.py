@@ -21,13 +21,16 @@ of the inverted hauptmodul.  Then come the polynomial family A_0..A_7 of
 hecke.ono_poly_A and two Gamma0(t) solves: e46d_decompose(13), E4^2
 E6/Delta over E2,13 G_13^j for j = -13..1, and the a = 8 step of the epsilon
 ladder, (E4^2 E6/Delta) j^7 mod 5^6 to q^43 over E2,5 G_5^j for j = -40..8.
-The last case is a launch: a fresh `python -m sptlab.cli series p --n 0
---out DIR`, timed by the child's CPU seconds (user plus system, from
-os.wait4) rather than by wall time.  It measures what every `series` export
-pays before its table: interpreter start-up, numpy and the sptlab modules
-the export imports.  The child writes no bytecode, so on a tree without
-__pycache__ directories, such as a fresh checkout, each launch compiles
-those modules from source.
+Two cache cases follow: cache.store of p mod 360360 at 40,001 rows, the
+file `check --cache-dir` keeps, and cache.load of that file, which the side
+itself wrote, so equal SHA-256s show that both sides store and read back
+the same table.  The last case is a launch: a fresh `python -m sptlab.cli
+series p --n 0 --out DIR`, timed by the child's CPU seconds (user plus
+system, from os.wait4) rather than by wall time.  It measures what every
+`series` export pays before its table: interpreter start-up, numpy and
+the sptlab modules the export imports.  The child writes no bytecode, so
+on a tree without __pycache__ directories, such as a fresh checkout, each
+launch compiles those modules from source.
 
     python scripts/bench_kernels.py --side parent=../parent/src --side change=src
 
@@ -86,6 +89,8 @@ def operand(rng, terms, bits):
     return out
 
 
+CACHE_STORE = "cache.store p mod 360360 x 40001"
+CACHE_LOAD = "cache.load p mod 360360 x 40001"
 LAUNCH = "launch: series p --n 0 --out DIR (child CPU)"
 
 
@@ -126,8 +131,9 @@ def digest(values):
 def case_table(src):
     """(name, build) of every case, from sptlab functions every checkout has;
     each build returns the coefficients as a flat list, or a tuple of them,
-    except the launch, which returns (CPU seconds, lines)."""
-    from sptlab import series
+    except cache.store, which returns the file name, and the launch, which
+    returns (CPU seconds, lines)."""
+    from sptlab import cache, series
     from sptlab.forms import (_euler_power, e14_over_delta, eta_quotient, euler_product,
                               inverse_euler, j_series)
     from sptlab.gamma0 import e46d_decompose, hauptmodul, solve_in_e2t_basis
@@ -160,6 +166,11 @@ def case_table(src):
 
     ladder = e14_over_delta(60, 5**6).mul(j_series(60, 5**6) ** 7).truncate(43)
 
+    # the worker's table file, removed when the worker exits
+    cache_dir = tempfile.TemporaryDirectory()
+    kind = cache.SeriesKind("p", 40000, modulus=360360)
+    cache.store(cache_dir.name, kind, p.coeffs)
+
     return cases + [
         ("G5 factor (q)^-6 x %d: Miller recurrence" % g5,
          lambda: _euler_power(-6, g5 - 1)),
@@ -176,6 +187,8 @@ def case_table(src):
         ("e46d_decompose(13)", lambda: e46d_decompose(13).coeffs),
         ("epsilon ladder a = 8: solve mod 5^6 to q^43",
          lambda: solve_in_e2t_basis(ladder, 5, 8).coeffs),
+        (CACHE_STORE, lambda: [os.path.basename(cache.store(cache_dir.name, kind, p.coeffs))]),
+        (CACHE_LOAD, lambda: cache.load(cache_dir.name, kind)[0]),
         (LAUNCH, lambda: launch_cpu(src)),
     ]
 

@@ -153,7 +153,7 @@ def main(argv=None):
         if args.command == "check":
             return _run_check(args)
         return _run_series(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad argument, or a path that cannot be used
         print("sptlab: %s" % exc, file=sys.stderr)
         return 2
 

@@ -132,9 +132,9 @@ def verify_beta_vanish(t, m, n):
             "n": n,
             "statement": "beta_t(n) == 0 when legendre(1-24n|t) == -legendre(1-24m|t)",
         },
-    ) as rec:
-        sweep(rec, idx, beta.gather(idx))
-    return rec.report
+    ) as rep:
+        sweep(rep, idx, beta.gather(idx))
+    return rep
 
 
 # -- the S and Psi constructions ------------------------------------------------
@@ -282,15 +282,15 @@ def epsilon_ladder_reports(a_min=3, a_max=8):
                 "modulus": modulus,
                 "statement": "(E6/E4) j^a == E2,5 (eps1 G^(a-2) + eps2 G^(a-1) + G^a) (mod 5^6), eps1 == 0 mod 5^5, eps2 == 0 mod 5^3",
             },
-        ) as rec:
-            k = decomposed(rec, "K(G5) mod 5^6", solve_in_e2t_basis, h, 5, a)
+        ) as rep:
+            k = decomposed(rep, "K(G5) mod 5^6", solve_in_e2t_basis, h, 5, a)
             if k is not None:
                 # the lead G^a, eps1 and eps2, then each lower power G^-5a .. G^(a-3)
                 idx = [a, a - 2, a - 1, *range(-5 * a, a - 2)]
                 lhs = [k.coeff(j) for j in idx]
                 lhs[1:3] = lhs[1] % 5**5, lhs[2] % 5**3
-                sweep(rec, idx, lhs, [1] + [0] * (len(idx) - 1), modulus)
-        reports.append(rec.report)
+                sweep(rep, idx, lhs, [1] + [0] * (len(idx) - 1), modulus)
+        reports.append(rep)
     return reports
 
 
@@ -321,18 +321,18 @@ def atkin_gamma_constant(t, ell, n):
             "modulus": mod,
             "statement": "l^3 p(l^2 n - s) + l chi12(l) (1-24n|l) p(n) + p((n+s)/l^2) == gamma_t p(n) (mod t^c) on (1-24n|t) = -1",
         },
-    ) as rec:
+    ) as rep:
         idx = np.arange(1, n + 1)
         idx = idx[legendre_class(idx, t) == -1]
         pm, lhs = f.gather(idx), combo.gather(idx)
         units = np.flatnonzero(pm % t)
         if len(units) == 0:
-            rec.skip("no admissible n with p(n) invertible mod %d" % t)
+            rep.skip("no admissible n with p(n) invertible mod %d" % t)
         else:
             i = units[0]
             gamma = int(lhs[i]) * pow(int(pm[i]), -1, mod) % mod
-            if sweep(rec, idx, lhs, gamma * pm, mod):
-                rec.report.params["gamma"] = gamma
+            if sweep(rep, idx, lhs, gamma * pm, mod):
+                rep.params["gamma"] = gamma
             else:
                 gamma = None
-    return gamma, rec.report
+    return gamma, rep

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,14 +23,27 @@ class CongruenceReport:
         return self.status == "pass"
 
     def to_dict(self):
-        return {
-            "check": self.check,
-            "params": self.params,
-            "n_verified": self.n_verified,
-            "status": self.status,
-            "first_failure": self.first_failure,
-            "elapsed_ms": self.elapsed_ms,
+        return asdict(self)
+
+    def passed(self, n_verified):
+        self.n_verified = n_verified
+        self.status = "pass"
+
+    def fail(self, n, lhs, rhs, n_verified=0, modulus=None):
+        if modulus is None:
+            modulus = self.params.get("modulus", 0)
+        self.status = "fail"
+        self.n_verified = n_verified
+        self.first_failure = {
+            "n": n,
+            "lhs": int(lhs) if not isinstance(lhs, str) else lhs,
+            "rhs": int(rhs) if not isinstance(rhs, str) else rhs,
+            "modulus": modulus,
         }
+
+    def skip(self, reason):
+        self.status = "skipped"
+        self.params["reason"] = reason
 
     def summary_line(self):
         tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[self.status]
@@ -49,42 +62,17 @@ class CongruenceReport:
         return line
 
 
-class _Recorder:
-    def __init__(self, check, params):
-        self.report = CongruenceReport(check=check, params=dict(params))
-
-    def ok(self, n_verified):
-        self.report.n_verified = n_verified
-        self.report.status = "pass"
-
-    def fail(self, n, lhs, rhs, n_verified=0, modulus=None):
-        if modulus is None:
-            modulus = self.report.params.get("modulus", 0)
-        self.report.status = "fail"
-        self.report.n_verified = n_verified
-        self.report.first_failure = {
-            "n": n,
-            "lhs": int(lhs) if not isinstance(lhs, str) else lhs,
-            "rhs": int(rhs) if not isinstance(rhs, str) else rhs,
-            "modulus": modulus,
-        }
-
-    def skip(self, reason):
-        self.report.status = "skipped"
-        self.report.params["reason"] = reason
-
-
 @contextmanager
 def timed_report(check, params):
-    rec = _Recorder(check, params)
+    rep = CongruenceReport(check=check, params=dict(params))
     t0 = time.perf_counter()
     try:
-        yield rec
+        yield rep
     finally:
-        rec.report.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+        rep.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
 
 
-def sweep(rec, idx, lhs, rhs=0, modulus=0, n_verified=None):
+def sweep(rep, idx, lhs, rhs=0, modulus=0, n_verified=None):
     """Record whether lhs[i] == rhs[i], modulo modulus when it is nonzero, for
     every i.  The first i that differs fails at n = idx[i] with both sides
     (reduced) and n_verified = i, or the count given; else len(idx) pass.
@@ -95,21 +83,21 @@ def sweep(rec, idx, lhs, rhs=0, modulus=0, n_verified=None):
     diff = lhs - rhs
     bad = np.flatnonzero(diff % modulus if modulus else diff)
     if len(bad) == 0:
-        rec.ok(len(idx))
+        rep.passed(len(idx))
         return True
     i = int(bad[0])
     left, right = (lhs[i] % modulus, rhs[i] % modulus) if modulus else (lhs[i], rhs[i])
-    rec.fail(int(idx[i]), left, right, i if n_verified is None else n_verified, modulus)
+    rep.fail(int(idx[i]), left, right, i if n_verified is None else n_verified, modulus)
     return False
 
 
-def decomposed(rec, expect, solve, *args):
-    """solve(*args), or None once rec fails at n = 0 with the ValueError of
+def decomposed(rep, expect, solve, *args):
+    """solve(*args), or None once rep fails at n = 0 with the ValueError of
     the solve against expect, the solution the line asked for."""
     try:
         return solve(*args)
     except ValueError as exc:
-        rec.fail(0, "decomposition: %s" % exc, expect)
+        rep.fail(0, "decomposition: %s" % exc, expect)
         return None
 
 
@@ -119,12 +107,12 @@ def identity_report(check, lhs, rhs, params=None, lo=None, hi=None):
     if lhs.modulus:
         params.setdefault("modulus", lhs.modulus)
     params.setdefault("grid24", lhs.frac24)
-    with timed_report(check, params) as rec:
+    with timed_report(check, params) as rep:
         w_lo = max(lhs.lo, rhs.lo) if lo is None else lo
         w_hi = min(lhs.valid_to, rhs.valid_to) if hi is None else hi
         diff = lhs.first_difference(rhs, w_lo, w_hi)
         if diff is None:
-            rec.ok(max(0, w_hi - w_lo + 1))
+            rep.passed(max(0, w_hi - w_lo + 1))
         else:
-            rec.fail(diff[0], diff[1], diff[2], n_verified=diff[0] - w_lo)
-    return rec.report
+            rep.fail(diff[0], diff[1], diff[2], n_verified=diff[0] - w_lo)
+    return rep

@@ -354,18 +354,13 @@ class Series:
             hi = min(self.valid_to, other.valid_to)
         if hi > min(self.valid_to, other.valid_to):
             raise ValidityError("comparison window exceeds validity")
-        a, b = self._window(lo, hi), other._window(lo, hi)
+        window = np.arange(lo, hi + 1)
+        a, b = self.gather(window), other.gather(window)
         idx = np.flatnonzero(a != b)
         if len(idx) == 0:
             return None
         i = int(idx[0])
         return lo + i, a.item(i), b.item(i)
-
-    def _window(self, lo, hi):
-        """Coefficients of indices lo..hi (hi <= valid_to), zero below self.lo."""
-        pad = max(0, min(self.lo, hi + 1) - lo)
-        seg = self.coeffs[max(0, lo - self.lo) : max(0, hi - self.lo + 1)]
-        return np.concatenate([np.zeros(pad, dtype=seg.dtype), seg])
 
 
 # -- low-level coefficient kernels -------------------------------------------

@@ -94,10 +94,10 @@ def _sweep_report(check, params, f, m, lhs):
     sweep is repeated mod 3 on an independently reduced table, which can only
     fail on an arithmetic bug."""
     mod = params["modulus"]
-    with timed_report(check, params) as rec:
-        if sweep(rec, m, lhs(f), modulus=mod) and mod % 3 == 0:
-            sweep(rec, m, lhs(f.reduce_mod(3)), modulus=3, n_verified=len(m))
-    return rec.report
+    with timed_report(check, params) as rep:
+        if sweep(rep, m, lhs(f), modulus=mod) and mod % 3 == 0:
+            sweep(rep, m, lhs(f.reduce_mod(3)), modulus=3, n_verified=len(m))
+    return rep
 
 
 def _combo(ell, lo, n, m):
@@ -187,12 +187,12 @@ def a_atkin_worked_instance():
     mod = 5**6
     params = {"t": 5, "ell": 7, "modulus": mod,
               "statement": "a(47) + a(1) == 149077845 == -8 a(1) (mod 5^6)"}
-    with timed_report("a-atkin-instance", params) as rec:
+    with timed_report("a-atkin-instance", params) as rep:
         total = f.coeff(47) + f.coeff(1)
         # the sum exactly, then its residue and the combination's mod 5^6
-        sweep(rec, [1, 1, 1], [total, total % mod, combo.coeff(1) % mod],
+        sweep(rep, [1, 1, 1], [total, total % mod, combo.coeff(1) % mod],
               [149077845, -8 * f.coeff(1) % mod, 0])
-    return rec.report
+    return rep
 
 
 def a_atkin_beta_crosscheck(t, ell, n=None):
@@ -226,38 +226,38 @@ def a_atkin_beta_crosscheck(t, ell, n=None):
             "statement": "combo * eta == sum d_a E2t G^a, d_(a<=0) == 0 (mod t^c),"
             " combo == beta mod t^c with beta == 0 on (1-24n|t) = -1",
         },
-    ) as rec:
-        d = decomposed(rec, "integer d_a", decompose_gamma0, combo, t, s)
+    ) as rep:
+        d = decomposed(rep, "integer d_a", decompose_gamma0, combo, t, s)
         low = range(-t * s, 1)
-        if d is None or not sweep(rec, low, [d.coeff(a) for a in low], modulus=mod):
-            return rec.report
+        if d is None or not sweep(rep, low, [d.coeff(a) for a in low], modulus=mod):
+            return rep
         count = len(low)
         kpoly = GPoly(t, tuple((a, c) for a, c in d.coeffs if a > 0))
         beta = beta_stream(t, kpoly, n)
         m = np.arange(-s, n + 1)
         b, c = beta.gather(m), combo.gather(m)
         if b[0] != -ell or c[0] != -ell:
-            rec.fail(-s, b[0], -ell, n_verified=count)
-            return rec.report
+            rep.fail(-s, b[0], -ell, n_verified=count)
+            return rep
         # exact agreement on the principal part, then, index by index, the
         # residue mod t^c before the vanishing on the class (1-24m|t) = -1
         head = np.flatnonzero(b[1:s] != c[1:s])
         if len(head):
             i = int(head[0]) + 1
-            rec.fail(int(m[i]), b[i], c[i], n_verified=count + i)
-            return rec.report
+            rep.fail(int(m[i]), b[i], c[i], n_verified=count + i)
+            return rep
         count += s
         off = (c - b) % mod != 0
         bad = np.flatnonzero(off | ((legendre_class(m, t) == -1) & (b != 0)))
         if len(bad):
             i = int(bad[0])
             if off[i]:
-                rec.fail(int(m[i]), c[i] % mod, b[i] % mod, n_verified=count + i)
+                rep.fail(int(m[i]), c[i] % mod, b[i] % mod, n_verified=count + i)
             else:
-                rec.fail(int(m[i]), b[i], 0, n_verified=count + i)
-            return rec.report
-        rec.ok(count + len(m))
-    return rec.report
+                rep.fail(int(m[i]), b[i], 0, n_verified=count + i)
+            return rep
+        rep.passed(count + len(m))
+    return rep
 
 
 def check_level1_b(ell):
@@ -276,14 +276,14 @@ def check_level1_b(ell):
             "statement": "combo * eta * Delta^s = sum b_k E4^(3k-1) E6 Delta^(s-k),"
             " b_s = -l, b_1 == 0 (mod 5) for l != 5",
         },
-    ) as rec:
-        b = decomposed(rec, "integer b_k", decompose_level1, f.truncate(n), s)
+    ) as rep:
+        b = decomposed(rep, "integer b_k", decompose_level1, f.truncate(n), s)
         if b is not None:
             # at l = 5, b_1 is b_s, which the first entry pins to -5
-            if sweep(rec, [s, 1], [b[s - 1], b[0] % 5], [-ell, 0]):
-                rec.ok(s + 1)
-            rec.report.params["b"] = b
-    return rec.report
+            if sweep(rep, [s, 1], [b[s - 1], b[0] % 5], [-ell, 0]):
+                rep.passed(s + 1)
+            rep.params["b"] = b
+    return rep
 
 
 # -- displayed q-expansions ----------------------------------------------------
@@ -390,9 +390,9 @@ def beta_display_reports(n=200):
                 "m": m,
                 "statement": "displayed coefficients of E2t K(G)/eta at t=%d" % t,
             },
-        ) as rec:
-            sweep(rec, idx, beta.gather(idx), [table[i] for i in idx])
-        reps.append(rec.report)
+        ) as rep:
+            sweep(rep, idx, beta.gather(idx), [table[i] for i in idx])
+        reps.append(rep)
         reps.append(verify_beta_vanish(t, m, n))
     return reps
 
@@ -419,14 +419,14 @@ def e46d_reports():
                 "t": t,
                 "statement": "E4^2 E6/Delta == E2t sum_{j=-t..1} a_j G_t^j",
             },
-        ) as rec:
-            k = decomposed(rec, "integer a_j", e46d_decompose, t)
+        ) as rep:
+            k = decomposed(rep, "integer a_j", e46d_decompose, t)
             table = _E46D5_VALUES if t == 5 else {}
             idx = sorted(table)
-            if k is not None and sweep(rec, idx, [k.coeff(a) for a in idx],
+            if k is not None and sweep(rep, idx, [k.coeff(a) for a in idx],
                                        [table[a] for a in idx]):
-                rec.ok(t + 2)  # the powers G^-t .. G^1
-        reps.append(rec.report)
+                rep.passed(t + 2)  # the powers G^-t .. G^1
+        reps.append(rep)
     return reps
 
 

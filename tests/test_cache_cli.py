@@ -105,6 +105,14 @@ def test_load_kind_mismatch_is_miss(tmp_path, caplog):
     # numpy's parser reads a lone sign at the end as 0, a residue
     param(lambda text: text.replace("\n5 7\n", "\n5 -\n"), id="lone-sign"),
     param(lambda text: text.replace("\n3 3\n", "\n3 3-\n"), id="trailing-sign"),
+    # blanks and signs that store never writes, though numpy reads them
+    param(lambda text: text.replace("\n3 3\n", "\n3 +3\n"), id="plus-sign"),
+    param(lambda text: text.replace("\n3 3\n", "\n3\t3\n"), id="tab"),
+    param(lambda text: text.replace("\n3 3\n", "\n3  3\n"), id="two-spaces"),
+    param(lambda text: text.replace("\n3 3\n", "\n 3 3\n"), id="leading-space"),
+    param(lambda text: text.replace("\n3 3\n", "\n+3 3\n"), id="plus-on-index"),
+    param(lambda text: text.replace("\n3 3\n", "\n3 3\r\n"), id="crlf-row"),
+    param(lambda text: text.replace("\n", "\r\n"), id="crlf-file"),
 ])
 def test_corrupt_files_are_misses(tmp_path, caplog, breakage):
     kind = SeriesKind("p", 5, modulus=MASTER)
@@ -245,6 +253,19 @@ def test_series_rejects_t_for_a_kind_that_does_not_read_it(capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "sptlab: kind %s takes no --t\n" % kind
+
+
+@parametrize('argv', ["check spt-hecke --ell 5 --nmax 5 --cache-dir", "series p --n 5 --out"])
+def test_unusable_directory_is_a_usage_error(tmp_path, capsys, bank_guard, argv):
+    # a regular file where the cache or export directory should be; on an
+    # empty bank the check builds the master table, then writes p
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    bank_guard.clear()
+    assert main(argv.split() + [str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sptlab: ") and str(blocker) in err and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_series_out_roundtrip(tmp_path, capsys):

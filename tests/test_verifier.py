@@ -403,13 +403,13 @@ def test_options_defaults():
 
 # -- the sweep primitive against a hand-written loop -------------------------------
 
-def _hand_sweep(rec, idx, lhs, rhs, modulus, n_verified):
+def _hand_sweep(rep, idx, lhs, rhs, modulus, n_verified):
     for i, (n, x, y) in enumerate(zip(idx, lhs, rhs)):
         if (x - y) % modulus if modulus else x != y:
-            rec.fail(n, x % modulus if modulus else x, y % modulus if modulus else y,
+            rep.fail(n, x % modulus if modulus else x, y % modulus if modulus else y,
                      n_verified=i if n_verified is None else n_verified, modulus=modulus)
             return False
-    rec.ok(len(idx))
+    rep.passed(len(idx))
     return True
 
 
@@ -433,20 +433,20 @@ def test_sweep_reports_as_a_hand_loop(data):
     reports = []
     for run, args in ((sweep, (np.array(lhs), np.array(rhs)) if as_array else (lhs, rhs)),
                       (_hand_sweep, (lhs, rhs))):
-        with timed_report("x", {"modulus": modulus}) as rec:
-            passed = run(rec, np.array(idx) if as_array else idx, *args,
+        with timed_report("x", {"modulus": modulus}) as rep:
+            passed = run(rep, np.array(idx) if as_array else idx, *args,
                          modulus=modulus, n_verified=n_verified)
-        got = rec.report.to_dict()
+        got = rep.to_dict()
         got.pop("elapsed_ms")
         reports.append((passed, got))
     assert reports[0] == reports[1]
 
 
 def test_sweep_scalar_rhs_and_empty_window():
-    with timed_report("x", {}) as rec:
-        assert sweep(rec, [4, 9, 16], np.array([72, 144, 5], dtype=np.int64), modulus=72) is False
-    assert rec.report.first_failure == {"n": 16, "lhs": 5, "rhs": 0, "modulus": 72}
-    assert rec.report.n_verified == 2
-    with timed_report("x", {}) as rec:
-        assert sweep(rec, [], []) is True
-    assert rec.report.ok and rec.report.n_verified == 0
+    with timed_report("x", {}) as rep:
+        assert sweep(rep, [4, 9, 16], np.array([72, 144, 5], dtype=np.int64), modulus=72) is False
+    assert rep.first_failure == {"n": 16, "lhs": 5, "rhs": 0, "modulus": 72}
+    assert rep.n_verified == 2
+    with timed_report("x", {}) as rep:
+        assert sweep(rep, [], []) is True
+    assert rep.ok and rep.n_verified == 0
