@@ -1,12 +1,11 @@
 """Time the series kernels on fixed operands, alternating checkouts case by case.
 
-The cases are the two Newton inversions behind the modular p tables (p mod
-360360 at 40,001 terms, the master table of `check all`, and p mod 169 at
-18,584 terms, for the 13^2 sweep), the master spt product (the right side
-of Andrews' identity times p, both mod 360360 at 40,001 terms, as
-partitions.spt_stream multiplies them) and ten exact products, all taken
-by the limb-column kernel: the eight largest shapes that `check all` and the ten
-`series --out` exports of the benchmark multiply, a long operand of few bits
+The cases are two cold builds of the modular p and spt tables, each through
+partitions.stream from an emptied bank, as a cold `check all` builds them:
+mod 360360 at 40,001 terms, the master table, and mod 169 at 33,801 terms.
+Then come ten exact products, all taken by the limb-column kernel: the
+eight largest shapes that `check all` and the ten `series --out` exports
+of the benchmark multiply, a long operand of few bits
 (3,001 terms at 22 bits, from the delta export) and a short operand of many
 bits (111 terms at 155 and 192 bits, from `check all`).  Each is
 regenerated from a fixed seed as random signed ints of the same lengths and
@@ -60,11 +59,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS = 7
 
-# (name, modulus, terms) of the Newton inversions of the Euler product
-INVERSIONS = [("invert_mod 360360 x 40001", 360360, 40001),
-              ("invert_mod 169 x 18584", 169, 18584)]
-
-SPT_PRODUCT = "master spt product: Andrews rhs x p mod 360360 x 40001"
+# (name, modulus, terms) of the cold p and spt builds
+TABLES = [("p and spt mod 360360 x 40001 from an empty bank", 360360, 40001),
+          ("p and spt mod 169 x 33801 from an empty bank", 169, 33801)]
 
 # (name, terms of each operand, bits of a, bits of b); n_out is the length
 PRODUCTS = [
@@ -133,20 +130,22 @@ def case_table(src):
     each build returns the coefficients as a flat list, or a tuple of them,
     except cache.store, which returns the file name, and the launch, which
     returns (CPU seconds, lines)."""
-    from sptlab import cache, series
+    from sptlab import cache, forms, series
     from sptlab.forms import (_euler_power, e14_over_delta, eta_quotient, euler_product,
                               inverse_euler, j_series)
     from sptlab.gamma0 import e46d_decompose, hauptmodul, solve_in_e2t_basis
     from sptlab.hecke import ono_poly_A
-    from sptlab.partitions import _andrews_rhs
+    from sptlab.partitions import stream
     from sptlab.series import Series
 
-    cases = []
-    for name, m, terms in INVERSIONS:
-        a = euler_product(terms - 1, m).coeffs
-        cases.append((name, lambda a=a, m=m: series._invert_mod(a, m, 1).tolist()))
-    rhs, p = _andrews_rhs(40000, 360360), inverse_euler(40000, 360360)
-    cases.append((SPT_PRODUCT, lambda: rhs.mul(p).coeffs))
+    def cold_tables(m, terms):
+        forms._bank.clear()
+        return (stream("p", terms - 1, m).coeffs.tolist(),
+                stream("spt", terms - 1, m).coeffs.tolist())
+
+    cases = [(name, lambda m=m, terms=terms: cold_tables(m, terms))
+             for name, m, terms in TABLES]
+    p = inverse_euler(40000, 360360)
     for seed, (name, terms, bits_a, bits_b) in enumerate(PRODUCTS):
         rng = random.Random(seed)
         a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)

@@ -40,26 +40,31 @@ class SeriesKind:
         mid = "_t%d" % self.t if self.t else ""
         return "%s%s_n%d_m%d.qsc" % (self.tag, mid, self.nmax, self.modulus)
 
+    def metadata(self):
+        """The file's second line, which load reads back whole."""
+        params = "t=%d" % self.t if self.t else "-"
+        return "kind=%s params=%s nmax=%d mod=%d frac24=%d" % (
+            self.tag, params, self.nmax, self.modulus, self.frac24)
+
+
+# rows formatted and written per chunk, so no text of the whole table is held
+_STORE_CHUNK = 4096
+
 
 def store(cache_dir, kind, values, lo=0):
     """Write rows lo..lo+len(values)-1 atomically; returns the path."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, kind.filename())
-    params = "t=%d" % kind.t if kind.t else "-"
-    lines = [
-        MAGIC,
-        "kind=%s params=%s nmax=%d mod=%d frac24=%d"
-        % (kind.tag, params, kind.nmax, kind.modulus, kind.frac24),
-        "rows=%d" % len(values),
-    ]
-    if isinstance(values, np.ndarray):
-        values = values.tolist()  # Python ints format faster than numpy scalars
-    lines.extend(map("%d %d".__mod__, enumerate(values, lo)))
-    lines.append("end")
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("%s\n%s\nrows=%d\n" % (MAGIC, kind.metadata(), len(values)))
+            for i in range(0, len(values), _STORE_CHUNK):
+                chunk = values[i : i + _STORE_CHUNK]
+                if isinstance(chunk, np.ndarray):
+                    chunk = chunk.tolist()  # Python ints format faster than numpy scalars
+                fh.write("".join(map("%d %d\n".__mod__, enumerate(chunk, lo + i))))
+            fh.write("end\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,6 +77,8 @@ def store(cache_dir, kind, values, lo=0):
 # file; CPython's re keeps about 300 bytes of state a row until a match ends
 # (13 MB for the cached p's 40,001 rows in one match), so load reads in blocks
 _ROWS = re.compile(r"(?:-?[0-9]+ -?[0-9]+\n){1,1000}|end\n\Z")
+# the rows= line as store writes it: %d of a count, with no sign or leading zero
+_COUNT = re.compile(r"rows=(0|[1-9][0-9]*)")
 
 
 def load(cache_dir, kind):
@@ -86,12 +93,12 @@ def load(cache_dir, kind):
         header, meta_line, rows_line, body = text.split("\n", 3)
         if header != MAGIC:
             raise ValueError("bad magic %r" % header)
-        meta = dict(item.split("=", 1) for item in meta_line.split() if "=" in item)
-        if meta.get("kind") != kind.tag or int(meta.get("mod", -1)) != kind.modulus:
-            raise ValueError("metadata mismatch: %r" % meta)
-        if int(meta.get("nmax", -1)) != kind.nmax:
-            raise ValueError("nmax mismatch")
-        rows = int(rows_line.split("=", 1)[1])
+        if meta_line != kind.metadata():
+            raise ValueError("metadata %r, not %r" % (meta_line, kind.metadata()))
+        count = _COUNT.fullmatch(rows_line)
+        if not count:
+            raise ValueError("bad row count line %r" % rows_line)
+        rows = int(count[1])
         pos = 0
         while (block := _ROWS.match(body, pos)) and block[0] != "end\n":
             pos = block.end()

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from . import series
 from .series import Series, coeff_dtype, reduce, split_e24
 
 
@@ -190,13 +191,26 @@ def memo(tag, n, modulus, build):
 
 
 def _build_p(n, modulus):
-    """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one."""
+    """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one.
+    Exact, by the recurrence of Series.invert.  Modulo m, its first
+    series._EULER_BLOCK terms come from the Newton inverse of Series.invert,
+    the bank's one from-scratch inversion per modulus, and the rest from
+    dividing 1 by the Euler product block by block (series._euler_quotient)."""
     got = _bank.get(("p", modulus))
-    return euler_product(n, modulus).invert(got.coeffs if got is not None else None)
+    known = got.coeffs if got is not None else None
+    if not modulus:
+        return euler_product(n).invert(known)
+    head = min(n + 1, series._EULER_BLOCK)
+    if known is None or len(known) < head:
+        known = euler_product(head - 1, modulus).invert(known).coeffs
+    one = np.zeros(n + 1, dtype=np.int64)
+    one[0] = 1
+    return Series._wrap(series._euler_quotient(one, modulus, known, known), 0, 0, modulus)
 
 
 def inverse_euler(n, modulus=0):
     """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table; every
-    Euler-product inverse reads it, so each p(k) is computed once per modulus."""
+    Euler-product inverse, and the p(0..B-1) that divides by the Euler
+    product modulo m, reads it, so each p(k) is computed once per modulus."""
     tab = memo("p", n, modulus, _build_p)
     return Series._wrap(tab.coeffs[: n + 1], 0, 0, modulus)

@@ -9,15 +9,18 @@ product (q)_inf = prod_{r>=1} (1 - q^r):
     (q)_inf * sum spt(n) q^n
         = sum sigma(n) q^n + sum_{k>=1} (-1)^k q^(k(3k+1)/2) (1 + q^k) / (1 - q^k)^2.
 
-The tail sum costs O(N/k) per k; one product with the partition table
-p = 1/(q)_inf finishes it.  The same Series expression
-serves the exact and the modular backend.
+The tail sum costs O(N/k) per k.  Dividing it by the Euler product
+finishes it: exactly, one product with the bank's partition table
+p = 1/(q)_inf; modulo m, the blocked division of series._euler_quotient,
+seeded by the bank's p(0..B-1), which is also how the modular p table
+continues past its first B terms (forms._build_p).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import series
 from .forms import _build_p, _divisor_power_sums, inverse_euler, memo
 from .series import Series
 
@@ -38,10 +41,14 @@ def _andrews_rhs(n, modulus=0):
 
 
 def spt_stream(n, modulus=0):
-    """spt(0..n) from Andrews' identity: one product of its right side with
-    the bank's p table divides by the Euler product."""
-    p = inverse_euler(n, modulus)
-    return _andrews_rhs(n, modulus).mul(p)
+    """spt(0..n) from Andrews' identity: its right side divided by the Euler
+    product, exactly as one product with the bank's p table, modulo m block
+    by block from the bank's p(0..B-1) (module docstring)."""
+    rhs = _andrews_rhs(n, modulus)
+    if not modulus:
+        return rhs.mul(inverse_euler(n))
+    p = inverse_euler(min(n, series._EULER_BLOCK - 1), modulus).coeffs
+    return Series._wrap(series._euler_quotient(rhs.coeffs, modulus, p), 0, 0, modulus)
 
 
 # -- the p/spt/d/a tables in the shared bank -----------------------------------

@@ -611,8 +611,8 @@ def _conv_fft(a, b, m, n_out):
     A product truncated to n terms is split once as a short product (Mulders,
     AAECC 11, 2000): a b = a b[:h] + q^h a[:n-h] b[h:] through q^(n-1), for
     b the shorter operand and h = ceil(n/2), unless b[h:] is shorter than
-    _FFT_CUTOFF.  The transforms shrink by about 1/4: 62,208 points, not
-    82,944, for the master spt product at 40,001 terms.
+    _FFT_CUTOFF.  The largest transform shrinks by about 1/4: 12,288 points,
+    not 16,384, for two operands of 8,192 terms truncated to 8,192.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -729,3 +729,61 @@ def _newton_step(a, x, m):
                 return (-xe) % m
     e = _conv_mod(a, x, m, prec)[h:]
     return (-_conv_mod(x, e, m, prec - h)) % m
+
+
+# Block length of _euler_quotient, and so the length of the p(0..B-1) seed
+# its callers pass.  Measured on a 2-core x86-64 host with numpy 2.4, p and
+# spt mod 360360 from an empty bank (min of 9): 23.9 ms at 4096 and 22.2 ms
+# at 8192 for 40,001 terms, 174 and 147 ms for 200,001 terms.
+_EULER_BLOCK = 8192
+
+
+def _euler_quotient(f, m, p, prefix=None):
+    """f/(q)_inf mod m through the length of the int64 residue array f,
+    written over f, which is returned.  p holds p(0..B-1) = 1/(q)_inf mod m
+    for B = min(_EULER_BLOCK, len(f)); a known leading part of the quotient
+    (prefix, any length) is copied, not recomputed.
+
+    With (q)_inf = sum_g e_g q^g over the generalised pentagonal numbers g,
+    x = f/(q)_inf has x[i] = f[i] - sum_(g>=1) e_g x[i-g].  Each block
+    [b0, b1) of _EULER_BLOCK indices first takes, for each g < b1, the terms
+    x[i-g] with i - g < b0, which are finished: one slice add per g, and
+    the int64 sum stays below (1 + #g) m.  What is left is the same
+    recurrence inside the block, that sum divided by (q)_inf, so the block
+    is p(0..b1-b0-1) times the sum, truncated to the block.  Every block
+    multiplies by the same p, so its limb spectra (as _fft_product takes
+    them) are computed once; short blocks, and a block whose rounding guard
+    trips, take _conv_mod.
+    """
+    n = len(f)
+    start = 0 if prefix is None else min(len(prefix), n)
+    if start:
+        f[:start] = prefix[:start]
+    pents = []  # (g, e_g) for g = k(3k -+ 1)/2 < n, k >= 1, in increasing order
+    k = 1
+    while k * (3 * k - 1) // 2 < n:
+        pents += [(g, (-1) ** k) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g < n]
+        k += 1
+    width = min(_EULER_BLOCK, n - start)
+    fp = None
+    if width >= _FFT_CUTOFF:
+        limbs, w = _limbs(m, width)
+        size = _fft_size(2 * width - 1)
+        fp = _residue_spectra(p[:width], limbs, w, size)
+    for b0 in range(start, n, _EULER_BLOCK):
+        b1 = min(b0 + _EULER_BLOCK, n)
+        r = f[b0:b1]
+        for g, e in pents:
+            if g >= b1:
+                break
+            lo, hi = max(b0, g), min(b1, b0 + g)
+            if e > 0:
+                r[lo - b0 : hi - b0] -= f[lo - g : hi - g]
+            else:
+                r[lo - b0 : hi - b0] += f[lo - g : hi - g]
+        r %= m
+        x = None
+        if fp is not None:
+            x = _mod_columns(fp, _residue_spectra(r, limbs, w, size), w, m, size, 0, b1 - b0)
+        f[b0:b1] = _conv_mod(p[: b1 - b0], r, m, b1 - b0) if x is None else x
+    return f

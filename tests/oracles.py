@@ -1,6 +1,15 @@
 """Slow oracles that share no code with sptlab, for more than one test module."""
 
 
+def partition_oracle(n):
+    """p(0..n) by the textbook coin-counting recurrence."""
+    ways = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(k, n + 1):
+            ways[i] += ways[i - k]
+    return ways
+
+
 def spt_bruteforce(n):
     """spt(n) by enumerating the ascending compositions of n, whose first
     part is the smallest; guarded to n <= 45.  Shares no code with sptlab."""

@@ -2,6 +2,7 @@
 import ast
 import hashlib
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 # third party
@@ -9,10 +10,10 @@ import numpy as np
 # test framework
 from pytest import MonkeyPatch, fixture, mark
 # local package
-from sptlab import cli, forms, series, verifier
+from sptlab import cache, cli, forms, series, verifier
 from sptlab.forms import euler_product
 from sptlab.hecke import legendre
-from sptlab.partitions import stream
+from sptlab.partitions import spt_stream, stream
 from sptlab.series import Series
 from sptlab.verifier import MASTER_MODULUS, REGISTRY, CheckOptions, _prewarm, inv24, run_checks
 
@@ -30,10 +31,12 @@ def _digest(tab):
 def cold_run():
     """run_checks over the whole registry on an empty bank, recording each
     inversion of an Euler-product prefix as (modulus, length, length of the
-    prefix it continued, code of the caller of Series.invert)."""
+    prefix it continued, code of the caller of Series.invert), and each
+    blocked division by the Euler product as (modulus, length, length of the
+    prefix it continued, code of its caller)."""
     saved = dict(forms._bank)
     forms._bank.clear()
-    calls = []
+    calls, divisions = [], []
 
     def spy(inner, modulus_of):
         def call(a, *args):
@@ -46,17 +49,25 @@ def cold_run():
             return inner(a, *args)
         return call
 
+    def divide(inner):
+        def call(f, m, p, prefix=None):
+            divisions.append((m, len(f), 0 if prefix is None else len(prefix),
+                              sys._getframe(1).f_code))
+            return inner(f, m, p, prefix)
+        return call
+
     with MonkeyPatch.context() as mp:
         mp.setattr(series, "_invert_exact", spy(series._invert_exact, lambda args: 0))
         mp.setattr(series, "_invert_mod", spy(series._invert_mod, lambda args: args[0]))
+        mp.setattr(series, "_euler_quotient", divide(series._euler_quotient))
         reports = run_checks(list(REGISTRY))
-    yield reports, calls
+    yield reports, calls, divisions
     forms._bank.clear()
     forms._bank.update(saved)
 
 
 def test_cold_check_all_inverts_the_euler_product_once_per_modulus(cold_run):
-    reports, calls = cold_run
+    reports, calls, divisions = cold_run
     assert len(reports) == 81 and all(r.ok for r in reports)
     from_scratch = Counter(m for m, _, start, _ in calls if start == 0)
     assert from_scratch[0] == 1 and from_scratch[MASTER_MODULUS] == 1
@@ -65,6 +76,18 @@ def test_cold_check_all_inverts_the_euler_product_once_per_modulus(cold_run):
     assert sum(n - start for m, n, start, _ in calls if m == 0) <= 8445
     # and every Euler-product inverse is the bank's p
     assert {code for *_, code in calls} == {forms._build_p.__code__}
+    # modulo m, p past its inverse's head is divided from a known prefix,
+    # each p(k) once: the master from its B inverted terms to 40,000
+    grown = [d for d in divisions if d[-1] is forms._build_p.__code__]
+    assert all(start for _, _, start, _ in grown)
+    for modulus in {m for m, *_ in grown}:
+        lengths = [(n, start) for m, n, start, _ in grown if m == modulus]
+        assert sum(max(n - start, 0) for n, start in lengths) < max(n for n, _ in lengths)
+    assert (MASTER_MODULUS, 40001, series._EULER_BLOCK) in [d[:3] for d in grown]
+    # spt is divided from scratch once per modulus, and nothing else divides
+    spt = Counter(m for m, _, start, code in divisions if code is spt_stream.__code__)
+    assert spt[MASTER_MODULUS] == 1 and max(spt.values()) == 1
+    assert len(grown) + sum(spt.values()) == len(divisions)
 
 
 def test_check_all_does_not_mutate_shared_tables(cold_run):
@@ -409,3 +432,27 @@ def test_one_fault_outside_the_sweeps_fails_exactly_its_readers(
     got = [(r.check, r.params.get("ell"), r.first_failure, r.n_verified)
            for r in reports if not r.ok]
     assert got == failing, [r.summary_line() for r in reports if not r.ok]
+
+
+def test_master_build_and_store_stay_in_bounded_memory(bank_guard, tmp_path):
+    # p, spt and a mod 360360 at 40,001 terms from an empty bank, then the
+    # cache file of that p, under tracemalloc.  Dividing by the Euler product
+    # in blocks keeps no transform of the whole table, and store formats its
+    # rows a chunk at a time: the peaks read about 2.0 MB and 0.5 MB, against
+    # 5.7 MB and 5.2 MB for a Newton p, a full-length spt product and one
+    # joined text of the file
+    bank_guard.clear()
+    tracemalloc.start()
+    try:
+        p = stream("p", 40000, MASTER_MODULUS)
+        stream("spt", 40000, MASTER_MODULUS)
+        stream("a", 40000, MASTER_MODULUS)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        cache.store(tmp_path, cache.SeriesKind("p", 40000, modulus=MASTER_MODULUS), p.coeffs)
+        store = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build < 2.5e6, build
+    assert store < 1e6, store

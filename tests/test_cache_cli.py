@@ -113,6 +113,11 @@ def test_load_kind_mismatch_is_miss(tmp_path, caplog):
     param(lambda text: text.replace("\n3 3\n", "\n+3 3\n"), id="plus-on-index"),
     param(lambda text: text.replace("\n3 3\n", "\n3 3\r\n"), id="crlf-row"),
     param(lambda text: text.replace("\n", "\r\n"), id="crlf-file"),
+    # header lines that int() and a whitespace split read, but store never writes
+    param(lambda text: text.replace("rows=6", "rows= +6"), id="signed-row-count"),
+    param(lambda text: text.replace("mod=360360", "mod=+360360"), id="signed-modulus"),
+    param(lambda text: text.replace("nmax=5", "nmax=0005"), id="zero-padded-nmax"),
+    param(lambda text: text.replace("kind=p ", "kind=p\tkind=p ", 1), id="tab-joined-kind"),
 ])
 def test_corrupt_files_are_misses(tmp_path, caplog, breakage):
     kind = SeriesKind("p", 5, modulus=MASTER)

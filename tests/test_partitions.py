@@ -1,28 +1,24 @@
 # standard library
+import inspect
 from functools import lru_cache
+# third party
+import numpy as np
 # test framework
-from pytest import raises, mark
+import hypothesis.strategies as st
+from hypothesis import given, settings
+from pytest import MonkeyPatch, fixture, raises, mark
 # local package
 from sptlab import ValidityError, series
 from sptlab.forms import euler_product, inverse_euler
 from sptlab.series import Series
-from sptlab.partitions import spt_stream, stream
+from sptlab.partitions import _andrews_rhs, spt_stream, stream
 # test helpers
-from oracles import spt_bruteforce
+from oracles import partition_oracle, spt_bruteforce
 
 parametrize = mark.parametrize
 
 
 # -- reference oracles ---------------------------------------------------------
-
-def partition_oracle(n):
-    """p(0..n) by the textbook coin-counting recurrence."""
-    ways = [1] + [0] * n
-    for k in range(1, n + 1):
-        for i in range(k, n + 1):
-            ways[i] += ways[i - k]
-    return ways
-
 
 def all_partitions(n):
     if n == 0:
@@ -212,40 +208,40 @@ def test_d_build_reads_only_p(bank_guard):
     assert ("spt", 97) not in bank_guard
 
 
+def _spy_starts(inner, starts):
+    """inner, recording the length of the prefix each call continues."""
+    signature = inspect.signature(inner)
+
+    def call(*args):
+        prefix = signature.bind(*args).arguments.get("prefix")
+        starts.append(0 if prefix is None else len(prefix))
+        return inner(*args)
+    return call
+
+
 def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
     # p to 100, then to 3000: the second build continues the stored 101
-    # values, and both backends match a fresh build and the coin-counting DP
+    # values, and both backends match a fresh build and the coin-counting DP.
+    # Modulo m, the Newton inverse makes the first `block` terms and the
+    # blocked division the rest; at 64 the stored 101 values are past the
+    # Newton head, at 1024 the Newton inverse itself resumes from them
     want = partition_oracle(3000)
-    starts = []
-
-    def spy(inner):
-        def call(a, *args):
-            prefix = args[-1]
-            starts.append(0 if prefix is None else len(prefix))
-            return inner(a, *args)
-        return call
-
-    steps = []
-    newton_step = series._newton_step
-
-    def step_spy(a, x, m):
-        steps.append((len(x), len(a)))
-        return newton_step(a, x, m)
-
-    monkeypatch.setattr(series, "_invert_exact", spy(series._invert_exact))
-    monkeypatch.setattr(series, "_invert_mod", spy(series._invert_mod))
-    monkeypatch.setattr(series, "_newton_step", step_spy)
-    for modulus in (0, 169):
+    inverted, divided = [], []
+    monkeypatch.setattr(series, "_invert_exact", _spy_starts(series._invert_exact, inverted))
+    monkeypatch.setattr(series, "_invert_mod", _spy_starts(series._invert_mod, inverted))
+    monkeypatch.setattr(series, "_euler_quotient", _spy_starts(series._euler_quotient, divided))
+    for block, modulus in ((64, 0), (64, 169), (1024, 169)):
+        monkeypatch.setattr(series, "_EULER_BLOCK", block)
         bank_guard.clear()
-        del starts[:]
+        del inverted[:], divided[:]
         small = stream("p", 100, modulus)
-        del steps[:]
         grown = stream("p", 3000, modulus)
-        assert starts == [0, 101]
         if modulus:
-            # Newton's first step continues from the 101 stored terms
-            assert steps[0] == (101, 202)
+            assert inverted == [0] + ([101] if block > 101 else [])
+            assert divided == [min(101, block), max(101, block)]
+            assert grown.coeffs[:101].tolist() == small.coeffs.tolist()
         else:
+            assert inverted == [0, 101] and divided == []
             # the same int objects: indices 0..100 were copied, not recomputed
             assert all(x is y for x, y in zip(grown.coeffs, small.coeffs))
         bank_guard.clear()
@@ -273,7 +269,8 @@ def test_newton_inverse_matches_coin_counting_from_every_prefix(monkeypatch, m):
 
 @parametrize('modulus', [0, 169])
 def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
-    # the bank keeps the table the inversion returned, not a copy of it
+    # the bank keeps the table the inversion (exact) or the blocked division
+    # (modular, here past its Newton head of 64 terms) returned, not a copy
     made = []
 
     def spy(inner):
@@ -282,9 +279,71 @@ def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
             return made[-1]
         return call
 
+    monkeypatch.setattr(series, "_EULER_BLOCK", 64)
     monkeypatch.setattr(series, "_invert_exact", spy(series._invert_exact))
-    monkeypatch.setattr(series, "_invert_mod", spy(series._invert_mod))
+    monkeypatch.setattr(series, "_euler_quotient", spy(series._euler_quotient))
     bank_guard.clear()
     got = stream("p", 200, modulus)
     assert len(made) == 1
     assert bank_guard[("p", modulus)] is got and got.coeffs is made[0]
+
+
+# -- the blocked division by the Euler product ---------------------------------
+
+MODULI = [2, 169, 360360, 2**31 - 1]
+
+
+@parametrize('m', MODULI)
+def test_modular_p_and_spt_match_the_oracles_across_blocks(bank_guard, monkeypatch, m):
+    # blocks of 16 put many block edges under the oracles: spt first, so that
+    # it seeds p from scratch, then p grown by division from its 16 terms.
+    # The brute-force spt is guarded to n <= 45
+    monkeypatch.setattr(series, "_EULER_BLOCK", 16)
+    bank_guard.clear()
+    assert stream("spt", 45, m).coeffs.tolist() == [spt_bruteforce(n) % m for n in range(46)]
+    assert stream("p", 200, m).coeffs.tolist() == [v % m for v in partition_oracle(200)]
+
+
+@fixture(scope="module")
+def exact_p_spt():
+    """The exact p and spt to 2B + 1 for the block length B, by the exact
+    backend and outside the bank: the inverse's recurrence and one product."""
+    n = 2 * series._EULER_BLOCK + 1
+    p = euler_product(n).invert()
+    return p.coeffs, _andrews_rhs(n).mul(p).coeffs
+
+
+@parametrize('m', MODULI)
+def test_modular_p_and_spt_match_the_exact_tables_at_block_edges(bank_guard, exact_p_spt, m):
+    b = series._EULER_BLOCK
+    for n in (b - 1, b, b + 1, 2 * b + 1):
+        bank_guard.clear()
+        for kind, exact in zip(("p", "spt"), exact_p_spt):
+            got = stream(kind, n, m)
+            assert got.valid_to == n
+            assert got.coeffs.tolist() == [v % m for v in exact[: n + 1]], (kind, n)
+
+
+def _quotient_oracle(f, m):
+    """f/(q)_inf mod m by the pentagonal recurrence, one index at a time."""
+    pents = [(k * (3 * k + s) // 2, (-1) ** k) for k in range(1, len(f) + 1) for s in (-1, 1)]
+    x = []
+    for i, fi in enumerate(f):
+        x.append((fi - sum(e * x[i - g] for g, e in pents if g <= i)) % m)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODULI), st.integers(1, 40), st.data())
+def test_euler_quotient_continues_from_every_prefix(m, block, data):
+    # from scratch, and from every prefix of the quotient, the empty one
+    # included, the blocked division gives the pointwise recurrence
+    f = data.draw(st.lists(st.integers(0, m - 1), max_size=120))
+    want = _quotient_oracle(f, m)
+    p = np.array([v % m for v in partition_oracle(block)][:block], dtype=np.int64)
+    with MonkeyPatch.context() as mp:
+        mp.setattr(series, "_EULER_BLOCK", block)
+        assert series._euler_quotient(np.array(f, dtype=np.int64), m, p).tolist() == want
+        for h in range(len(f) + 1):
+            got = series._euler_quotient(np.array(f, dtype=np.int64), m, p, want[:h])
+            assert got.tolist() == want, h

@@ -651,8 +651,9 @@ def test_split_conv_mod_falls_back_when_one_half_trips(monkeypatch, half):
 
 
 def test_master_spt_product_transforms_at_most_62208_points(bank_guard, monkeypatch):
-    # the spt product of the master build: 40,001 terms of Andrews' right side
-    # times p, both mod 360360; unsplit it would transform at 82,944 points
+    # a long truncated product: 40,001 terms of Andrews' right side times p,
+    # both mod 360360, which the master spt build took before it divided by
+    # the Euler product in blocks; unsplit it would transform at 82,944 points
     from sptlab.forms import inverse_euler
     from sptlab.partitions import _andrews_rhs
 
