@@ -9,9 +9,12 @@ of the benchmark multiply, a long operand of few bits
 (3,001 terms at 22 bits, from the delta export) and a short operand of many
 bits (111 terms at 155 and 192 bits, from `check all`).  Each is
 regenerated from a fixed seed as random signed ints of the same lengths and
-bit sizes.  Three pairs of eta-quotient builds follow, each pair one series
-by two paths: the exact factor (q)_inf^-6 of the G_5 export (1,200 terms,
-so 242 terms before the dilation q -> q^5) by Miller's recurrence and as
+bit sizes.  Four truncated modular products follow, _conv_mod of random
+residues from a fixed seed: a square and a product of two operands, each
+truncated to its operands' length, at 5,000 terms mod 5^6 and at 40,001
+terms mod 360360.  Three pairs of eta-quotient builds follow, each pair one
+series by two paths: the exact factor (q)_inf^-6 of the G_5 export (1,200
+terms, so 242 terms before the dilation q -> q^5) by Miller's recurrence and as
 the sixth power of the bank's p, whose build the minimum leaves out; the
 (eta/eta(5z))^6 of the s-forms display to q^104, as a product of its two
 factors and as the inverse of its reciprocal eta(5z)^6/eta^6; and G_5^-3
@@ -62,6 +65,9 @@ ROUNDS = 7
 # (name, modulus, terms) of the cold p and spt builds
 TABLES = [("p and spt mod 360360 x 40001 from an empty bank", 360360, 40001),
           ("p and spt mod 169 x 33801 from an empty bank", 169, 33801)]
+
+# (modulus label, modulus, terms) of the truncated modular products
+MOD_PRODUCTS = [("5^6", 5**6, 5000), ("360360", 360360, 40001)]
 
 # (name, terms of each operand, bits of a, bits of b); n_out is the length
 PRODUCTS = [
@@ -130,6 +136,8 @@ def case_table(src):
     each build returns the coefficients as a flat list, or a tuple of them,
     except cache.store, which returns the file name, and the launch, which
     returns (CPU seconds, lines)."""
+    import numpy as np
+
     from sptlab import cache, forms, series
     from sptlab.forms import (_euler_power, e14_over_delta, eta_quotient, euler_product,
                               inverse_euler, j_series)
@@ -150,6 +158,15 @@ def case_table(src):
         rng = random.Random(seed)
         a, b = operand(rng, terms, bits_a), operand(rng, terms, bits_b)
         cases.append((name, lambda a=a, b=b, n=terms: series._conv_exact(a, b, n)))
+    for seed, (label, m, terms) in enumerate(MOD_PRODUCTS):
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, m, (2, terms), dtype=np.int64)
+        cases += [
+            ("_conv_mod square x %d mod %s" % (terms, label),
+             lambda a=a, m=m, n=terms: series._conv_mod(a, a, m, n).tolist()),
+            ("_conv_mod product x %d mod %s" % (terms, label),
+             lambda a=a, b=b, m=m, n=terms: series._conv_mod(a, b, m, n).tolist()),
+        ]
 
     g5 = -(-1201 // 5) + 1  # terms of (q^5)_inf^-6 in G_5 to q^1200
 

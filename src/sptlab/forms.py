@@ -192,25 +192,29 @@ def memo(tag, n, modulus, build):
 
 def _build_p(n, modulus):
     """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one.
-    Exact, by the recurrence of Series.invert.  Modulo m, its first
-    series._EULER_BLOCK terms come from the Newton inverse of Series.invert,
-    the bank's one from-scratch inversion per modulus, and the rest from
-    dividing 1 by the Euler product block by block (series._euler_quotient)."""
+    Exact, by the recurrence of Series.invert.  Modulo m, by dividing 1 by the
+    Euler product block by block (series._euler_quotient), from the bank's p
+    or from p(0) = 1: each division by the first L terms doubles the table
+    to 2L, until it holds series._EULER_BLOCK terms, and one more division
+    makes the rest."""
     got = _bank.get(("p", modulus))
     known = got.coeffs if got is not None else None
     if not modulus:
         return euler_product(n).invert(known)
-    head = min(n + 1, series._EULER_BLOCK)
-    if known is None or len(known) < head:
-        known = euler_product(head - 1, modulus).invert(known).coeffs
-    one = np.zeros(n + 1, dtype=np.int64)
-    one[0] = 1
-    return Series._wrap(series._euler_quotient(one, modulus, known, known), 0, 0, modulus)
+    p = np.zeros(n + 1, dtype=np.int64)
+    h = 1 if known is None else min(len(known), n + 1)
+    p[:h] = 1 if known is None else known[:h]
+    while h <= n:
+        end = min(2 * h, series._EULER_BLOCK, n + 1) if h < series._EULER_BLOCK else n + 1
+        series._euler_quotient(p[:end], modulus, p[:h], p[:h])
+        h = end
+    return Series._wrap(p, 0, 0, modulus)
 
 
 def inverse_euler(n, modulus=0):
-    """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table; every
-    Euler-product inverse, and the p(0..B-1) that divides by the Euler
-    product modulo m, reads it, so each p(k) is computed once per modulus."""
+    """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table (_build_p:
+    inverted exactly, divided modulo m); every Euler-product inverse, and
+    the p(0..B-1) that divides spt by the Euler product modulo m, reads it,
+    so each p(k) is computed once per modulus."""
     tab = memo("p", n, modulus, _build_p)
     return Series._wrap(tab.coeffs[: n + 1], 0, 0, modulus)

@@ -176,7 +176,7 @@ def psi_form(t, k, n):
     prec1 = need // t + jmax + 4
     term1 = _fricke_side("Psi", t, k, prec1).mul(eta_quotient({t * t: -1}, need)).truncate(need)
     beta = beta_stream(t, k, t * t * (n + 1) + s + 2)
-    term2 = _legendre_twist(beta, t).scale(chi12(t))
+    term2 = _legendre_twist(beta.truncate(need), t).scale(chi12(t))
     term3 = beta.sift(t * t, -s)
     return (term1 - term2 - term3).truncate(n)
 

@@ -12,8 +12,8 @@ product (q)_inf = prod_{r>=1} (1 - q^r):
 The tail sum costs O(N/k) per k.  Dividing it by the Euler product
 finishes it: exactly, one product with the bank's partition table
 p = 1/(q)_inf; modulo m, the blocked division of series._euler_quotient,
-seeded by the bank's p(0..B-1), which is also how the modular p table
-continues past its first B terms (forms._build_p).
+seeded by the bank's p(0..B-1), which is also how the modular p table is
+built (forms._build_p).
 """
 
 from __future__ import annotations
@@ -28,16 +28,20 @@ def _andrews_rhs(n, modulus=0):
     """The right side of Andrews' identity through q^n (module docstring).
 
     (1 + q^k) / (1 - q^k)^2 = sum_j (2j + 1) q^(jk), so each k term is one
-    strided add; every entry stays below sum_k (2n/k + 1) in absolute value.
+    strided add into the sigma table; every tail entry stays below
+    sum_k (2n/k + 1) in absolute value.
     """
-    tail = np.zeros(n + 1, dtype=np.int64)
+    out = _divisor_power_sums(1, n, modulus)
     k = 1
     while k * (3 * k + 1) // 2 <= n:
-        seg = tail[k * (3 * k + 1) // 2 :: k]
-        seg += (-1) ** k * (2 * np.arange(len(seg), dtype=np.int64) + 1)
+        seg = out[k * (3 * k + 1) // 2 :: k]
+        terms = (-1) ** k * (2 * np.arange(len(seg), dtype=np.int64) + 1)
+        # an exact entry stays a Python int
+        seg += terms if modulus else terms.astype(object)
         k += 1
-    sigma = Series(_divisor_power_sums(1, n, modulus), 0, 0, modulus)
-    return sigma + Series(tail, 0, 0, modulus)
+    if modulus:
+        out %= modulus
+    return Series._wrap(out, 0, 0, modulus)
 
 
 def spt_stream(n, modulus=0):

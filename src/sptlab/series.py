@@ -9,9 +9,9 @@ above valid_to are unknown and reading them is a hard error.
 The coefficients are one 1-D numpy array in either of two domains: exact,
 an object array of Python ints, or residues modulo M >= 2, an int64 array
 with entries in [0, M).  Every operation is one array expression for both,
-reduced mod M when there is a modulus; only the products and inverses
-choose a kernel by domain.  A table of arithmetic-function values f(0..N),
-such as p(n) or spt(n), is a Series too.
+reduced mod M when there is a modulus; only the products choose a kernel
+by domain.  A table of arithmetic-function values f(0..N), such as p(n) or
+spt(n), is a Series too.
 """
 
 from __future__ import annotations
@@ -263,20 +263,15 @@ class Series:
         frac = (-sgn24(a.frac24)) % 24
         lo = -a.lo - (sgn24(a.frac24) + sgn24(frac)) // 24
         m = a.modulus
-        if m:
-            c0 = int(a.coeffs[0])
-            try:
-                c0_inv = pow(c0, -1, m)
-            except ValueError:
-                raise UnitError("leading coefficient %d is not a unit mod %d" % (c0, m))
-            inv = _invert_mod(a.coeffs, m, c0_inv, prefix)
-            return Series._wrap(inv, lo, frac, m)
         coeffs = a.coeffs.tolist()
         c0 = coeffs[0]
-        if c0 != 1 and c0 != -1:
+        if not m and c0 != 1 and c0 != -1:
             raise UnitError("exact inversion needs leading coefficient +-1, got %r" % (c0,))
-        inv = _invert_exact(coeffs, c0, prefix)
-        return Series._wrap(inv, lo, frac, 0)
+        try:
+            c0_inv = pow(c0, -1, m) if m else c0
+        except ValueError:
+            raise UnitError("leading coefficient %d is not a unit mod %d" % (c0, m))
+        return Series._wrap(_invert(coeffs, c0_inv, m, prefix), lo, frac, m)
 
     # -- reindexing operations ---------------------------------------------
 
@@ -607,65 +602,50 @@ def _conv_fft(a, b, m, n_out):
     That bound is for radix-2 transforms and these are mixed radix 2/3, so a
     guard measures the error instead: if any float lies 1/4 or more from its
     rounding, the result is None and the caller uses np.convolve.
-
-    A product truncated to n terms is split once as a short product (Mulders,
-    AAECC 11, 2000): a b = a b[:h] + q^h a[:n-h] b[h:] through q^(n-1), for
-    b the shorter operand and h = ceil(n/2), unless b[h:] is shorter than
-    _FFT_CUTOFF.  The largest transform shrinks by about 1/4: 12,288 points,
-    not 16,384, for two operands of 8,192 terms truncated to 8,192.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    n = min(n_out, len(a) + len(b) - 1)
-    h = -(-n // 2)
-    if n == len(a) + len(b) - 1 or len(b) - h < _FFT_CUTOFF:
-        return _fft_product(a, b, m, n)
-    # a is longer than n/2, so both halves reach as far as they are read
-    low = _fft_product(a, b[:h], m, n)
-    high = None if low is None else _fft_product(a[: n - h], b[h:], m, n - h)
-    if high is None:
-        return None
-    low[h:] = (low[h:] + high) % m
-    return low
-
-
-def _fft_product(a, b, m, n):
-    """Coefficients 0..n-1 mod m of a*b (n at most its length) by _conv_fft's
-    limb transforms, unsplit; None if the rounding guard trips."""
     k, w = _limbs(m, max(len(a), len(b)))
     size = _fft_size(len(a) + len(b) - 1)
     fa = _residue_spectra(a, k, w, size)
+    n = min(n_out, len(a) + len(b) - 1)
     return _mod_columns(fa, _residue_spectra(b, k, w, size), w, m, size, 0, n)
 
 
-# Block length of _invert_exact.  Measured on a 2-core x86-64 host with
-# numpy 2.4, p(0..8444) = 1/(q)_inf (median of 5): 0.20 s unblocked; 0.11 s
+# Block length of _invert.  Measured on a 2-core x86-64 host with numpy
+# 2.4, exact p(0..8444) = 1/(q)_inf (median of 5): 0.20 s unblocked; 0.11 s
 # at 48, 0.095 s at 96, 0.09 s at 128, 0.095 s at 192 and 256.
 _INV_BLOCK = 128
 
 
-def _invert_exact(a, c0_inv, prefix=None):
-    """Power-series inverse of an exact coefficient list with a[0] = c0_inv =
-    +-1, as an object array; out[i] reads only out[:i], so a known prefix is
-    kept and the recurrence resumes.
+def _invert(a, c0_inv, m, prefix=None):
+    """Power-series inverse of a coefficient list a in the domain of modulus
+    m, for c0_inv = 1/a[0] there (a[0] = +-1 when exact), as an array of that
+    domain; out[i] reads only out[:i], so a known prefix is kept and the
+    recurrence resumes.
 
     The recurrence runs in blocks of _INV_BLOCK indices.  A term a[k] with
     k >= _INV_BLOCK reads only finished blocks, so its share of a block is one
-    object-array add; only the terms below the block length are summed
-    index by index.
+    array add; only the terms below the block length are summed index by
+    index.  Modulo m such a term other than +-1 is reduced before it is
+    added, so a block's int64 sum stays below (number of terms) m.  The cost
+    is n times the number of nonzero terms of a: every long inverse in
+    sptlab is of the Euler product, and forms.inverse_euler divides that one
+    in blocks (_euler_quotient).
     """
     n = len(a)
     nz = [(k, a[k]) for k in range(1, n) if a[k]]
     near = [(k, ak) for k, ak in nz if k < _INV_BLOCK]
     far = nz[len(near) :]
-    out = list(prefix[:n]) if prefix is not None and len(prefix) else [c0_inv]
+    minus_one = reduce(-1, m)
+    dtype = coeff_dtype(m)
+    # Python ints, so that the index-by-index sums cannot overflow
+    known = [] if prefix is None else np.asarray(prefix[:n], dtype=dtype).tolist()
+    out = known or [c0_inv]
     start = len(out)
     out.extend([0] * (n - start))
-    done = np.array(out, dtype=object)  # out[:b0] for the block adds
-    neg = c0_inv == -1
+    done = np.array(out, dtype=dtype)  # out[:b0] for the block adds
     for b0 in range(start, n, _INV_BLOCK):
         b1 = min(b0 + _INV_BLOCK, n)
-        acc = np.zeros(b1 - b0, dtype=object)
+        acc = np.zeros(b1 - b0, dtype=dtype)
         for k, ak in far:
             if k >= b1:
                 break
@@ -673,10 +653,10 @@ def _invert_exact(a, c0_inv, prefix=None):
             src = done[lo - k : b1 - k]
             if ak == 1:
                 acc[lo - b0 :] += src
-            elif ak == -1:
+            elif ak == minus_one:
                 acc[lo - b0 :] -= src
             else:
-                acc[lo - b0 :] += ak * src
+                acc[lo - b0 :] += reduce(ak * src, m)
         acc = acc.tolist()
         for i in range(b0, b1):
             s = acc[i - b0]
@@ -684,54 +664,12 @@ def _invert_exact(a, c0_inv, prefix=None):
                 if k > i:
                     break
                 s += ak * out[i - k]
-            out[i] = s if neg else -s
+            out[i] = reduce(-c0_inv * s, m)
         done[b0:b1] = out[b0:b1]
     return done
 
 
-def _invert_mod(a, m, c0_inv, prefix=None):
-    """Newton iteration for 1/a mod (m, q^n), from a known prefix of the
-    inverse if given; each step (_newton_step) doubles the number of correct
-    terms."""
-    n = len(a)
-    start = prefix[:n] if prefix is not None and len(prefix) else [c0_inv]
-    h = len(start)
-    x = np.zeros(n, dtype=np.int64)
-    x[:h] = start
-    while h < n:
-        prec = min(2 * h, n)
-        x[h:prec] = _newton_step(a[:prec], x[:h], m)
-        h = prec
-    return x
-
-
-def _newton_step(a, x, m):
-    """Coefficients h..prec-1 of 1/a mod m, for x = 1/a to h terms and a to
-    prec <= 2h terms.
-
-    a x = 1 + q^h e mod q^prec, so the new coefficients are -(x e) mod
-    q^(prec - h), and e is coefficients h..prec-1 of a x: a middle product.
-    One cyclic transform of length _fft_size(prec) gives it, because the
-    terms of the linear product past that length wrap onto indices below h.
-    x e fits the same length without wrapping, so x's limb spectra serve
-    both products.  Short steps, and a step whose rounding guard trips, take
-    the two linear products of _conv_mod.
-    """
-    h, prec = len(x), len(a)
-    if h >= _FFT_CUTOFF:
-        k, w = _limbs(m, prec)
-        size = _fft_size(prec)
-        fx = _residue_spectra(x, k, w, size)
-        e = _mod_columns(fx, _residue_spectra(a, k, w, size), w, m, size, h, prec)
-        if e is not None:
-            xe = _mod_columns(fx, _residue_spectra(e, k, w, size), w, m, size, 0, prec - h)
-            if xe is not None:
-                return (-xe) % m
-    e = _conv_mod(a, x, m, prec)[h:]
-    return (-_conv_mod(x, e, m, prec - h)) % m
-
-
-# Block length of _euler_quotient, and so the length of the p(0..B-1) seed
+# The longest block of _euler_quotient, and so the longest p(0..B-1) seed
 # its callers pass.  Measured on a 2-core x86-64 host with numpy 2.4, p and
 # spt mod 360360 from an empty bank (min of 9): 23.9 ms at 4096 and 22.2 ms
 # at 8192 for 40,001 terms, 174 and 147 ms for 200,001 terms.
@@ -740,20 +678,21 @@ _EULER_BLOCK = 8192
 
 def _euler_quotient(f, m, p, prefix=None):
     """f/(q)_inf mod m through the length of the int64 residue array f,
-    written over f, which is returned.  p holds p(0..B-1) = 1/(q)_inf mod m
-    for B = min(_EULER_BLOCK, len(f)); a known leading part of the quotient
-    (prefix, any length) is copied, not recomputed.
+    written over f, which is returned.  p holds p(0..L-1) = 1/(q)_inf mod m,
+    and the blocks are B = min(L, _EULER_BLOCK) indices long; a known leading
+    part of the quotient (prefix, any length) is copied, not recomputed.  So
+    p(0..L-1) with a prefix of L terms fills [L, 2L) of a table of 2L: the
+    modular p doubles itself from p(0) = 1 (forms._build_p).
 
     With (q)_inf = sum_g e_g q^g over the generalised pentagonal numbers g,
     x = f/(q)_inf has x[i] = f[i] - sum_(g>=1) e_g x[i-g].  Each block
-    [b0, b1) of _EULER_BLOCK indices first takes, for each g < b1, the terms
-    x[i-g] with i - g < b0, which are finished: one slice add per g, and
-    the int64 sum stays below (1 + #g) m.  What is left is the same
-    recurrence inside the block, that sum divided by (q)_inf, so the block
-    is p(0..b1-b0-1) times the sum, truncated to the block.  Every block
-    multiplies by the same p, so its limb spectra (as _fft_product takes
-    them) are computed once; short blocks, and a block whose rounding guard
-    trips, take _conv_mod.
+    [b0, b1) first takes, for each g < b1, the terms x[i-g] with i - g < b0,
+    which are finished: one slice add per g, and the int64 sum stays below
+    (1 + #g) m.  What is left is the same recurrence inside the block, that
+    sum divided by (q)_inf, so the block is p(0..b1-b0-1) times the sum,
+    truncated to the block.  Every block multiplies by the same p, so its
+    limb spectra (as _conv_fft takes them) are computed once; short blocks,
+    and a block whose rounding guard trips, take _conv_mod.
     """
     n = len(f)
     start = 0 if prefix is None else min(len(prefix), n)
@@ -764,14 +703,15 @@ def _euler_quotient(f, m, p, prefix=None):
     while k * (3 * k - 1) // 2 < n:
         pents += [(g, (-1) ** k) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g < n]
         k += 1
-    width = min(_EULER_BLOCK, n - start)
+    block = min(len(p), _EULER_BLOCK)
+    width = min(block, n - start)
     fp = None
     if width >= _FFT_CUTOFF:
         limbs, w = _limbs(m, width)
         size = _fft_size(2 * width - 1)
         fp = _residue_spectra(p[:width], limbs, w, size)
-    for b0 in range(start, n, _EULER_BLOCK):
-        b1 = min(b0 + _EULER_BLOCK, n)
+    for b0 in range(start, n, block):
+        b1 = min(b0 + block, n)
         r = f[b0:b1]
         for g, e in pents:
             if g >= b1:

@@ -30,23 +30,21 @@ def _digest(tab):
 @fixture(scope="module")
 def cold_run():
     """run_checks over the whole registry on an empty bank, recording each
-    inversion of an Euler-product prefix as (modulus, length, length of the
-    prefix it continued, code of the caller of Series.invert), and each
-    blocked division by the Euler product as (modulus, length, length of the
-    prefix it continued, code of its caller)."""
+    Series.invert as (modulus, length, length of the prefix it continued,
+    code of the caller of Series.invert, whether it inverts an Euler-product
+    prefix), and each blocked division by the Euler product as (modulus,
+    length, length of the prefix it continued, code of its caller)."""
     saved = dict(forms._bank)
     forms._bank.clear()
     calls, divisions = [], []
 
-    def spy(inner, modulus_of):
-        def call(a, *args):
-            m = modulus_of(args)
-            if np.array_equal(np.asarray(a, dtype=object),
-                              np.asarray(euler_product(len(a) - 1, m).coeffs, dtype=object)):
-                prefix = args[-1]
-                calls.append((m, len(a), 0 if prefix is None else len(prefix),
-                              sys._getframe(2).f_code))
-            return inner(a, *args)
+    def invert(inner):
+        def call(a, c0_inv, m, prefix=None):
+            euler = np.array_equal(np.asarray(a, dtype=object),
+                                   np.asarray(euler_product(len(a) - 1, m).coeffs, dtype=object))
+            calls.append((m, len(a), 0 if prefix is None else len(prefix),
+                          sys._getframe(2).f_code, euler))
+            return inner(a, c0_inv, m, prefix)
         return call
 
     def divide(inner):
@@ -57,8 +55,7 @@ def cold_run():
         return call
 
     with MonkeyPatch.context() as mp:
-        mp.setattr(series, "_invert_exact", spy(series._invert_exact, lambda args: 0))
-        mp.setattr(series, "_invert_mod", spy(series._invert_mod, lambda args: args[0]))
+        mp.setattr(series, "_invert", invert(series._invert))
         mp.setattr(series, "_euler_quotient", divide(series._euler_quotient))
         reports = run_checks(list(REGISTRY))
     yield reports, calls, divisions
@@ -69,17 +66,20 @@ def cold_run():
 def test_cold_check_all_inverts_the_euler_product_once_per_modulus(cold_run):
     reports, calls, divisions = cold_run
     assert len(reports) == 81 and all(r.ok for r in reports)
-    from_scratch = Counter(m for m, _, start, _ in calls if start == 0)
-    assert from_scratch[0] == 1 and from_scratch[MASTER_MODULUS] == 1
-    assert max(from_scratch.values()) == 1
+    # nothing is inverted modulo m: the modular p is divided, not inverted
+    assert {m for m, *_ in calls} == {0}
+    euler = [c for c in calls if c[-1]]
+    assert [start for _, _, start, *_ in euler].count(0) == 1
     # the exact p is grown, never recomputed: p(0..8444) once in total
-    assert sum(n - start for m, n, start, _ in calls if m == 0) <= 8445
+    assert sum(n - start for _, n, start, *_ in euler) <= 8445
     # and every Euler-product inverse is the bank's p
-    assert {code for *_, code in calls} == {forms._build_p.__code__}
-    # modulo m, p past its inverse's head is divided from a known prefix,
-    # each p(k) once: the master from its B inverted terms to 40,000
+    assert {code for *_, code, _ in euler} == {forms._build_p.__code__}
+    # modulo m, p is divided from p(0) = 1 once per modulus, doubling to B
+    # terms and then dividing the rest, each p(k) once: the master to 40,000
     grown = [d for d in divisions if d[-1] is forms._build_p.__code__]
     assert all(start for _, _, start, _ in grown)
+    from_scratch = Counter(m for m, _, start, _ in grown if start == 1)
+    assert from_scratch[MASTER_MODULUS] == 1 and max(from_scratch.values()) == 1
     for modulus in {m for m, *_ in grown}:
         lengths = [(n, start) for m, n, start, _ in grown if m == modulus]
         assert sum(max(n - start, 0) for n, start in lengths) < max(n for n, _ in lengths)
@@ -112,8 +112,8 @@ def test_check_all_does_not_mutate_shared_tables(cold_run):
 @fixture
 def limb_products(monkeypatch):
     """Spy on every float64 limb product: the modular FFT products, the
-    Newton steps and the exact column kernel, which all invert through
-    _limb_columns.  Yields (products, tripped, exact): the arguments of each
+    blocks of the Euler division and the exact column kernel, which all
+    invert through _limb_columns.  Yields (products, tripped, exact): the arguments of each
     product, of each whose rounding guard tripped, and the length of each
     exact column product."""
     limb_columns, columns = series._limb_columns, series._conv_columns

@@ -219,16 +219,21 @@ def _spy_starts(inner, starts):
     return call
 
 
+# the prefix lengths the modular p's divisions continue, building p to 100
+# and then growing it to 3000, by block length: doublings from p(0) = 1 to a
+# block, then one division for the rest
+GROWN_FROM = {64: [1, 2, 4, 8, 16, 32, 64, 101],
+              1024: [1, 2, 4, 8, 16, 32, 64, 101, 202, 404, 808, 1024]}
+
+
 def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
     # p to 100, then to 3000: the second build continues the stored 101
     # values, and both backends match a fresh build and the coin-counting DP.
-    # Modulo m, the Newton inverse makes the first `block` terms and the
-    # blocked division the rest; at 64 the stored 101 values are past the
-    # Newton head, at 1024 the Newton inverse itself resumes from them
+    # Modulo m nothing is inverted: at block 64 the stored 101 values are
+    # past the doublings, at 1024 the doublings resume from them
     want = partition_oracle(3000)
     inverted, divided = [], []
-    monkeypatch.setattr(series, "_invert_exact", _spy_starts(series._invert_exact, inverted))
-    monkeypatch.setattr(series, "_invert_mod", _spy_starts(series._invert_mod, inverted))
+    monkeypatch.setattr(series, "_invert", _spy_starts(series._invert, inverted))
     monkeypatch.setattr(series, "_euler_quotient", _spy_starts(series._euler_quotient, divided))
     for block, modulus in ((64, 0), (64, 169), (1024, 169)):
         monkeypatch.setattr(series, "_EULER_BLOCK", block)
@@ -237,8 +242,7 @@ def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
         small = stream("p", 100, modulus)
         grown = stream("p", 3000, modulus)
         if modulus:
-            assert inverted == [0] + ([101] if block > 101 else [])
-            assert divided == [min(101, block), max(101, block)]
+            assert inverted == [] and divided == GROWN_FROM[block]
             assert grown.coeffs[:101].tolist() == small.coeffs.tolist()
         else:
             assert inverted == [0, 101] and divided == []
@@ -253,24 +257,27 @@ def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
 
 
 @parametrize('m', [2, 169, 360360, 2**31 - 1])
-def test_newton_inverse_matches_coin_counting_from_every_prefix(monkeypatch, m):
-    # 1/(q)_inf mod m by the middle-product Newton steps, from scratch at a
-    # length whose last steps transform, then continued from every prefix of
-    # p with the transform cutoff lowered so that nearly every step takes it
+def test_doubled_p_matches_coin_counting(bank_guard, monkeypatch, m):
+    # the modular p doubles from p(0) = 1 to a block and divides the rest:
+    # at lengths around a power of two, then with blocks of 64 from an empty
+    # bank and grown from a stored prefix shorter than a block and longer
     want = [v % m for v in partition_oracle(1100)]
-    a = euler_product(1100, m).coeffs
-    assert series._invert_mod(a, m, 1).tolist() == want
-    monkeypatch.setattr(series, "_FFT_CUTOFF", 8)
-    want, a = want[:400], a[:400]
-    for h in range(401):
-        got = series._invert_mod(a, m, 1, want[:h] if h else None)
-        assert got.tolist() == want, h
+    for n in (0, 1, 2, 255, 256, 257, 1100):
+        bank_guard.clear()
+        assert stream("p", n, m).coeffs.tolist() == want[: n + 1], n
+    monkeypatch.setattr(series, "_EULER_BLOCK", 64)
+    for stored in (None, 30, 100):
+        bank_guard.clear()
+        if stored is not None:
+            stream("p", stored, m)
+        assert stream("p", 1100, m).coeffs.tolist() == want, stored
 
 
 @parametrize('modulus', [0, 169])
 def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
-    # the bank keeps the table the inversion (exact) or the blocked division
-    # (modular, here past its Newton head of 64 terms) returned, not a copy
+    # the bank keeps the table the inversion returned (exact) or the one
+    # array the divisions wrote (modular, doubling to blocks of 64), not a
+    # copy
     made = []
 
     def spy(inner):
@@ -280,12 +287,16 @@ def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
         return call
 
     monkeypatch.setattr(series, "_EULER_BLOCK", 64)
-    monkeypatch.setattr(series, "_invert_exact", spy(series._invert_exact))
+    monkeypatch.setattr(series, "_invert", spy(series._invert))
     monkeypatch.setattr(series, "_euler_quotient", spy(series._euler_quotient))
     bank_guard.clear()
     got = stream("p", 200, modulus)
-    assert len(made) == 1
-    assert bank_guard[("p", modulus)] is got and got.coeffs is made[0]
+    assert bank_guard[("p", modulus)] is got
+    if modulus:
+        assert len(made) == 7 and len(made[-1]) == len(got.coeffs)
+        assert all(np.shares_memory(got.coeffs, x) for x in made)
+    else:
+        assert len(made) == 1 and got.coeffs is made[0]
 
 
 # -- the blocked division by the Euler product ---------------------------------

@@ -24,7 +24,7 @@ from sptlab.series import (
     _LIMB_BUDGET,
     _limbs,
 )
-from sptlab.forms import euler_product
+from sptlab.forms import euler_product, inverse_euler
 
 parametrize = mark.parametrize
 
@@ -366,8 +366,8 @@ def test_invert_roundtrip_mod(c, m):
 @CASES
 @given(coeffs, st.sampled_from([1, -1]), st.sampled_from([0, 2, 169, 360360]), st.data())
 def test_invert_continues_a_known_prefix(c, lead, m, data):
-    # the recurrence (exact) or Newton iteration (modular) started from any
-    # prefix of the inverse, even an empty or over-long one, gives the inverse
+    # the blocked recurrence, exact or modular, started from any prefix of
+    # the inverse, even an empty or over-long one, gives the inverse
     f = Series([lead] + c, lo=0)
     if m:
         f = f.reduce_mod(m)
@@ -589,9 +589,11 @@ def test_conv_mod_rounding_guard(monkeypatch, noise):
     assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), 360360, 1099)
 
 
-# (length of a, length of b, n_out, whether _conv_fft splits b): a product
-# truncated to n splits its shorter operand at h = ceil(n/2) when the part
-# past h has at least _FFT_CUTOFF terms, whichever operand comes first
+# (length of a, length of b, n_out, whether the short-product split that
+# _conv_fft once made (Mulders, AAECC 11, 2000) cut the shorter operand b):
+# it cut at h = ceil(n/2) when the part past h had at least _FFT_CUTOFF
+# terms.  The one-pass kernel must give schoolbook's truncation on both
+# sides of that edge, whichever operand comes first
 C = _FFT_CUTOFF
 SPLIT_SHAPES = [
     (2 * C, 2 * C, 2 * C, True),  # even n, b[h:] exactly at the cutoff
@@ -607,9 +609,11 @@ SPLIT_SHAPES = [
 @parametrize('m', [169, 360360, 2**31 - 1])
 @parametrize('la, lb, n_out, split', SPLIT_SHAPES)
 def test_split_conv_mod_matches_schoolbook(monkeypatch, m, la, lb, n_out, split):
-    calls, product = [], series._fft_product
-    monkeypatch.setattr(series, "_fft_product",
-                        lambda a, b, m, n: calls.append((len(a), len(b), n)) or product(a, b, m, n))
+    h = -(-n_out // 2)
+    assert split == (n_out < la + lb - 1 and min(la, lb) - h >= C)
+    rfft, sizes = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda x, n=None, *args, **kw: sizes.append(n)
+                        or rfft(x, n, *args, **kw))
     rng = np.random.default_rng(la * lb + n_out)
     a = rng.integers(0, m, la, dtype=np.int64)
     b = rng.integers(0, m, lb, dtype=np.int64)
@@ -617,63 +621,34 @@ def test_split_conv_mod_matches_schoolbook(monkeypatch, m, la, lb, n_out, split)
     got = _conv_mod(a, b, m, n_out)
     assert got.dtype == np.int64 and len(got) == n_out
     assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), m, n_out)
-    h = -(-n_out // 2)
-    short = min(la, lb)
-    if split:
-        assert calls == [(max(la, lb), h, n_out), (n_out - h, short - h, n_out - h)]
-    else:
-        assert calls == [(max(la, lb), short, min(n_out, la + lb - 1))]
+    # one transform of each operand's limbs, at the whole product's length
+    assert sizes == [series._fft_size(la + lb - 1)] * 2
 
 
-@parametrize('half', [0, 1], ids=["low", "high"])
-def test_split_conv_mod_falls_back_when_one_half_trips(monkeypatch, half):
-    # a tripped rounding guard in either half sends the whole product on to
-    # np.convolve, which still returns it exactly
-    limb_columns, convolve = series._limb_columns, np.convolve
-    calls, fallbacks = [], []
-
-    def spy(*args):
-        calls.append(args[2])
-        if len(calls) - 1 == half:
-            yield None
-            return
-        yield from limb_columns(*args)
-
-    monkeypatch.setattr(series, "_limb_columns", spy)
-    monkeypatch.setattr(np, "convolve", lambda *args: fallbacks.append(1) or convolve(*args))
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 360360, 4 * C, dtype=np.int64)
-    b = rng.integers(0, 360360, 4 * C, dtype=np.int64)
-    got = _conv_mod(a, b, 360360, 4 * C)
-    # the high half is not computed once the low half has tripped
-    assert len(calls) == half + 1 and fallbacks == [1]
-    assert got.tolist() == schoolbook_mod(a.tolist(), b.tolist(), 360360, 4 * C)
-
-
-def test_master_spt_product_transforms_at_most_62208_points(bank_guard, monkeypatch):
-    # a long truncated product: 40,001 terms of Andrews' right side times p,
-    # both mod 360360, which the master spt build took before it divided by
-    # the Euler product in blocks; unsplit it would transform at 82,944 points
-    from sptlab.forms import inverse_euler
-    from sptlab.partitions import _andrews_rhs
-
-    p = inverse_euler(40000, 360360)
-    rhs = _andrews_rhs(40000, 360360)
-    rfft, sizes = np.fft.rfft, []
-    monkeypatch.setattr(np.fft, "rfft", lambda x, n=None, *args, **kw: sizes.append(n)
-                        or rfft(x, n, *args, **kw))
-    spt = rhs.mul(p)
-    assert max(sizes) == series._fft_size(60001) == 62208
-    assert series._fft_size(80001) == 82944
-    assert spt.valid_to == 40000 and spt.coeffs[:8].tolist() == [0, 1, 3, 5, 10, 14, 26, 35]
-
-
-def test_master_inverse_is_exact():
+def test_master_inverse_is_exact(bank_guard):
+    # the bank's p mod 360360, doubled and divided by the Euler product
+    bank_guard.clear()
     e = euler_product(40000, 360360)
-    prod = e.invert().mul(e)
+    prod = inverse_euler(40000, 360360).mul(e)
     assert prod.valid_to == 40000
     assert prod.coeffs[0] == 1
     assert not prod.coeffs[1:].any()
+
+
+def test_modular_invert_of_a_dense_series_near_the_modulus():
+    # every coefficient within 1000 of m = 2^31 - 1 and none of them -1, so
+    # each far term's share of a block is a product near 2^62: it must be
+    # reduced before it is added, as two such products overflow int64
+    m = 2**31 - 1
+    rng = np.random.default_rng(5)
+    a = m - rng.integers(2, 1000, 3 * B + 7, dtype=np.int64)
+    inv = Series(a, modulus=m).invert().coeffs
+    assert inv.dtype == np.int64
+    product = schoolbook_mod(a.tolist(), inv.tolist(), m, len(a))
+    assert product == [1] + [0] * (len(a) - 1)
+    # resumed at and around a block edge, as the exact inverse is
+    for k in (1, B - 1, B, 2 * B + 1):
+        assert Series(a, modulus=m).invert(inv[:k]).coeffs.tolist() == inv.tolist(), k
 
 
 # -- the exact product kernels ------------------------------------------------
