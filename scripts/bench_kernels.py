@@ -1,8 +1,9 @@
 """Time the series kernels on fixed operands, alternating checkouts case by case.
 
-The cases are two cold builds of the modular p and spt tables, each through
+The cases are three cold builds of the p and spt tables, each through
 partitions.stream from an emptied bank, as a cold `check all` builds them:
-mod 360360 at 40,001 terms, the master table, and mod 169 at 33,801 terms.
+mod 360360 at 40,001 terms, the master table, mod 169 at 33,801 terms, and
+exact at 8,445 terms, the length of zell's exact p.
 Then come ten exact products, all taken by the limb-column kernel: the
 eight largest shapes that `check all` and the ten `series --out` exports
 of the benchmark multiply, a long operand of few bits
@@ -64,7 +65,8 @@ ROUNDS = 7
 
 # (name, modulus, terms) of the cold p and spt builds
 TABLES = [("p and spt mod 360360 x 40001 from an empty bank", 360360, 40001),
-          ("p and spt mod 169 x 33801 from an empty bank", 169, 33801)]
+          ("p and spt mod 169 x 33801 from an empty bank", 169, 33801),
+          ("p and spt exact x 8445 from an empty bank", 0, 8445)]
 
 # (modulus label, modulus, terms) of the truncated modular products
 MOD_PRODUCTS = [("5^6", 5**6, 5000), ("360360", 360360, 40001)]

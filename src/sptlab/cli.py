@@ -9,7 +9,7 @@ import time
 from . import cache, partitions
 from .forms import (delta_series, e2t, e14_over_delta, eisenstein, euler_product, hauptmodul,
                     j_series, phi_t)
-from .series import ValidityError
+from .series import ValidityError, check_modulus
 
 # `series` loads only forms, partitions and cache; the check modules
 # (verifier, hecke, gamma0, reports) load when a check runs or its help shows
@@ -119,6 +119,7 @@ def _series_values(args):
     kind, n, mod, t = args.kind, args.n, args.mod, args.t
     if n < 0:
         raise ValueError("--n must be nonnegative")
+    check_modulus(mod)  # most kinds wrap their arrays past Series' own check
     if kind in _LEVEL_KINDS:
         if t is None:
             raise ValueError("kind %r needs --t" % kind)

@@ -191,19 +191,15 @@ def memo(tag, n, modulus, build):
 
 
 def _build_p(n, modulus):
-    """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one.
-    Exact, by the recurrence of Series.invert.  Modulo m, by dividing 1 by the
-    Euler product block by block (series._euler_quotient), from the bank's p
-    or from p(0) = 1: each division by the first L terms doubles the table
-    to 2L, until it holds series._EULER_BLOCK terms, and one more division
-    makes the rest."""
-    got = _bank.get(("p", modulus))
-    known = got.coeffs if got is not None else None
-    if not modulus:
-        return euler_product(n).invert(known)
-    p = np.zeros(n + 1, dtype=np.int64)
-    h = 1 if known is None else min(len(known), n + 1)
-    p[:h] = 1 if known is None else known[:h]
+    """p(0..n) = 1/(q)_inf, continuing the bank's shorter table if it has one:
+    1 divided by the Euler product block by block (series._euler_quotient),
+    from the bank's p or from p(0) = 1.  Each division by the first L terms
+    doubles the table to 2L, until it holds series._EULER_BLOCK terms, and
+    one more division makes the rest; exact and modulo m alike."""
+    known = _bank.get(("p", modulus), Series.one(0, modulus)).coeffs  # or p(0) = 1
+    p = np.zeros(n + 1, dtype=coeff_dtype(modulus))
+    h = min(len(known), n + 1)
+    p[:h] = known[:h]
     while h <= n:
         end = min(2 * h, series._EULER_BLOCK, n + 1) if h < series._EULER_BLOCK else n + 1
         series._euler_quotient(p[:end], modulus, p[:h], p[:h])
@@ -212,9 +208,8 @@ def _build_p(n, modulus):
 
 
 def inverse_euler(n, modulus=0):
-    """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table (_build_p:
-    inverted exactly, divided modulo m); every Euler-product inverse, and
-    the p(0..B-1) that divides spt by the Euler product modulo m, reads it,
-    so each p(k) is computed once per modulus."""
+    """1/(q)_inf = sum p(k) q^k through q^n from the bank's p table (_build_p);
+    every Euler-product inverse, and the p(0..B-1) that divides spt by the
+    Euler product, reads it, so each p(k) is computed once per modulus."""
     tab = memo("p", n, modulus, _build_p)
     return Series._wrap(tab.coeffs[: n + 1], 0, 0, modulus)

@@ -10,10 +10,10 @@ product (q)_inf = prod_{r>=1} (1 - q^r):
         = sum sigma(n) q^n + sum_{k>=1} (-1)^k q^(k(3k+1)/2) (1 + q^k) / (1 - q^k)^2.
 
 The tail sum costs O(N/k) per k.  Dividing it by the Euler product
-finishes it: exactly, one product with the bank's partition table
-p = 1/(q)_inf; modulo m, the blocked division of series._euler_quotient,
-seeded by the bank's p(0..B-1), which is also how the modular p table is
-built (forms._build_p).
+finishes it, exactly and modulo m alike: the blocked division of
+series._euler_quotient, seeded by the bank's p(0..B-1), which is also how
+the p table is built (forms._build_p).  Like p, a longer spt table
+continues the bank's shorter one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import series
-from .forms import _build_p, _divisor_power_sums, inverse_euler, memo
+from .forms import _bank, _build_p, _divisor_power_sums, inverse_euler, memo
 from .series import Series
 
 def _andrews_rhs(n, modulus=0):
@@ -46,13 +46,12 @@ def _andrews_rhs(n, modulus=0):
 
 def spt_stream(n, modulus=0):
     """spt(0..n) from Andrews' identity: its right side divided by the Euler
-    product, exactly as one product with the bank's p table, modulo m block
-    by block from the bank's p(0..B-1) (module docstring)."""
-    rhs = _andrews_rhs(n, modulus)
-    if not modulus:
-        return rhs.mul(inverse_euler(n))
+    product block by block from the bank's p(0..B-1), continuing the bank's
+    shorter spt table if it has one (module docstring)."""
+    rhs = _andrews_rhs(n, modulus).coeffs
     p = inverse_euler(min(n, series._EULER_BLOCK - 1), modulus).coeffs
-    return Series._wrap(series._euler_quotient(rhs.coeffs, modulus, p), 0, 0, modulus)
+    known = _bank.get(("spt", modulus), Series.zero(-1)).coeffs  # or no term
+    return Series._wrap(series._euler_quotient(rhs, modulus, p, known), 0, 0, modulus)
 
 
 # -- the p/spt/d/a tables in the shared bank -----------------------------------

@@ -6,9 +6,10 @@ fractional tag frac24 in [0, 24) (s = frac24 for frac24 <= 12, else
 frac24 - 24).  Coefficients below lo are known to vanish; coefficients
 above valid_to are unknown and reading them is a hard error.
 
-The coefficients are one 1-D numpy array in either of two domains: exact,
-an object array of Python ints, or residues modulo M >= 2, an int64 array
-with entries in [0, M).  Every operation is one array expression for both,
+The coefficients are one 1-D numpy array in either of two domains: exact
+(modulus 0), an object array of Python ints, or residues modulo
+2 <= M < 2^31, an int64 array with entries in [0, M), whose products the
+int64 kernels sum.  Every operation is one array expression for both,
 reduced mod M when there is a modulus; only the products choose a kernel
 by domain.  A table of arithmetic-function values f(0..N), such as p(n) or
 spt(n), is a Series too.
@@ -50,6 +51,12 @@ def coeff_dtype(modulus):
     return np.int64 if modulus else object
 
 
+def check_modulus(modulus):
+    """Raise ValueError unless modulus names a domain (module docstring)."""
+    if modulus == 1 or not 0 <= modulus < 1 << 31:
+        raise ValueError("modulus must be 0 (exact) or 2 <= M < 2^31, got %d" % modulus)
+
+
 def reduce(x, modulus):
     """x (a value or an array) reduced into the domain: x % modulus, or x
     itself when exact."""
@@ -62,10 +69,7 @@ class Series:
     def __init__(self, coeffs, lo=0, frac24=0, modulus=0):
         if not 0 <= frac24 < 24:
             raise GridError("frac24 must lie in [0, 24)")
-        if modulus == 1 or modulus < 0:
-            raise ValueError("modulus must be 0 (exact) or >= 2")
-        if modulus >= 1 << 31:
-            raise ValueError("modulus too large for the int64 backend")
+        check_modulus(modulus)
         self.frac24 = int(frac24)
         self.lo = int(lo)
         self.modulus = int(modulus)
@@ -254,9 +258,8 @@ class Series:
 
     # -- inversion ---------------------------------------------------------
 
-    def invert(self, prefix=None):
-        """Laurent inverse; leading retained coefficient must be a unit.  A known
-        leading part of the inverse (prefix) is continued, not recomputed."""
+    def invert(self):
+        """Laurent inverse; leading retained coefficient must be a unit."""
         a = self.strip()
         if len(a.coeffs) == 0:
             raise UnitError("cannot invert a series with no retained terms")
@@ -271,7 +274,7 @@ class Series:
             c0_inv = pow(c0, -1, m) if m else c0
         except ValueError:
             raise UnitError("leading coefficient %d is not a unit mod %d" % (c0, m))
-        return Series._wrap(_invert(coeffs, c0_inv, m, prefix), lo, frac, m)
+        return Series._wrap(_invert(coeffs, c0_inv, m), lo, frac, m)
 
     # -- reindexing operations ---------------------------------------------
 
@@ -610,26 +613,26 @@ def _conv_fft(a, b, m, n_out):
     return _mod_columns(fa, _residue_spectra(b, k, w, size), w, m, size, 0, n)
 
 
-# Block length of _invert.  Measured on a 2-core x86-64 host with numpy
-# 2.4, exact p(0..8444) = 1/(q)_inf (median of 5): 0.20 s unblocked; 0.11 s
-# at 48, 0.095 s at 96, 0.09 s at 128, 0.095 s at 192 and 256.
+# Block length of _invert, which `check all` runs on 50 terms at most.  Medians
+# at blocks of 32, 128 and 512 (2-core x86-64, numpy 2.4): 2.6, 1.0 and 1.0 ms
+# for the kernel bench's exact 146-term reciprocal; 1.2, 0.44 and 0.42 ms for
+# its G_5 mod 5^6 of 110 terms; 170, 118 and 119 ms for the tests' p(0..16385).
 _INV_BLOCK = 128
 
 
-def _invert(a, c0_inv, m, prefix=None):
+def _invert(a, c0_inv, m):
     """Power-series inverse of a coefficient list a in the domain of modulus
     m, for c0_inv = 1/a[0] there (a[0] = +-1 when exact), as an array of that
-    domain; out[i] reads only out[:i], so a known prefix is kept and the
-    recurrence resumes.
+    domain.
 
     The recurrence runs in blocks of _INV_BLOCK indices.  A term a[k] with
     k >= _INV_BLOCK reads only finished blocks, so its share of a block is one
     array add; only the terms below the block length are summed index by
     index.  Modulo m such a term other than +-1 is reduced before it is
     added, so a block's int64 sum stays below (number of terms) m.  The cost
-    is n times the number of nonzero terms of a: every long inverse in
-    sptlab is of the Euler product, and forms.inverse_euler divides that one
-    in blocks (_euler_quotient).
+    is n times the number of nonzero terms of a: the Euler product is
+    divided by, not inverted (_euler_quotient), so every inverse in sptlab
+    is short.
     """
     n = len(a)
     nz = [(k, a[k]) for k in range(1, n) if a[k]]
@@ -638,12 +641,9 @@ def _invert(a, c0_inv, m, prefix=None):
     minus_one = reduce(-1, m)
     dtype = coeff_dtype(m)
     # Python ints, so that the index-by-index sums cannot overflow
-    known = [] if prefix is None else np.asarray(prefix[:n], dtype=dtype).tolist()
-    out = known or [c0_inv]
-    start = len(out)
-    out.extend([0] * (n - start))
+    out = [c0_inv] + [0] * (n - 1)
     done = np.array(out, dtype=dtype)  # out[:b0] for the block adds
-    for b0 in range(start, n, _INV_BLOCK):
+    for b0 in range(1, n, _INV_BLOCK):
         b1 = min(b0 + _INV_BLOCK, n)
         acc = np.zeros(b1 - b0, dtype=dtype)
         for k, ak in far:
@@ -677,22 +677,23 @@ _EULER_BLOCK = 8192
 
 
 def _euler_quotient(f, m, p, prefix=None):
-    """f/(q)_inf mod m through the length of the int64 residue array f,
-    written over f, which is returned.  p holds p(0..L-1) = 1/(q)_inf mod m,
+    """f/(q)_inf through the length of f, an array of the domain of modulus m,
+    written over f, which is returned.  p holds p(0..L-1) = 1/(q)_inf there,
     and the blocks are B = min(L, _EULER_BLOCK) indices long; a known leading
     part of the quotient (prefix, any length) is copied, not recomputed.  So
-    p(0..L-1) with a prefix of L terms fills [L, 2L) of a table of 2L: the
-    modular p doubles itself from p(0) = 1 (forms._build_p).
+    p(0..L-1) with a prefix of L terms fills [L, 2L) of a table of 2L: p
+    doubles itself from p(0) = 1 (forms._build_p).
 
     With (q)_inf = sum_g e_g q^g over the generalised pentagonal numbers g,
     x = f/(q)_inf has x[i] = f[i] - sum_(g>=1) e_g x[i-g].  Each block
     [b0, b1) first takes, for each g < b1, the terms x[i-g] with i - g < b0,
-    which are finished: one slice add per g, and the int64 sum stays below
-    (1 + #g) m.  What is left is the same recurrence inside the block, that
-    sum divided by (q)_inf, so the block is p(0..b1-b0-1) times the sum,
-    truncated to the block.  Every block multiplies by the same p, so its
-    limb spectra (as _conv_fft takes them) are computed once; short blocks,
-    and a block whose rounding guard trips, take _conv_mod.
+    which are finished: one slice add per g, and modulo m the int64 sum
+    stays below (1 + #g) m.  What is left is the same recurrence inside the
+    block, that sum divided by (q)_inf, so the block is p(0..b1-b0-1) times
+    the sum, truncated to the block: exactly, one _conv_exact; modulo m,
+    every block multiplies by the same p, so its limb spectra (as _conv_fft
+    takes them) are computed once, and short blocks, or a block whose
+    rounding guard trips, take _conv_mod.
     """
     n = len(f)
     start = 0 if prefix is None else min(len(prefix), n)
@@ -706,7 +707,7 @@ def _euler_quotient(f, m, p, prefix=None):
     block = min(len(p), _EULER_BLOCK)
     width = min(block, n - start)
     fp = None
-    if width >= _FFT_CUTOFF:
+    if m and width >= _FFT_CUTOFF:
         limbs, w = _limbs(m, width)
         size = _fft_size(2 * width - 1)
         fp = _residue_spectra(p[:width], limbs, w, size)
@@ -721,6 +722,9 @@ def _euler_quotient(f, m, p, prefix=None):
                 r[lo - b0 : hi - b0] -= f[lo - g : hi - g]
             else:
                 r[lo - b0 : hi - b0] += f[lo - g : hi - g]
+        if not m:
+            f[b0:b1] = _conv_exact(p[: b1 - b0].tolist(), r.tolist(), b1 - b0)
+            continue
         r %= m
         x = None
         if fp is not None:

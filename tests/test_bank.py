@@ -3,7 +3,6 @@ import ast
 import hashlib
 import sys
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 # third party
 import numpy as np
@@ -30,8 +29,7 @@ def _digest(tab):
 @fixture(scope="module")
 def cold_run():
     """run_checks over the whole registry on an empty bank, recording each
-    Series.invert as (modulus, length, length of the prefix it continued,
-    code of the caller of Series.invert, whether it inverts an Euler-product
+    Series.invert as (modulus, length, whether it inverts an Euler-product
     prefix), and each blocked division by the Euler product as (modulus,
     length, length of the prefix it continued, code of its caller)."""
     saved = dict(forms._bank)
@@ -39,12 +37,11 @@ def cold_run():
     calls, divisions = [], []
 
     def invert(inner):
-        def call(a, c0_inv, m, prefix=None):
+        def call(a, c0_inv, m):
             euler = np.array_equal(np.asarray(a, dtype=object),
                                    np.asarray(euler_product(len(a) - 1, m).coeffs, dtype=object))
-            calls.append((m, len(a), 0 if prefix is None else len(prefix),
-                          sys._getframe(2).f_code, euler))
-            return inner(a, c0_inv, m, prefix)
+            calls.append((m, len(a), euler))
+            return inner(a, c0_inv, m)
         return call
 
     def divide(inner):
@@ -63,31 +60,29 @@ def cold_run():
     forms._bank.update(saved)
 
 
-def test_cold_check_all_inverts_the_euler_product_once_per_modulus(cold_run):
+def test_cold_check_all_divides_each_table_once_per_domain(cold_run):
     reports, calls, divisions = cold_run
     assert len(reports) == 81 and all(r.ok for r in reports)
-    # nothing is inverted modulo m: the modular p is divided, not inverted
-    assert {m for m, *_ in calls} == {0}
-    euler = [c for c in calls if c[-1]]
-    assert [start for _, _, start, *_ in euler].count(0) == 1
-    # the exact p is grown, never recomputed: p(0..8444) once in total
-    assert sum(n - start for _, n, start, *_ in euler) <= 8445
-    # and every Euler-product inverse is the bank's p
-    assert {code for *_, code, _ in euler} == {forms._build_p.__code__}
-    # modulo m, p is divided from p(0) = 1 once per modulus, doubling to B
-    # terms and then dividing the rest, each p(k) once: the master to 40,000
-    grown = [d for d in divisions if d[-1] is forms._build_p.__code__]
-    assert all(start for _, _, start, _ in grown)
-    from_scratch = Counter(m for m, _, start, _ in grown if start == 1)
-    assert from_scratch[MASTER_MODULUS] == 1 and max(from_scratch.values()) == 1
-    for modulus in {m for m, *_ in grown}:
-        lengths = [(n, start) for m, n, start, _ in grown if m == modulus]
-        assert sum(max(n - start, 0) for n, start in lengths) < max(n for n, _ in lengths)
-    assert (MASTER_MODULUS, 40001, series._EULER_BLOCK) in [d[:3] for d in grown]
-    # spt is divided from scratch once per modulus, and nothing else divides
-    spt = Counter(m for m, _, start, code in divisions if code is spt_stream.__code__)
-    assert spt[MASTER_MODULUS] == 1 and max(spt.values()) == 1
-    assert len(grown) + sum(spt.values()) == len(divisions)
+    # no Euler product is inverted in either domain, and every inverse is
+    # short: p is divided, not inverted
+    assert not any(euler for *_, euler in calls)
+    assert max(n for _, n, _ in calls) < series._INV_BLOCK
+    # only p and spt divide, and in each domain each is divided from scratch
+    # once (p from p(0) = 1, spt from nothing) and then only grown, so each
+    # p(k) and spt(k) is divided once
+    build_p, spt = forms._build_p.__code__, spt_stream.__code__
+    first = {build_p: 1, spt: 0}
+    assert {code for *_, code in divisions} == set(first)
+    for code, modulus in {(code, m) for m, *_, code in divisions}:
+        runs = [(n, start) for m, n, start, c in divisions if (c, m) == (code, modulus)]
+        assert [start for _, start in runs].count(first[code]) == 1, (code.co_name, modulus)
+        assert sum(n - start for n, start in runs) == max(n for n, _ in runs) - first[code]
+    # both domains divide both tables, among them the exact p to q^8444 for
+    # zell and the master p, doubled to B terms and divided once more
+    assert {(m, code) for m, *_, code in divisions} >= {
+        (m, code) for m in (0, MASTER_MODULUS) for code in first}
+    assert max(n for m, n, _, code in divisions if (m, code) == (0, build_p)) == 8445
+    assert (MASTER_MODULUS, 40001, series._EULER_BLOCK, build_p) in divisions
 
 
 def test_check_all_does_not_mutate_shared_tables(cold_run):

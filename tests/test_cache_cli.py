@@ -260,6 +260,17 @@ def test_series_rejects_t_for_a_kind_that_does_not_read_it(capsys, kind):
     assert captured.err == "sptlab: kind %s takes no --t\n" % kind
 
 
+@mark.parametrize('mod', [1, -7, 2**31, 2**55])
+@mark.parametrize('kind', ["p", "spt", "E4"])
+def test_series_rejects_a_modulus_outside_the_domains(capsys, kind, mod):
+    # 1 and a negative modulus would print p(0) = 1 or negative residues, and
+    # a modulus past 2^31 overflows the int64 sums: each is a usage error
+    assert main(["series", kind, "--n", "40", "--mod", str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sptlab: modulus ") and captured.err.count("\n") == 1
+
+
 @parametrize('argv', ["check spt-hecke --ell 5 --nmax 5 --cache-dir", "series p --n 5 --out"])
 def test_unusable_directory_is_a_usage_error(tmp_path, capsys, bank_guard, argv):
     # a regular file where the cache or export directory should be; on an

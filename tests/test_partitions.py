@@ -10,7 +10,7 @@ from pytest import MonkeyPatch, fixture, raises, mark
 # local package
 from sptlab import ValidityError, series
 from sptlab.forms import euler_product, inverse_euler
-from sptlab.series import Series
+from sptlab.series import Series, coeff_dtype, reduce
 from sptlab.partitions import _andrews_rhs, spt_stream, stream
 # test helpers
 from oracles import partition_oracle, spt_bruteforce
@@ -228,32 +228,26 @@ GROWN_FROM = {64: [1, 2, 4, 8, 16, 32, 64, 101],
 
 def test_p_table_grows_from_its_prefix(bank_guard, monkeypatch):
     # p to 100, then to 3000: the second build continues the stored 101
-    # values, and both backends match a fresh build and the coin-counting DP.
-    # Modulo m nothing is inverted: at block 64 the stored 101 values are
-    # past the doublings, at 1024 the doublings resume from them
+    # values, and both domains match a fresh build and the coin-counting DP.
+    # Nothing is inverted, exact or modulo m: at block 64 the stored 101
+    # values are past the doublings, at 1024 the doublings resume from them
     want = partition_oracle(3000)
     inverted, divided = [], []
     monkeypatch.setattr(series, "_invert", _spy_starts(series._invert, inverted))
     monkeypatch.setattr(series, "_euler_quotient", _spy_starts(series._euler_quotient, divided))
-    for block, modulus in ((64, 0), (64, 169), (1024, 169)):
-        monkeypatch.setattr(series, "_EULER_BLOCK", block)
-        bank_guard.clear()
-        del inverted[:], divided[:]
-        small = stream("p", 100, modulus)
-        grown = stream("p", 3000, modulus)
-        if modulus:
+    for block in GROWN_FROM:
+        for modulus in (0, 169):
+            monkeypatch.setattr(series, "_EULER_BLOCK", block)
+            bank_guard.clear()
+            del inverted[:], divided[:]
+            small = stream("p", 100, modulus)
+            grown = stream("p", 3000, modulus)
             assert inverted == [] and divided == GROWN_FROM[block]
             assert grown.coeffs[:101].tolist() == small.coeffs.tolist()
-        else:
-            assert inverted == [0, 101] and divided == []
-            # the same int objects: indices 0..100 were copied, not recomputed
-            assert all(x is y for x, y in zip(grown.coeffs, small.coeffs))
-        bank_guard.clear()
-        fresh = stream("p", 3000, modulus)
-        assert list(map(int, grown.coeffs)) == list(map(int, fresh.coeffs))
-        assert [grown.coeff(k) for k in range(3001)] == [
-            v % modulus if modulus else v for v in want
-        ]
+            bank_guard.clear()
+            fresh = stream("p", 3000, modulus)
+            assert grown.coeffs.tolist() == fresh.coeffs.tolist()
+            assert grown.coeffs.tolist() == [reduce(v, modulus) for v in want]
 
 
 @parametrize('m', [2, 169, 360360, 2**31 - 1])
@@ -275,9 +269,8 @@ def test_doubled_p_matches_coin_counting(bank_guard, monkeypatch, m):
 
 @parametrize('modulus', [0, 169])
 def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
-    # the bank keeps the table the inversion returned (exact) or the one
-    # array the divisions wrote (modular, doubling to blocks of 64), not a
-    # copy
+    # the bank keeps the one array the divisions wrote, doubling to blocks
+    # of 64, not a copy; nothing is inverted
     made = []
 
     def spy(inner):
@@ -292,11 +285,8 @@ def test_p_is_stored_once_on_a_miss(bank_guard, monkeypatch, modulus):
     bank_guard.clear()
     got = stream("p", 200, modulus)
     assert bank_guard[("p", modulus)] is got
-    if modulus:
-        assert len(made) == 7 and len(made[-1]) == len(got.coeffs)
-        assert all(np.shares_memory(got.coeffs, x) for x in made)
-    else:
-        assert len(made) == 1 and got.coeffs is made[0]
+    assert len(made) == 7 and len(made[-1]) == len(got.coeffs)
+    assert all(np.shares_memory(got.coeffs, x) for x in made)
 
 
 # -- the blocked division by the Euler product ---------------------------------
@@ -317,44 +307,51 @@ def test_modular_p_and_spt_match_the_oracles_across_blocks(bank_guard, monkeypat
 
 @fixture(scope="module")
 def exact_p_spt():
-    """The exact p and spt to 2B + 1 for the block length B, by the exact
-    backend and outside the bank: the inverse's recurrence and one product."""
+    """The exact p and spt to 2B + 1 for the block length B, outside the bank
+    and by no code the bank's tables are built with: the inverse's
+    recurrence and one product."""
     n = 2 * series._EULER_BLOCK + 1
     p = euler_product(n).invert()
     return p.coeffs, _andrews_rhs(n).mul(p).coeffs
 
 
-@parametrize('m', MODULI)
+@parametrize('m', [0] + MODULI)
 def test_modular_p_and_spt_match_the_exact_tables_at_block_edges(bank_guard, exact_p_spt, m):
+    # the bank's tables in both domains, exact ones included, against the
+    # fixture's, which the bank did not build
     b = series._EULER_BLOCK
     for n in (b - 1, b, b + 1, 2 * b + 1):
         bank_guard.clear()
         for kind, exact in zip(("p", "spt"), exact_p_spt):
             got = stream(kind, n, m)
             assert got.valid_to == n
-            assert got.coeffs.tolist() == [v % m for v in exact[: n + 1]], (kind, n)
+            assert got.coeffs.tolist() == [reduce(v, m) for v in exact[: n + 1]], (kind, n)
 
 
 def _quotient_oracle(f, m):
-    """f/(q)_inf mod m by the pentagonal recurrence, one index at a time."""
+    """f/(q)_inf, exact (m = 0) or mod m, by the pentagonal recurrence, one
+    index at a time."""
     pents = [(k * (3 * k + s) // 2, (-1) ** k) for k in range(1, len(f) + 1) for s in (-1, 1)]
     x = []
     for i, fi in enumerate(f):
-        x.append((fi - sum(e * x[i - g] for g, e in pents if g <= i)) % m)
+        x.append(reduce(fi - sum(e * x[i - g] for g, e in pents if g <= i), m))
     return x
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(MODULI), st.integers(1, 40), st.data())
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([0] + MODULI), st.integers(1, 40), st.data())
 def test_euler_quotient_continues_from_every_prefix(m, block, data):
     # from scratch, and from every prefix of the quotient, the empty one
-    # included, the blocked division gives the pointwise recurrence
-    f = data.draw(st.lists(st.integers(0, m - 1), max_size=120))
+    # included, the blocked division gives the pointwise recurrence: modulo
+    # m on residues, exactly on signed ints of up to 100 bits
+    values = st.integers(0, m - 1) if m else st.integers(-2**100, 2**100)
+    f = data.draw(st.lists(values, max_size=120))
     want = _quotient_oracle(f, m)
-    p = np.array([v % m for v in partition_oracle(block)][:block], dtype=np.int64)
+    dtype = coeff_dtype(m)
+    p = np.array([reduce(v, m) for v in partition_oracle(block)][:block], dtype=dtype)
     with MonkeyPatch.context() as mp:
         mp.setattr(series, "_EULER_BLOCK", block)
-        assert series._euler_quotient(np.array(f, dtype=np.int64), m, p).tolist() == want
+        assert series._euler_quotient(np.array(f, dtype=dtype), m, p).tolist() == want
         for h in range(len(f) + 1):
-            got = series._euler_quotient(np.array(f, dtype=np.int64), m, p, want[:h])
+            got = series._euler_quotient(np.array(f, dtype=dtype), m, p, want[:h])
             assert got.tolist() == want, h

@@ -363,21 +363,6 @@ def test_invert_roundtrip_mod(c, m):
     assert all(prod.coeff(n) == 0 for n in range(1, prod.valid_to + 1))
 
 
-@CASES
-@given(coeffs, st.sampled_from([1, -1]), st.sampled_from([0, 2, 169, 360360]), st.data())
-def test_invert_continues_a_known_prefix(c, lead, m, data):
-    # the blocked recurrence, exact or modular, started from any prefix of
-    # the inverse, even an empty or over-long one, gives the inverse
-    f = Series([lead] + c, lo=0)
-    if m:
-        f = f.reduce_mod(m)
-    full = f.invert()
-    k = data.draw(st.integers(0, len(full.coeffs) + 2))
-    got = f.invert(full.coeffs[:k])
-    assert list(map(int, got.coeffs)) == list(map(int, full.coeffs))
-    assert (got.lo, got.frac24) == (full.lo, full.frac24)
-
-
 def _is_inverse(a, inv):
     """a * inv == 1 through the shared length, by the double loop."""
     for i in range(len(a)):
@@ -402,16 +387,6 @@ def test_blocked_inverse_matches_the_product_oracle(n, c0):
             a[k] = rng.choice([1, -1, 7])
     full = Series(a).invert().coeffs
     assert len(full) == n and _is_inverse(a, full)
-    # a resumed inverse keeps its prefix and recomputes the rest; the prefix
-    # ends around each block edge and, at lengths up to B + 1, at every
-    # offset of the first block
-    ends = {0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, n - 1, n}
-    if n <= B + 1:
-        ends |= set(range(n + 1))
-    for k in sorted(e for e in ends if e <= n):
-        got = Series(a).invert(full[:k]).coeffs
-        assert got.tolist() == full.tolist(), k
-        assert all(x is y for x, y in zip(got[:k], full))
 
 
 @CASES
@@ -646,9 +621,6 @@ def test_modular_invert_of_a_dense_series_near_the_modulus():
     assert inv.dtype == np.int64
     product = schoolbook_mod(a.tolist(), inv.tolist(), m, len(a))
     assert product == [1] + [0] * (len(a) - 1)
-    # resumed at and around a block edge, as the exact inverse is
-    for k in (1, B - 1, B, 2 * B + 1):
-        assert Series(a, modulus=m).invert(inv[:k]).coeffs.tolist() == inv.tolist(), k
 
 
 # -- the exact product kernels ------------------------------------------------
